@@ -6,7 +6,6 @@
 
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace coverpack {
 namespace planner {
@@ -73,12 +72,6 @@ ColumnHistogram MergeHistograms(const ColumnHistogram& a, const ColumnHistogram&
   return merged;
 }
 
-DegreeMap MergeDegreeMaps(const DegreeMap& a, const DegreeMap& b) {
-  DegreeMap merged = a;
-  for (const auto& [value, count] : b) merged[value] += count;
-  return merged;
-}
-
 uint64_t ColumnStats::Digest() const {
   uint64_t h = HashCombine(rows, distinct);
   h = HashCombine(h, max_degree);
@@ -130,43 +123,43 @@ RelationStats BuildRelationStats(const Relation& relation) {
   const std::vector<AttrId> attrs = relation.attrs().ToVector();
   stats.columns.resize(attrs.size());
 
-  constexpr size_t kGrain = 1024;
-  const size_t shards = ThreadPool::NumShards(0, relation.size(), kGrain);
-  // Per-shard accumulation, merged in ascending shard order: decomposition
-  // depends only on (rows, grain), so the result is thread-count-invariant.
-  std::vector<std::vector<DegreeMap>> shard_degrees(shards);
-  std::vector<std::vector<ColumnHistogram>> shard_histograms(shards);
-  ThreadPool::Global().ParallelForShards(
-      0, relation.size(), kGrain,
-      [&](size_t begin, size_t end, size_t shard) {
-        std::vector<DegreeMap> degrees(attrs.size());
-        std::vector<ColumnHistogram> histograms(attrs.size());
-        for (size_t i = begin; i < end; ++i) {
-          const std::span<const Value> row = relation.row(i);
-          for (size_t c = 0; c < attrs.size(); ++c) {
-            degrees[c][row[c]] += 1;
-            histograms[c].Add(row[c]);
-          }
-        }
-        shard_degrees[shard] = std::move(degrees);
-        shard_histograms[shard] = std::move(histograms);
-      });
-
+  std::vector<Value> values(relation.size());
   for (size_t c = 0; c < attrs.size(); ++c) {
-    DegreeMap degrees;
-    ColumnHistogram histogram;
-    for (size_t shard = 0; shard < shards; ++shard) {
-      degrees = MergeDegreeMaps(degrees, shard_degrees[shard][c]);
-      histogram = MergeHistograms(histogram, shard_histograms[shard][c]);
-    }
     ColumnStats& column = stats.columns[c];
     column.attr = attrs[c];
     column.rows = relation.size();
-    column.distinct = degrees.size();
-    for (const auto& [value, count] : degrees) {
-      column.max_degree = std::max(column.max_degree, count);
+
+    Value max_value = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = relation.row(i)[c];
+      max_value = std::max(max_value, values[i]);
     }
-    column.histogram = histogram;
+    // The final domain is known up front, so every value is bucketed there
+    // directly: equal to the Add()-built histogram, because widening folds
+    // buckets exactly.
+    ColumnHistogram& histogram = column.histogram;
+    histogram.log2_domain = Log2DomainFor(max_value);
+    histogram.rows = values.size();
+    histogram.max_value = max_value;
+    const uint32_t shift = histogram.log2_domain - kLog2Buckets;
+    for (Value value : values) histogram.buckets[value >> shift] += 1;
+
+    // Distinct count and max degree are run lengths of the sorted column.
+    std::sort(values.begin(), values.end());
+    for (size_t i = 0; i < values.size();) {
+      size_t run_end = i + 1;
+      while (run_end < values.size() && values[run_end] == values[i]) ++run_end;
+      column.distinct += 1;
+      column.max_degree = std::max<uint64_t>(column.max_degree, run_end - i);
+      i = run_end;
+    }
+
+    uint64_t bucket_rows = 0;
+    for (uint64_t bucket : histogram.buckets) bucket_rows += bucket;
+    CP_DCHECK_EQ(bucket_rows, column.rows);
+    CP_DCHECK_LE(column.distinct, column.rows);
+    CP_DCHECK_LE(column.max_degree, column.rows);
+    CP_DCHECK_EQ(column.distinct > 0, column.rows > 0);
   }
   return stats;
 }

@@ -8,12 +8,17 @@
 ///    power-of-two bucket count — bucket boundaries of a narrower domain
 ///    nest *exactly* inside a wider one, so merging two histograms (widen
 ///    to the larger domain, fold buckets pairwise, add) is exact and
-///    associative, and shard-parallel construction is bit-identical to
-///    serial construction at any thread count;
-///  * an exact per-value degree map (std::map — ordered, per the
-///    no-unordered-iteration project rule), reduced to distinct count and
-///    maximum degree; merge is key-wise addition, likewise associative;
+///    associative, and a histogram bucketed directly at its column's final
+///    domain equals one grown value by value with Add();
+///  * the exact distinct count and maximum degree (heaviest value's
+///    occurrence count), read off as run lengths of the sorted column;
 ///  * the row count.
+///
+/// BuildRelationStats makes one serial pass per column: gather the column,
+/// take its max (which fixes the final histogram domain), bucket every
+/// value at that domain, then sort and scan the runs. Every output is a
+/// function of the column's multiset of values alone, so the result cannot
+/// depend on row order or on the thread count.
 ///
 /// A StatsSnapshot bundles the per-relation summaries and extends the
 /// service's structure-keyed StatsSignature: per-relation digests are
@@ -30,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -71,13 +75,6 @@ struct ColumnHistogram {
 /// Exact and associative merge (both sides widened to the max domain).
 ColumnHistogram MergeHistograms(const ColumnHistogram& a, const ColumnHistogram& b);
 
-/// Exact per-value occurrence counts of one column. Ordered by
-/// construction (std::map), so iteration is deterministic.
-using DegreeMap = std::map<Value, uint64_t>;
-
-/// Key-wise sum — the (associative, commutative) merge of two counts.
-DegreeMap MergeDegreeMaps(const DegreeMap& a, const DegreeMap& b);
-
 /// The summary the cost model reads for one column of one relation.
 struct ColumnStats {
   AttrId attr = 0;  ///< attribute id (not part of the digest: rename-free)
@@ -114,8 +111,8 @@ struct StatsSnapshot {
   std::string ToString(const Hypergraph& query) const;
 };
 
-/// Builds the column summaries of one relation, shard-parallel over its
-/// rows with shard-ordered merges: bit-identical at any thread count.
+/// Builds the column summaries of one relation, one sort-based pass per
+/// column: a function of each column's multiset of values only.
 RelationStats BuildRelationStats(const Relation& relation);
 
 /// Builds the full snapshot (every relation of the instance).

@@ -89,6 +89,13 @@ std::optional<PlannerMode> ParsePlannerMode(const std::string& text) {
 
 CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
                        const ShapeCanon& canon, PlannerMode mode) {
+  return ComputePlan(query, instance, p, canon, planner::BuildStatsSnapshot(query, instance),
+                     mode);
+}
+
+CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
+                       const ShapeCanon& canon, const planner::StatsSnapshot& stats,
+                       PlannerMode mode) {
   CachedPlan plan;
   plan.canonical_form = canon.canonical_form;
   const auto tree = JoinTree::Build(query);
@@ -112,7 +119,6 @@ CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32
   lp.psi_star = plan.psi_star;
   lp.acyclic = plan.acyclic;
   lp.join_tree_roots = plan.join_tree_roots;
-  const planner::StatsSnapshot stats = planner::BuildStatsSnapshot(query, instance);
   const planner::PlanDecision decision = planner::PlanChooser::Choose(query, p, stats, lp);
   plan.strategy = StrategyFor(decision.algorithm);
   plan.planner_est_load = decision.est_load;
@@ -354,7 +360,7 @@ ServiceRunStats QueryService::Run() {
       if (!config_.cache_enabled || !entry.cacheable) {
         if (!entry.cacheable) ++stats.plan_bypasses;
         dispatched.plan = ComputePlan(entry.query, entry.instance,
-                                      config_.servers_per_query, entry.canon,
+                                      config_.servers_per_query, entry.canon, entry.stats,
                                       config_.planner_mode);
         dispatched.plan_ticks = dispatched.plan.plan_cost_ticks;
         ++stats.planner.cache_misses;
@@ -369,7 +375,7 @@ ServiceRunStats QueryService::Run() {
           ++stats.planner.cache_hits;
         } else {
           dispatched.plan = ComputePlan(entry.query, entry.instance,
-                                        config_.servers_per_query, entry.canon,
+                                        config_.servers_per_query, entry.canon, entry.stats,
                                         config_.planner_mode);
           dispatched.plan_ticks = dispatched.plan.plan_cost_ticks;
           cache_.Insert(key, dispatched.plan);

@@ -214,11 +214,17 @@ class QueryService {
 uint64_t FingerprintTrackerHash(const LoadTracker& tracker);
 
 /// Computes a fresh plan for (query, instance, p) — the cold path the
-/// cache short-circuits. Builds the planner's StatsSnapshot, runs the
-/// cost-based PlanChooser (or honors a forced mode when that algorithm is
-/// applicable), and bundles the LP numbers + strategy + load threshold
-/// into the cacheable artifact. Exposed for tests and for the bench
-/// experiment's standalone-equivalence checks.
+/// cache short-circuits. Runs the cost-based PlanChooser on `stats` (the
+/// planner's snapshot of `instance`; or honors a forced mode when that
+/// algorithm is applicable), and bundles the LP numbers + strategy + load
+/// threshold into the cacheable artifact. The service passes the snapshot
+/// each RegisteredQuery built at registration.
+CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
+                       const ShapeCanon& canon, const planner::StatsSnapshot& stats,
+                       PlannerMode mode);
+
+/// As above, building the StatsSnapshot of `instance` first. Exposed for
+/// tests and for the bench experiment's standalone-equivalence checks.
 CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
                        const ShapeCanon& canon,
                        PlannerMode mode = PlannerMode::kAuto);

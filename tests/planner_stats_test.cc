@@ -1,11 +1,14 @@
 /// Property and metamorphic tests for the planner's statistics layer:
-/// histogram widening/merge exactness and associativity, rename invariance
-/// of the extended stats signature (agreeing with CanonicalizeShape's
-/// isomorphism classes), monotonicity under row subsetting, thread-count
-/// invariance of shard-parallel construction, and PlanCache eviction churn
-/// when same-shape queries drift apart in their statistics.
+/// histogram widening/merge exactness and associativity, a differential
+/// check of the sort-based column summaries against a value-by-value
+/// reference, rename invariance of the extended stats signature (agreeing
+/// with CanonicalizeShape's isomorphism classes), monotonicity under row
+/// subsetting, invariance under thread count and row order, and PlanCache
+/// eviction churn when same-shape queries drift apart in their statistics.
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -87,13 +90,111 @@ TEST(ColumnHistogramTest, MergeAgreesWithSingleStreamConstruction) {
             HistogramOf(all));
 }
 
-TEST(DegreeMapTest, MergeIsAssociativeAndCommutative) {
-  const DegreeMap a = {{1, 3}, {2, 1}};
-  const DegreeMap b = {{2, 4}, {9, 2}};
-  const DegreeMap c = {{1, 1}, {9, 5}, {12, 1}};
-  EXPECT_EQ(MergeDegreeMaps(MergeDegreeMaps(a, b), c),
-            MergeDegreeMaps(a, MergeDegreeMaps(b, c)));
-  EXPECT_EQ(MergeDegreeMaps(a, b), MergeDegreeMaps(b, a));
+/// The reference the sort-based builder must reproduce: each histogram
+/// grown value by value with Add(), each degree counted in a std::map.
+RelationStats ReferenceStats(const Relation& relation) {
+  RelationStats stats;
+  stats.rows = relation.size();
+  const std::vector<AttrId> attrs = relation.attrs().ToVector();
+  for (size_t c = 0; c < attrs.size(); ++c) {
+    ColumnStats column;
+    column.attr = attrs[c];
+    column.rows = relation.size();
+    std::map<Value, uint64_t> counts;
+    for (size_t i = 0; i < relation.size(); ++i) {
+      const Value value = relation.row(i)[c];
+      column.histogram.Add(value);
+      counts[value] += 1;
+    }
+    column.distinct = counts.size();
+    for (const auto& [value, count] : counts) {
+      column.max_degree = std::max(column.max_degree, count);
+    }
+    stats.columns.push_back(column);
+  }
+  return stats;
+}
+
+void ExpectMatchesReference(const Relation& relation, const std::string& label) {
+  const RelationStats got = BuildRelationStats(relation);
+  const RelationStats want = ReferenceStats(relation);
+  EXPECT_EQ(got.rows, want.rows) << label;
+  ASSERT_EQ(got.columns.size(), want.columns.size()) << label;
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnStats& g = got.columns[c];
+    const ColumnStats& w = want.columns[c];
+    EXPECT_EQ(g.attr, w.attr) << label << " column " << c;
+    EXPECT_EQ(g.rows, w.rows) << label << " column " << c;
+    EXPECT_EQ(g.distinct, w.distinct) << label << " column " << c;
+    EXPECT_EQ(g.max_degree, w.max_degree) << label << " column " << c;
+    EXPECT_EQ(g.histogram, w.histogram) << label << " column " << c;
+    EXPECT_EQ(g.Digest(), w.Digest()) << label << " column " << c;
+  }
+  EXPECT_EQ(got.Digest(), want.Digest()) << label;
+}
+
+TEST(RelationStatsTest, MatchesReferenceOnEmptyRelation) {
+  ExpectMatchesReference(Relation(AttrSet::FromIds({0, 3})), "empty");
+}
+
+TEST(RelationStatsTest, MatchesReferenceOnZeroWidthRows) {
+  Relation r((AttrSet()));
+  for (int i = 0; i < 5; ++i) r.AppendRow({});
+  ASSERT_EQ(r.size(), 5u);
+  ExpectMatchesReference(r, "zero-width");
+}
+
+TEST(RelationStatsTest, MatchesReferenceOnOneRepeatedValue) {
+  Relation r(AttrSet::FromIds({1, 2}));
+  for (int i = 0; i < 3000; ++i) r.AppendRow({42, 0});
+  ExpectMatchesReference(r, "repeated");
+  const RelationStats stats = BuildRelationStats(r);
+  EXPECT_EQ(stats.columns[0].distinct, 1u);
+  EXPECT_EQ(stats.columns[0].max_degree, 3000u);
+}
+
+TEST(RelationStatsTest, MatchesReferenceAtTheFullDomain) {
+  // Values at and above 2^63 need the 64-bit domain; small values share
+  // the column so bucket 0 and the top buckets are both populated.
+  Relation r(AttrSet::FromIds({0, 1}));
+  Rng rng(0x64B17);
+  for (int i = 0; i < 500; ++i) {
+    const Value high = (uint64_t{1} << 63) | rng.Next();
+    r.AppendRow({i % 3 == 0 ? rng.Uniform(16) : high, ~uint64_t{0} - rng.Uniform(4)});
+  }
+  ExpectMatchesReference(r, "full domain");
+  const RelationStats stats = BuildRelationStats(r);
+  EXPECT_EQ(stats.columns[0].histogram.log2_domain, 64u);
+  EXPECT_EQ(stats.columns[1].histogram.log2_domain, 64u);
+}
+
+TEST(RelationStatsTest, MatchesReferenceOnLargeZipfRelation) {
+  // A planner-sized relation: long runs of heavy values next to a long
+  // tail of singletons.
+  Rng rng(0x21FF);
+  const Relation r = workload::Zipf(AttrSet::FromIds({0, 1, 2}), 20000, 20000, 1.1, &rng);
+  ExpectMatchesReference(r, "zipf");
+}
+
+TEST(RelationStatsTest, MatchesReferenceOnRandomWidths) {
+  Rng rng(0xD1FF);
+  for (int trial = 0; trial < 40; ++trial) {
+    const uint32_t width = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    std::vector<AttrId> ids;
+    for (uint32_t a = 0; a < width; ++a) ids.push_back(static_cast<AttrId>(2 * a + trial % 2));
+    Relation r(AttrSet::FromIds(ids));
+    const size_t rows = rng.Uniform(3000);
+    std::vector<Value> row(width);
+    for (size_t i = 0; i < rows; ++i) {
+      for (uint32_t a = 0; a < width; ++a) {
+        // Domains from 1 value up to the full 64 bits, per column.
+        const uint32_t log2_domain = static_cast<uint32_t>((trial + 13 * a) % 65);
+        row[a] = log2_domain == 64 ? rng.Next() : rng.Uniform(uint64_t{1} << log2_domain);
+      }
+      r.AppendRow(row);
+    }
+    ExpectMatchesReference(r, "trial " + std::to_string(trial));
+  }
 }
 
 TEST(RelationStatsTest, DigestIsInvariantUnderAttributeRenaming) {
@@ -140,24 +241,31 @@ TEST(RelationStatsTest, SubsettingRowsIsMonotone) {
   }
 }
 
-TEST(RelationStatsTest, ShardParallelConstructionIsThreadCountInvariant) {
+TEST(RelationStatsTest, StatsAreInvariantUnderThreadCountAndRowOrder) {
+  // Every summary is a function of each column's multiset of values, so
+  // neither the pool size nor a permutation of the rows may change it.
   const unsigned saved = ThreadPool::GlobalThreads();
   Relation r(AttrSet::FromIds({0, 1, 2}));
   Rng rng(0x7EA4);
   for (int i = 0; i < 10000; ++i) {
     r.AppendRow({rng.Uniform(1u << 16), rng.Uniform(1u << 8), rng.Uniform(4u)});
   }
+  Relation reversed(r.attrs());
+  for (size_t i = r.size(); i-- > 0;) reversed.AppendRow(r.row(i));
   ThreadPool::SetGlobalThreads(1);
   const RelationStats serial = BuildRelationStats(r);
   ThreadPool::SetGlobalThreads(4);
   const RelationStats parallel = BuildRelationStats(r);
+  const RelationStats permuted = BuildRelationStats(reversed);
   ThreadPool::SetGlobalThreads(saved);
-  ASSERT_EQ(serial.columns.size(), parallel.columns.size());
-  EXPECT_EQ(serial.Digest(), parallel.Digest());
-  for (size_t c = 0; c < serial.columns.size(); ++c) {
-    EXPECT_EQ(serial.columns[c].histogram, parallel.columns[c].histogram);
-    EXPECT_EQ(serial.columns[c].distinct, parallel.columns[c].distinct);
-    EXPECT_EQ(serial.columns[c].max_degree, parallel.columns[c].max_degree);
+  for (const RelationStats* other : {&parallel, &permuted}) {
+    ASSERT_EQ(serial.columns.size(), other->columns.size());
+    EXPECT_EQ(serial.Digest(), other->Digest());
+    for (size_t c = 0; c < serial.columns.size(); ++c) {
+      EXPECT_EQ(serial.columns[c].histogram, other->columns[c].histogram);
+      EXPECT_EQ(serial.columns[c].distinct, other->columns[c].distinct);
+      EXPECT_EQ(serial.columns[c].max_degree, other->columns[c].max_degree);
+    }
   }
 }
 
