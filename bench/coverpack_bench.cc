@@ -42,8 +42,8 @@
 #include "cluster/cluster_profile.h"
 #include "experiments/experiments.h"
 #include "experiments/runners.h"
+#include "planner/cost_model.h"
 #include "resilience/fault_injector.h"
-#include "service/query_service.h"
 #include "service/workload_sim.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/run_report.h"
@@ -305,7 +305,8 @@ int main(int argc, char** argv) {
       options.service.no_cache = true;
     } else if (arg.rfind("--planner=", 0) == 0) {
       options.planner.mode = arg.substr(10);
-      if (!coverpack::service::ParsePlannerMode(options.planner.mode).has_value()) {
+      if (options.planner.mode != "auto" &&
+          !coverpack::planner::ParseAlgorithm(options.planner.mode).has_value()) {
         std::cerr << "coverpack_bench: --planner must be auto, one_round, acyclic, "
                      "or output_balanced\n";
         return coverpack::bench::Usage(std::cerr, 2);

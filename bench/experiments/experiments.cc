@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <iostream>
 
 #include "cluster/cluster_telemetry.h"
 #include "experiments/runners.h"
@@ -157,16 +156,6 @@ bool ExperimentMatchesFilter(const Experiment& experiment, const std::string& fi
   }
   return Lowered(experiment.id).find(needle) != std::string::npos ||
          Lowered(experiment.display_id).find(needle) != std::string::npos;
-}
-
-int RunExperimentStandalone(const std::string& id) {
-  const Experiment* experiment = FindExperiment(id);
-  if (experiment == nullptr) {
-    std::cerr << "unknown experiment id: " << id << "\n";
-    return 2;
-  }
-  telemetry::RunReport report = RunExperiment(*experiment);
-  return report.ok ? 0 : 1;
 }
 
 namespace {

@@ -6,8 +6,7 @@
 /// its text report has always used, the paper claim, and a run function
 /// returning a telemetry::RunReport. The unified driver
 /// (bench/coverpack_bench.cc) runs any subset and emits
-/// BENCH_results.json; the historical one-binary-per-display wrappers
-/// call RunExperimentStandalone and keep working unchanged.
+/// BENCH_results.json; `coverpack_bench --filter=<id>` runs one.
 
 #ifndef COVERPACK_BENCH_EXPERIMENTS_EXPERIMENTS_H_
 #define COVERPACK_BENCH_EXPERIMENTS_EXPERIMENTS_H_
@@ -45,11 +44,6 @@ const Experiment* FindExperiment(const std::string& id);
 /// thm5_optimal_acyclic and thm5_random_queries); plain terms keep the
 /// historical substring semantics.
 bool ExperimentMatchesFilter(const Experiment& experiment, const std::string& filter);
-
-/// Runs one experiment by exact id, printing its text report, and returns
-/// a process exit code (0 = SHAPE-REPRODUCED). Entry point for the thin
-/// per-experiment wrapper binaries; does not write JSON.
-int RunExperimentStandalone(const std::string& id);
 
 /// Runs one experiment with exchange instrumentation: resets the
 /// process-global ExchangeTelemetry, invokes the run function, and

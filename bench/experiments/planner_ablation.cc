@@ -15,19 +15,19 @@
 ///
 /// Any violating case prints the full (query, stats, cost table, measured
 /// runs) repro block. The --planner flag forces one algorithm for the
-/// whole corpus (claims are only judged in auto mode — forced modes exist
-/// to measure what the chooser is saving). Decision tallies, chooser
-/// cache reuse, and the est/actual error distribution land in the report
-/// as planner.* metrics (see EXPERIMENTS.md).
+/// whole corpus wherever it applies (claims are only judged in auto mode
+/// — forced runs exist to measure what the chooser is saving). Decision
+/// tallies, chooser cache reuse, and the est/actual error distribution
+/// land in the report as planner.* metrics (see EXPERIMENTS.md).
 
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "experiments/runners.h"
 #include "planner/differential.h"
-#include "service/query_service.h"
 #include "telemetry/planner_metrics.h"
 #include "util/hash.h"
 
@@ -56,16 +56,10 @@ telemetry::RunReport RunPlannerAblation(const Experiment& e) {
 
   const std::string mode_name =
       g_planner_overrides.mode.empty() ? "auto" : g_planner_overrides.mode;
-  // The driver validates --planner, so value_or only covers direct callers.
-  const service::PlannerMode mode =
-      service::ParsePlannerMode(mode_name).value_or(service::PlannerMode::kAuto);
-  const bool forced = mode != service::PlannerMode::kAuto;
-  planner::Algorithm forced_algorithm = planner::Algorithm::kOneRound;
-  if (mode == service::PlannerMode::kForceAcyclic) {
-    forced_algorithm = planner::Algorithm::kAcyclicMultiRound;
-  } else if (mode == service::PlannerMode::kForceOutputBalanced) {
-    forced_algorithm = planner::Algorithm::kOutputBalanced;
-  }
+  // "auto" names no algorithm, so it leaves the chooser in charge.
+  const std::optional<planner::Algorithm> forced_algorithm =
+      planner::ParseAlgorithm(mode_name);
+  const bool forced = forced_algorithm.has_value();
 
   const uint64_t seed = ExperimentSeed(HashCombine(0x91A77E4, 1));
   const std::vector<planner::DifferentialCase> corpus =
@@ -84,14 +78,14 @@ telemetry::RunReport RunPlannerAblation(const Experiment& e) {
   for (const planner::DifferentialCase& c : corpus) {
     planner::DifferentialOutcome outcome =
         planner::EvaluateCase(c.query, c.instance, kServers);
-    // A forced mode overrides the chooser wherever the algorithm applies —
-    // the same fallback-to-auto semantics the service uses.
+    // A forced algorithm overrides the chooser wherever it applies; cases
+    // where it does not keep the chooser's pick.
     if (forced) {
       for (const planner::AlgorithmRun& run : outcome.runs) {
-        if (run.algorithm != forced_algorithm) continue;
-        outcome.decision.algorithm = forced_algorithm;
+        if (run.algorithm != *forced_algorithm) continue;
+        outcome.decision.algorithm = *forced_algorithm;
         outcome.decision.est_load =
-            outcome.decision.table.ForAlgorithm(forced_algorithm).est_load;
+            outcome.decision.table.ForAlgorithm(*forced_algorithm).est_load;
         outcome.chosen_actual_load = run.actual_load;
         outcome.chosen_actual_ticks = run.actual_ticks;
       }

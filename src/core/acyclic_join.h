@@ -92,8 +92,9 @@ AcyclicRunResult ComputeAcyclicJoin(const Hypergraph& query, const Instance& ins
                                     const AcyclicRunOptions& options);
 
 /// Theoretical number of servers needed to run this instance at load L
-/// (the max-form of Theorem 1's / Theorem 3's Psi bounds). The benches
-/// compare the executed servers_used against this prediction.
+/// (the max-form of Theorem 1's / Theorem 3's Psi bounds): a prediction
+/// to set beside a run's servers_used. The tests check it falls as L
+/// grows; no bench reports it.
 uint64_t TheoreticalServerDemand(const Hypergraph& query, const Instance& instance,
                                  uint64_t load_threshold, RunPolicy policy);
 

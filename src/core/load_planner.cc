@@ -38,12 +38,21 @@ uint64_t PlanLoadConservative(const Hypergraph& query, const JoinTree& tree,
 }
 
 uint64_t PlanLoadOptimal(const Hypergraph& query, const Instance& instance, uint32_t p) {
+  std::vector<uint64_t> sizes;
+  sizes.reserve(query.num_edges());
+  for (EdgeId e = 0; e < query.num_edges(); ++e) sizes.push_back(instance[e].size());
+  return PlanLoadOptimal(query, sizes, p);
+}
+
+uint64_t PlanLoadOptimal(const Hypergraph& query, const std::vector<uint64_t>& relation_sizes,
+                         uint32_t p) {
+  CP_CHECK_EQ(relation_sizes.size(), query.num_edges());
   uint64_t best = 1;
   for (EdgeSet s : SFamily(query)) {
     if (s.empty()) continue;
     long double product = 1.0L;
     for (EdgeId e : s.ToVector()) {
-      product *= static_cast<long double>(instance[e].size());
+      product *= static_cast<long double>(relation_sizes[e]);
     }
     best = std::max(best, RatioRoot(product, p, s.size()));
   }

@@ -11,6 +11,7 @@
 #define COVERPACK_CORE_LOAD_PLANNER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "query/hypergraph.h"
 #include "query/join_tree.h"
@@ -25,6 +26,11 @@ uint64_t PlanLoadConservative(const Hypergraph& query, const JoinTree& tree,
 /// Theorem 4's threshold: maximized over the family S(E) of Theorem 3.
 /// Requires an alpha-acyclic query.
 uint64_t PlanLoadOptimal(const Hypergraph& query, const Instance& instance, uint32_t p);
+
+/// The same threshold from relation sizes alone (`relation_sizes[e]` =
+/// |R(e)|), for callers that hold statistics rather than the instance.
+uint64_t PlanLoadOptimal(const Hypergraph& query, const std::vector<uint64_t>& relation_sizes,
+                         uint32_t p);
 
 /// Theorem 5's closed form N / p^(1/rho*) (rho* integral for acyclic
 /// queries), rounded up. Provided separately so benches can compare the

@@ -6,7 +6,6 @@
 #include "core/load_planner.h"
 #include "lp/covers.h"
 #include "mpc/hypercube.h"
-#include "query/decomposition.h"
 #include "query/join_tree.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -30,8 +29,7 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
 }
 
 uint64_t TickCost(uint32_t rounds, uint64_t load) {
-  return uint64_t{rounds} * kPlannerRoundLatencyTicks +
-         CeilDiv(load, kPlannerTuplesPerTick);
+  return uint64_t{rounds} * kRoundLatencyTicks + CeilDiv(load, kTuplesPerTick);
 }
 
 /// One-round estimate: the size-aware share optimizer's expected
@@ -71,8 +69,8 @@ CostEstimate EstimateOneRound(const Hypergraph& query, uint32_t p,
 }
 
 /// Theorem 5 estimate: the Theorem 4 threshold from the stats' sizes
-/// (identical to the executor's PlanLoadOptimal), floored by the scatter
-/// round's N_total/p.
+/// (core's PlanLoadOptimal, the L the executor runs with), floored by the
+/// scatter round's N_total/p.
 CostEstimate EstimateAcyclic(const Hypergraph& query, uint32_t p,
                              const StatsSnapshot& stats, const LpNumbers& lp,
                              uint64_t threshold) {
@@ -143,6 +141,22 @@ const char* AlgorithmName(Algorithm algorithm) {
   return "unknown";
 }
 
+std::optional<Algorithm> ParseAlgorithm(const std::string& name) {
+  for (Algorithm algorithm : {Algorithm::kOneRound, Algorithm::kAcyclicMultiRound,
+                              Algorithm::kOutputBalanced}) {
+    if (name == AlgorithmName(algorithm)) return algorithm;
+  }
+  return std::nullopt;
+}
+
+uint64_t ExecutionTicks(const LoadTracker& tracker) {
+  uint64_t ticks = 0;
+  for (uint32_t r = 0; r < tracker.num_rounds(); ++r) {
+    ticks += TickCost(1, tracker.MaxLoadOfRound(r));
+  }
+  return ticks;
+}
+
 LpNumbers ComputeLpNumbers(const Hypergraph& query) {
   LpNumbers lp;
   lp.rho_star = RhoStar(query);
@@ -175,27 +189,13 @@ std::string CostTable::ToString() const {
   return out.str();
 }
 
-uint64_t EstimateOptimalThreshold(const Hypergraph& query, const StatsSnapshot& stats,
-                                  uint32_t p) {
-  uint64_t best = 1;
-  for (EdgeSet s : SFamily(query)) {
-    if (s.empty()) continue;
-    long double product = 1.0L;
-    for (EdgeId e : s.ToVector()) {
-      product *= static_cast<long double>(stats.relations[e].rows);
-    }
-    best = std::max(best, RatioRoot(product, p, s.size()));
-  }
-  return best;
-}
-
 CostTable EstimateCosts(const Hypergraph& query, uint32_t p, const StatsSnapshot& stats,
                         const LpNumbers& lp) {
   CP_CHECK_GE(p, 1u);
   CP_CHECK_EQ(stats.relations.size(), query.num_edges());
   CostTable table;
   table.join_order = PlanJoinOrder(query, stats);
-  table.thm5_threshold = lp.acyclic ? EstimateOptimalThreshold(query, stats, p) : 0;
+  table.thm5_threshold = lp.acyclic ? PlanLoadOptimal(query, stats.RelationSizes(), p) : 0;
 
   CostEstimate one_round = EstimateOneRound(query, p, stats);
   CostEstimate acyclic = EstimateAcyclic(query, p, stats, lp, table.thm5_threshold);

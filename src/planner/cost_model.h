@@ -12,16 +12,17 @@
 ///    residual-query replication;
 ///  * multi-round acyclic (Theorem 5): load estimated from Theorem 4's
 ///    threshold L = max_{S in S(E)} (prod_{e in S} N_e / p)^(1/|S|) —
-///    computed from the statistics' relation sizes, matching the
-///    executor's PlanLoadOptimal bit for bit;
+///    core's PlanLoadOptimal over the statistics' relation sizes, so it
+///    is exactly the L the executor runs with;
 ///  * output-balanced Yannakakis (Theorem 7 / [15]): load N_total/p +
 ///    OUT/p with OUT estimated by the join-order DP, plus the heaviest
 ///    root-tuple extension group (the implementation never splits one
 ///    root tuple's extensions across servers).
 ///
-/// Every estimate also carries a tick cost under the same simulated-clock
-/// constants the query service charges (rounds x latency + load /
-/// tuples-per-tick), so the chooser can tie-break equal loads by rounds.
+/// Every estimate also carries a tick cost on the simulated clock defined
+/// here (rounds x latency + load / tuples-per-tick) — the same clock
+/// ExecutionTicks applies to a measured run and the query service charges
+/// executions on — so the chooser can tie-break equal loads by rounds.
 ///
 /// Exponent guards: an estimate is only `exponent_safe` when choosing it
 /// cannot lose the best theoretical exponent the query admits — for
@@ -35,9 +36,11 @@
 #define COVERPACK_PLANNER_COST_MODEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "mpc/load_tracker.h"
 #include "planner/join_order_dp.h"
 #include "planner/stats.h"
 #include "query/hypergraph.h"
@@ -53,19 +56,26 @@ enum class Algorithm : uint8_t {
   kOutputBalanced = 2,    ///< output-balanced Yannakakis
 };
 
+/// Stable name for reports and flags: "one_round", "acyclic",
+/// "output_balanced".
 const char* AlgorithmName(Algorithm algorithm);
 
-/// Simulated-clock constants, mirroring the service's latency model so
-/// planner tick estimates and service tick charges are commensurable.
-inline constexpr uint64_t kPlannerRoundLatencyTicks = 32;
-inline constexpr uint64_t kPlannerTuplesPerTick = 64;
+/// The inverse of AlgorithmName; nullopt on any other string.
+std::optional<Algorithm> ParseAlgorithm(const std::string& name);
+
+/// The simulated clock: each round costs a fixed latency plus its
+/// bottleneck load at kTuplesPerTick tuples per tick.
+inline constexpr uint64_t kRoundLatencyTicks = 32;
+inline constexpr uint64_t kTuplesPerTick = 64;
+
+/// Ticks of a measured run on the simulated clock, round by round.
+uint64_t ExecutionTicks(const LoadTracker& tracker);
 
 /// Slack factor: output-balanced stays exponent-safe while its estimated
 /// load is at most this multiple of the Theorem 5 estimate.
 inline constexpr uint64_t kOutputBalancedSlack = 4;
 
-/// The LP numbers a cost table is conditioned on. The service's PlanCache
-/// already stores these; standalone callers compute them once here.
+/// The LP numbers and join-forest shape a cost table is conditioned on.
 struct LpNumbers {
   Rational rho_star;
   Rational tau_star;
@@ -91,17 +101,11 @@ struct CostEstimate {
 struct CostTable {
   std::vector<CostEstimate> entries;  ///< indexed by Algorithm value
   JoinOrderPlan join_order;           ///< DP result (OUT estimate, C_out)
-  uint64_t thm5_threshold = 0;        ///< Theorem 4/5 L from the stats
+  uint64_t thm5_threshold = 0;        ///< Theorem 4/5 L from the stats (0 if cyclic)
 
   const CostEstimate& ForAlgorithm(Algorithm algorithm) const;
   std::string ToString() const;
 };
-
-/// Theorem 4's load threshold computed from the snapshot's relation sizes
-/// — identical to core's PlanLoadOptimal on the same instance. Requires
-/// an acyclic query.
-uint64_t EstimateOptimalThreshold(const Hypergraph& query, const StatsSnapshot& stats,
-                                  uint32_t p);
 
 /// Builds the cost table. Pure function of its arguments: no clocks, no
 /// randomness, ordered iteration only — bit-identical everywhere.

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/acyclic_join.h"
-#include "core/one_round.h"
-#include "core/output_balanced.h"
+#include "planner/execute.h"
 #include "query/catalog.h"
-#include "query/join_tree.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/random.h"
@@ -16,21 +13,6 @@
 
 namespace coverpack {
 namespace planner {
-
-namespace {
-
-/// The planner's simulated clock over a measured load matrix — the same
-/// charge the service's latency model applies.
-uint64_t TrackerTicks(const LoadTracker& tracker) {
-  uint64_t ticks = 0;
-  for (uint32_t r = 0; r < tracker.num_rounds(); ++r) {
-    ticks += kPlannerRoundLatencyTicks +
-             CeilDiv(tracker.MaxLoadOfRound(r), kPlannerTuplesPerTick);
-  }
-  return ticks;
-}
-
-}  // namespace
 
 bool DifferentialOutcome::ChooserWithin(double slack) const {
   const uint64_t input_floor = CeilDiv(stats.total_rows, std::max<uint64_t>(1, p));
@@ -64,29 +46,11 @@ DifferentialOutcome EvaluateCase(const Hypergraph& query, const Instance& instan
   outcome.p = p;
   outcome.decision = PlanChooser::Choose(query, p, outcome.stats);
 
-  const auto tree = JoinTree::Build(query);
-  {
-    OneRoundOptions options;
-    options.collect = false;
-    const OneRoundResult run = ComputeOneRoundSkewAware(query, instance, p, options);
-    outcome.runs.push_back({Algorithm::kOneRound, run.max_load, run.rounds,
-                            TrackerTicks(run.load_tracker), run.output_count});
-  }
-  if (tree.has_value()) {
-    AcyclicRunOptions options;
-    options.policy = RunPolicy::kOptimal;
-    options.collect = false;
-    options.p = p;
-    const AcyclicRunResult run = ComputeAcyclicJoin(query, instance, options);
-    outcome.runs.push_back({Algorithm::kAcyclicMultiRound, run.max_load, run.rounds,
-                            TrackerTicks(run.load_tracker), run.output_count});
-  }
-  if (tree.has_value() && tree->Roots().size() == 1) {
-    OutputBalancedOptions options;
-    options.collect = false;
-    const OutputBalancedResult run = ComputeOutputBalanced(query, instance, p, options);
-    outcome.runs.push_back({Algorithm::kOutputBalanced, run.max_load, run.rounds,
-                            TrackerTicks(run.load_tracker), run.output_count});
+  for (const CostEstimate& entry : outcome.decision.table.entries) {
+    if (!entry.applicable) continue;
+    const ExecutedRun run = Execute(entry.algorithm, query, instance, p, /*collect=*/false);
+    outcome.runs.push_back({entry.algorithm, run.max_load, run.rounds,
+                            ExecutionTicks(run.load_tracker), run.output_count});
   }
 
   bool found_best = false;

@@ -5,12 +5,11 @@
 ///
 /// This is the oracle both the planner differential test and the
 /// planner_ablation bench experiment share. EvaluateCase builds the
-/// statistics, asks the chooser, then *executes the whole menu* — the
-/// one-round skew-aware hypercube always, the Theorem 5 multi-round run
-/// when a join tree exists, the output-balanced run when that tree is a
-/// single component — and records each run's actual max load plus its
-/// simulated ticks under the planner's clock constants. The outcome knows
-/// the best actual load, whether the chooser's pick landed within a given
+/// statistics, asks the chooser, then *executes the whole menu*: every
+/// cost-table entry marked applicable runs through planner::Execute —
+/// the same path the query service executes its plans on — and its
+/// actual max load and ExecutionTicks are recorded. The outcome knows the
+/// best actual load, whether the chooser's pick landed within a given
 /// slack of it, and how to print a full (query, stats, cost table, actual
 /// runs) repro when it did not.
 ///
@@ -40,7 +39,7 @@ struct AlgorithmRun {
   Algorithm algorithm = Algorithm::kOneRound;
   uint64_t actual_load = 0;   ///< measured bottleneck load (tuples)
   uint32_t rounds = 0;
-  uint64_t actual_ticks = 0;  ///< planner-clock ticks of the real run
+  uint64_t actual_ticks = 0;  ///< ExecutionTicks of the real run
   uint64_t output_count = 0;
 };
 

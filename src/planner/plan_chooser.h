@@ -62,7 +62,7 @@ class PlanChooser {
   static PlanDecision Choose(const Hypergraph& query, uint32_t p,
                              const StatsSnapshot& stats);
 
-  /// Same, with precomputed LP numbers (the PlanCache already has them).
+  /// Same, with LP numbers the caller already computed (ComputeLpNumbers).
   static PlanDecision Choose(const Hypergraph& query, uint32_t p,
                              const StatsSnapshot& stats, const LpNumbers& lp);
 };

@@ -1,14 +1,13 @@
 /// \file plan_cache.h
 /// \brief Structure-keyed LRU cache of planning artifacts.
 ///
-/// A CachedPlan bundles everything the planner derives from a query's
-/// shape and its instance's size profile: the LP numbers (rho*, tau*,
-/// psi*), the join-forest / twig-decomposition summary, the execution
-/// strategy, and the exchange-plan skeleton (Theorem 4's load threshold L
-/// and the theoretical server demand at that L). Entries are keyed by
-/// (shape hash, p, stats signature) — see query_shape.h — so two
-/// isomorphic queries over same-sized relations share one entry no matter
-/// how they were parsed.
+/// A CachedPlan holds what executing and charging a query needs from the
+/// planner: the algorithm the chooser picked, Theorem 4's load threshold
+/// L for the multi-round run, the chooser's estimated load, and the
+/// simulated cost of planning cold. Entries are keyed by (shape hash, p,
+/// stats signature) — see query_shape.h — so two isomorphic queries over
+/// identically distributed relations share one entry no matter how they
+/// were parsed.
 ///
 /// The cache is a deterministic LRU: hit/miss/eviction sequences depend
 /// only on the lookup order, which the service keeps serial (admission
@@ -27,19 +26,12 @@
 #include <string>
 #include <utility>
 
+#include "planner/cost_model.h"
 #include "util/mutex.h"
-#include "util/rational.h"
 #include "util/thread_annotations.h"
 
 namespace coverpack {
 namespace service {
-
-/// How the service executes an admitted query.
-enum class ExecStrategy : uint8_t {
-  kAcyclicMultiRound,  ///< Theorem 5: ComputeAcyclicJoin, optimal policy
-  kOneRound,           ///< skew-aware one-round hypercube (any query)
-  kOutputBalanced,     ///< output-balanced Yannakakis (connected acyclic)
-};
 
 /// Cache key: shape x sub-cluster size x relation-size profile.
 struct PlanCacheKey {
@@ -61,21 +53,12 @@ struct PlanCacheKey {
 /// The reusable planning artifact for one (shape, p, stats) key.
 struct CachedPlan {
   std::string canonical_form;  ///< collision guard (see PlanCache::Lookup)
-  bool acyclic = false;
-  ExecStrategy strategy = ExecStrategy::kOneRound;
-  Rational rho_star;  ///< fractional edge cover number
-  Rational tau_star;  ///< fractional edge packing number
-  Rational psi_star;  ///< edge quasi-packing number (one-round exponent)
-  uint32_t join_tree_roots = 0;      ///< components of the join forest (acyclic)
-  uint32_t max_s_family_size = 0;    ///< == rho* for acyclic queries (Thm 5)
-  uint64_t load_threshold = 0;       ///< Theorem 4's L for this stats profile
-  uint64_t theoretical_servers = 0;  ///< server demand at L (plan skeleton)
-  uint64_t plan_cost_ticks = 0;      ///< simulated cost a cold plan pays
-  // Chooser artifacts (src/planner): cached so telemetry can report
-  // estimated-vs-actual error without re-planning on cache hits.
-  uint64_t planner_est_load = 0;     ///< chooser's estimated bottleneck load
-  uint64_t planner_out_estimate = 0; ///< join-order DP's OUT estimate
-  std::string join_order;            ///< DP's intra-server join order
+  planner::Algorithm strategy = planner::Algorithm::kOneRound;  ///< chooser's pick
+  uint64_t load_threshold = 0;   ///< Theorem 4's L (0 when cyclic)
+  uint64_t plan_cost_ticks = 0;  ///< simulated cost a cold plan pays
+  /// The chooser's estimated bottleneck load, cached so telemetry can
+  /// report estimated-vs-actual error without re-planning on cache hits.
+  uint64_t planner_est_load = 0;
 };
 
 /// Monotone counters describing the cache's history.

@@ -6,17 +6,10 @@
 #include <sstream>
 #include <utility>
 
-#include "core/acyclic_join.h"
-#include "core/load_planner.h"
-#include "core/one_round.h"
-#include "core/output_balanced.h"
-#include "lp/covers.h"
+#include "planner/execute.h"
 #include "planner/stats.h"
-#include "query/decomposition.h"
-#include "query/join_tree.h"
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 #include "util/thread_pool.h"
 
 namespace coverpack {
@@ -34,14 +27,6 @@ uint64_t FingerprintTrackerHash(const LoadTracker& tracker) {
 
 namespace {
 
-uint64_t ExecutionTicks(const LoadTracker& tracker) {
-  uint64_t ticks = 0;
-  for (uint32_t r = 0; r < tracker.num_rounds(); ++r) {
-    ticks += kRoundLatencyTicks + CeilDiv(tracker.MaxLoadOfRound(r), kTuplesPerTick);
-  }
-  return ticks;
-}
-
 /// Nearest-rank percentile of an ascending-sorted vector (0 when empty).
 uint64_t Percentile(const std::vector<uint64_t>& sorted, uint32_t pct) {
   if (sorted.empty()) return 0;
@@ -49,93 +34,24 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, uint32_t pct) {
   return sorted[index];
 }
 
-ExecStrategy StrategyFor(planner::Algorithm algorithm) {
-  switch (algorithm) {
-    case planner::Algorithm::kOneRound: return ExecStrategy::kOneRound;
-    case planner::Algorithm::kAcyclicMultiRound: return ExecStrategy::kAcyclicMultiRound;
-    case planner::Algorithm::kOutputBalanced: return ExecStrategy::kOutputBalanced;
-  }
-  return ExecStrategy::kOneRound;
-}
-
-planner::Algorithm AlgorithmFor(ExecStrategy strategy) {
-  switch (strategy) {
-    case ExecStrategy::kOneRound: return planner::Algorithm::kOneRound;
-    case ExecStrategy::kAcyclicMultiRound: return planner::Algorithm::kAcyclicMultiRound;
-    case ExecStrategy::kOutputBalanced: return planner::Algorithm::kOutputBalanced;
-  }
-  return planner::Algorithm::kOneRound;
-}
-
 }  // namespace
 
-const char* PlannerModeName(PlannerMode mode) {
-  switch (mode) {
-    case PlannerMode::kAuto: return "auto";
-    case PlannerMode::kForceOneRound: return "one_round";
-    case PlannerMode::kForceAcyclic: return "acyclic";
-    case PlannerMode::kForceOutputBalanced: return "output_balanced";
-  }
-  return "auto";
-}
-
-std::optional<PlannerMode> ParsePlannerMode(const std::string& text) {
-  if (text == "auto") return PlannerMode::kAuto;
-  if (text == "one_round") return PlannerMode::kForceOneRound;
-  if (text == "acyclic") return PlannerMode::kForceAcyclic;
-  if (text == "output_balanced") return PlannerMode::kForceOutputBalanced;
-  return std::nullopt;
-}
-
 CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
-                       const ShapeCanon& canon, PlannerMode mode) {
-  return ComputePlan(query, instance, p, canon, planner::BuildStatsSnapshot(query, instance),
-                     mode);
+                       const ShapeCanon& canon) {
+  return ComputePlan(query, p, canon, planner::BuildStatsSnapshot(query, instance));
 }
 
-CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
-                       const ShapeCanon& canon, const planner::StatsSnapshot& stats,
-                       PlannerMode mode) {
+CachedPlan ComputePlan(const Hypergraph& query, uint32_t p, const ShapeCanon& canon,
+                       const planner::StatsSnapshot& stats) {
+  const planner::PlanDecision decision = planner::PlanChooser::Choose(query, p, stats);
   CachedPlan plan;
   plan.canonical_form = canon.canonical_form;
-  const auto tree = JoinTree::Build(query);
-  plan.acyclic = tree.has_value();
-  plan.rho_star = RhoStar(query);
-  plan.tau_star = TauStar(query);
-  plan.psi_star = EdgeQuasiPackingNumber(query);
-  if (plan.acyclic) {
-    plan.join_tree_roots = static_cast<uint32_t>(tree->Roots().size());
-    plan.max_s_family_size = MaxSFamilySetSize(query);
-    plan.load_threshold = PlanLoadOptimal(query, instance, p);
-    plan.theoretical_servers =
-        TheoreticalServerDemand(query, instance, plan.load_threshold, RunPolicy::kOptimal);
-  }
-  // Strategy selection: the cost-based chooser ranks the menu from the
-  // per-attribute statistics; a forced mode overrides it whenever that
-  // algorithm is structurally applicable.
-  planner::LpNumbers lp;
-  lp.rho_star = plan.rho_star;
-  lp.tau_star = plan.tau_star;
-  lp.psi_star = plan.psi_star;
-  lp.acyclic = plan.acyclic;
-  lp.join_tree_roots = plan.join_tree_roots;
-  const planner::PlanDecision decision = planner::PlanChooser::Choose(query, p, stats, lp);
-  plan.strategy = StrategyFor(decision.algorithm);
+  plan.strategy = decision.algorithm;
+  // Theorem 4's L from the stats' relation sizes: exactly what the
+  // multi-round run would plan for itself at p, so a cache-hit execution
+  // is byte-identical to a standalone auto-planned run.
+  plan.load_threshold = decision.table.thm5_threshold;
   plan.planner_est_load = decision.est_load;
-  plan.planner_out_estimate = decision.out_estimate;
-  plan.join_order = decision.join_order;
-  if (mode != PlannerMode::kAuto) {
-    planner::Algorithm forced = planner::Algorithm::kOneRound;
-    if (mode == PlannerMode::kForceAcyclic) forced = planner::Algorithm::kAcyclicMultiRound;
-    if (mode == PlannerMode::kForceOutputBalanced) {
-      forced = planner::Algorithm::kOutputBalanced;
-    }
-    const planner::CostEstimate& entry = decision.table.ForAlgorithm(forced);
-    if (entry.applicable) {
-      plan.strategy = StrategyFor(forced);
-      plan.planner_est_load = entry.est_load;
-    }
-  }
   // Cold planning cost: dominated by the psi* subset sweep (2^attrs LP
   // solves) plus per-edge tree/decomposition work. A deterministic
   // function of the shape only.
@@ -147,51 +63,18 @@ CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32
 
 ExecutionResult ExecuteRegistered(const Hypergraph& query, const Instance& instance,
                                   const CachedPlan& plan, uint32_t p, bool collect) {
+  const planner::ExecutedRun run =
+      planner::Execute(plan.strategy, query, instance, p, collect, plan.load_threshold);
   ExecutionResult result;
   result.fingerprint.executed = true;
-  if (plan.strategy == ExecStrategy::kAcyclicMultiRound) {
-    AcyclicRunOptions options;
-    options.policy = RunPolicy::kOptimal;
-    options.collect = collect;
-    options.p = p;
-    // The cached threshold equals PlanLoadOptimal for this (shape, stats,
-    // p) key, so a cache-hit execution is byte-identical to a standalone
-    // auto-planned run — the bench experiment asserts exactly this.
-    options.load_threshold = plan.load_threshold;
-    const AcyclicRunResult run = ComputeAcyclicJoin(query, instance, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.total_communication;
-    result.fingerprint.servers_used = run.servers_used;
-    result.fingerprint.load_threshold = run.load_threshold;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
-  } else if (plan.strategy == ExecStrategy::kOutputBalanced) {
-    OutputBalancedOptions options;
-    options.collect = collect;
-    const OutputBalancedResult run = ComputeOutputBalanced(query, instance, p, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.total_communication;
-    result.fingerprint.servers_used = run.load_tracker.num_servers();
-    result.fingerprint.load_threshold = 0;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
-  } else {
-    OneRoundOptions options;
-    options.collect = collect;
-    const OneRoundResult run = ComputeOneRoundSkewAware(query, instance, p, options);
-    result.fingerprint.max_load = run.max_load;
-    result.fingerprint.rounds = run.rounds;
-    result.fingerprint.total_communication = run.load_tracker.TotalCommunication();
-    result.fingerprint.servers_used = run.servers_used;
-    result.fingerprint.load_threshold = 0;
-    result.fingerprint.output_count = run.output_count;
-    result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-    result.exec_ticks = ExecutionTicks(run.load_tracker);
-  }
+  result.fingerprint.max_load = run.max_load;
+  result.fingerprint.rounds = run.rounds;
+  result.fingerprint.total_communication = run.total_communication;
+  result.fingerprint.servers_used = run.servers_used;
+  result.fingerprint.load_threshold = run.load_threshold;
+  result.fingerprint.output_count = run.output_count;
+  result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
+  result.exec_ticks = planner::ExecutionTicks(run.load_tracker);
   return result;
 }
 
@@ -359,9 +242,8 @@ ServiceRunStats QueryService::Run() {
       const RegisteredQuery& entry = catalog_[pending.catalog_index];
       if (!config_.cache_enabled || !entry.cacheable) {
         if (!entry.cacheable) ++stats.plan_bypasses;
-        dispatched.plan = ComputePlan(entry.query, entry.instance,
-                                      config_.servers_per_query, entry.canon, entry.stats,
-                                      config_.planner_mode);
+        dispatched.plan =
+            ComputePlan(entry.query, config_.servers_per_query, entry.canon, entry.stats);
         dispatched.plan_ticks = dispatched.plan.plan_cost_ticks;
         ++stats.planner.cache_misses;
       } else {
@@ -374,9 +256,8 @@ ServiceRunStats QueryService::Run() {
           dispatched.plan_ticks = kPlanHitTicks;
           ++stats.planner.cache_hits;
         } else {
-          dispatched.plan = ComputePlan(entry.query, entry.instance,
-                                        config_.servers_per_query, entry.canon, entry.stats,
-                                        config_.planner_mode);
+          dispatched.plan =
+              ComputePlan(entry.query, config_.servers_per_query, entry.canon, entry.stats);
           dispatched.plan_ticks = dispatched.plan.plan_cost_ticks;
           cache_.Insert(key, dispatched.plan);
           ++stats.planner.cache_misses;
@@ -430,7 +311,7 @@ ServiceRunStats QueryService::Run() {
       run.outcome.rounds = results[i].fingerprint.rounds;
       run.outcome.strategy = dispatched.plan.strategy;
       run.outcome.planner_est_load = dispatched.plan.planner_est_load;
-      stats.planner.CountDecision(AlgorithmFor(dispatched.plan.strategy));
+      stats.planner.CountDecision(dispatched.plan.strategy);
       if (results[i].fingerprint.max_load > 0) {
         stats.planner.est_error_ratios.push_back(
             static_cast<double>(dispatched.plan.planner_est_load) /

@@ -10,18 +10,17 @@
 ///                sub-cluster (LeaseManager) per admitted query, batching
 ///                every query dispatchable at the same tick;
 ///   planning   — serial, in admission order: PlanCache lookup by
-///                (shape hash, p, stats signature), cold plans computed
-///                and inserted (LP numbers, join-forest summary, Theorem 4
-///                load threshold, server demand);
+///                (shape hash, p, stats signature); a cold plan asks the
+///                planner's PlanChooser for the algorithm and Theorem 4's
+///                load threshold and is inserted;
 ///   execution  — the batch's pipelines run concurrently on the existing
-///                ThreadPool (each internally shard-parallel); acyclic
-///                queries run Theorem 5's multi-round algorithm with the
-///                cached threshold, cyclic queries the one-round
-///                skew-aware fallback;
+///                ThreadPool (each internally shard-parallel), each one
+///                planner::Execute of the plan's algorithm (the
+///                multi-round run with the cached threshold);
 ///   latency    — completion is scheduled on the *simulated* clock:
-///                planning ticks (cold >> hit) plus execution ticks
-///                derived from the run's per-round bottleneck loads. No
-///                wall clock anywhere, so throughput and p99 are
+///                planning ticks (cold >> hit) plus the planner's
+///                ExecutionTicks of the run's per-round bottleneck loads.
+///                No wall clock anywhere, so throughput and p99 are
 ///                bit-identical at any thread count.
 ///
 /// The PlanCache persists across Run() calls on the same service: a second
@@ -32,7 +31,6 @@
 #define COVERPACK_SERVICE_QUERY_SERVICE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,35 +46,15 @@
 namespace coverpack {
 namespace service {
 
-/// Simulated-latency model constants (ticks). Planning cost scales with
-/// the psi* subset enumeration (exponential in attributes) so cold plans
-/// on wider queries pay proportionally more; a cache hit pays a flat
-/// near-zero lookup cost. Execution charges each round a fixed latency
-/// plus its bottleneck load at kTuplesPerTick tuples per tick.
+/// Simulated planning cost (ticks). Cold planning scales with the psi*
+/// subset enumeration (exponential in attributes) so cold plans on wider
+/// queries pay proportionally more; a cache hit pays a flat near-zero
+/// lookup cost. Execution is charged on the planner's clock
+/// (planner::ExecutionTicks).
 inline constexpr uint64_t kPlanHitTicks = 8;
 inline constexpr uint64_t kPlanBaseTicks = 96;
 inline constexpr uint64_t kLpSubsetTicks = 6;
 inline constexpr uint64_t kTreeTicks = 12;
-inline constexpr uint64_t kRoundLatencyTicks = 32;
-inline constexpr uint64_t kTuplesPerTick = 64;
-
-/// Which algorithm the planner is allowed to pick. kAuto defers to the
-/// cost-based PlanChooser (src/planner); a forced mode overrides the
-/// chooser whenever that algorithm is applicable to the query, falling
-/// back to the chooser's pick when it is not (e.g. output-balanced forced
-/// on a cyclic query).
-enum class PlannerMode : uint8_t {
-  kAuto = 0,
-  kForceOneRound,
-  kForceAcyclic,
-  kForceOutputBalanced,
-};
-
-/// Stable name for reports / flags ("auto", "one_round", ...).
-const char* PlannerModeName(PlannerMode mode);
-
-/// Parses a --planner flag value; nullopt on unknown strings.
-std::optional<PlannerMode> ParsePlannerMode(const std::string& text);
 
 /// Service-wide configuration.
 struct ServiceConfig {
@@ -94,7 +72,6 @@ struct ServiceConfig {
   bool cache_enabled = true;
   size_t cache_capacity = 64;
   bool collect_results = false;  ///< pipelines run charge-only by default
-  PlannerMode planner_mode = PlannerMode::kAuto;
   WorkloadConfig workload;
 };
 
@@ -145,7 +122,7 @@ struct QueryOutcome {
   uint64_t exec_ticks = 0;
   uint64_t max_load = 0;
   uint32_t rounds = 0;
-  ExecStrategy strategy = ExecStrategy::kOneRound;  ///< what actually ran
+  planner::Algorithm strategy = planner::Algorithm::kOneRound;  ///< what actually ran
   uint64_t planner_est_load = 0;  ///< chooser's estimate for this plan
 };
 
@@ -213,26 +190,23 @@ class QueryService {
 /// what the service recorded.
 uint64_t FingerprintTrackerHash(const LoadTracker& tracker);
 
-/// Computes a fresh plan for (query, instance, p) — the cold path the
-/// cache short-circuits. Runs the cost-based PlanChooser on `stats` (the
-/// planner's snapshot of `instance`; or honors a forced mode when that
-/// algorithm is applicable), and bundles the LP numbers + strategy + load
-/// threshold into the cacheable artifact. The service passes the snapshot
-/// each RegisteredQuery built at registration.
-CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
-                       const ShapeCanon& canon, const planner::StatsSnapshot& stats,
-                       PlannerMode mode);
+/// Computes a fresh plan at p servers from `stats` — the cold path the
+/// cache short-circuits. Runs the cost-based PlanChooser and keeps its
+/// algorithm, its estimated load and its cost table's Theorem 4 threshold
+/// in the cacheable artifact. The service passes the snapshot each
+/// RegisteredQuery built at registration.
+CachedPlan ComputePlan(const Hypergraph& query, uint32_t p, const ShapeCanon& canon,
+                       const planner::StatsSnapshot& stats);
 
 /// As above, building the StatsSnapshot of `instance` first. Exposed for
 /// tests and for the bench experiment's standalone-equivalence checks.
 CachedPlan ComputePlan(const Hypergraph& query, const Instance& instance, uint32_t p,
-                       const ShapeCanon& canon,
-                       PlannerMode mode = PlannerMode::kAuto);
+                       const ShapeCanon& canon);
 
-/// Runs the pipeline an admitted query executes (strategy from `plan`) and
-/// returns its load fingerprint plus simulated execution ticks. Exposed so
-/// the bench experiment can prove service loads byte-identical to
-/// standalone runs.
+/// Runs the pipeline an admitted query executes (planner::Execute of the
+/// plan's algorithm) and returns its load fingerprint plus simulated
+/// execution ticks. Exposed so the bench experiment can prove service
+/// loads byte-identical to standalone runs.
 struct ExecutionResult {
   LoadFingerprint fingerprint;
   uint64_t exec_ticks = 0;

@@ -7,3 +7,9 @@ long Stamp() {
   (void)now;
   return time(nullptr);
 }
+
+// A monotonic read on the next line must not hide the wall-clock one.
+long SlotSpeedSeed(unsigned slot) {
+  const long ticks = std::chrono::steady_clock::now().time_since_epoch().count();
+  return ticks + slot + time(nullptr);
+}

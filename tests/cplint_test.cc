@@ -4,6 +4,7 @@
 
 #include "cplint.h"
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -32,6 +33,11 @@ std::set<std::string> RuleNames(const std::vector<Finding>& findings) {
   std::set<std::string> names;
   for (const auto& finding : findings) names.insert(finding.rule);
   return names;
+}
+
+size_t CountRule(const std::vector<Finding>& findings, const std::string& rule) {
+  return static_cast<size_t>(std::count_if(findings.begin(), findings.end(),
+                                           [&](const Finding& f) { return f.rule == rule; }));
 }
 
 struct RuleFixture {
@@ -119,86 +125,42 @@ TEST(CplintRules, IncludeHygieneExemptsDefiningHeader) {
   EXPECT_TRUE(LintContent("src/util/mutex.h", content, {"include-hygiene"}).empty());
 }
 
-TEST(CplintRules, DeterminismRulesGuardServicePaths) {
-  // The query service's simulated clock and replayable client streams depend
-  // on these two rules holding inside src/service/ specifically: prove the
-  // service-flavored bad fixtures fire under service paths (no exemption
-  // applies there, unlike telemetry/metrics.cc) and the good ones stay quiet.
+TEST(CplintRules, DeterminismRulesGuardSubsystemPaths) {
+  // Plan decisions, the service's simulated clock and client streams, and
+  // the cluster's content-keyed speeds and migrations are byte-diffed
+  // across thread counts and fault schedules, which only holds while these
+  // three rules cover src/planner/, src/service/ and src/cluster/ (no
+  // exemption applies there, unlike telemetry/metrics.cc). Lint each
+  // generic fixture under every such path: every violating line of the
+  // bad one fires, filtered and unfiltered (counted, so one construct
+  // cannot hide another that stopped firing), and the good one stays
+  // quiet.
+  const char* const kSubsystemPaths[] = {
+      "src/service/query_service.cc", "src/service/workload_sim.cc",
+      "src/planner/cost_model.cc",    "src/planner/stats.cc",
+      "src/planner/join_order_dp.cc", "src/cluster/cluster_profile.cc",
+      "src/cluster/elastic.cc",       "src/cluster/routing.cc",
+  };
   const struct {
     std::string rule;
     std::string stem;
-    std::string service_path;
-  } kCases[] = {
-      {"no-wall-clock", "service_wall_clock", "src/service/query_service.cc"},
-      {"no-unseeded-rng", "service_unseeded_rng", "src/service/workload_sim.cc"},
+    size_t violating_lines;  // in the bad fixture
+  } kRules[] = {
+      {"no-wall-clock", "no_wall_clock", 3},
+      {"no-unseeded-rng", "no_unseeded_rng", 4},
+      {"no-unordered-iteration", "no_unordered_iteration", 2},
   };
-  for (const auto& c : kCases) {
-    const std::string bad = ReadFixture(c.stem + "_bad.cc");
-    const std::string good = ReadFixture(c.stem + "_good.cc");
-    EXPECT_TRUE(RuleNames(LintContent(c.service_path, bad, {c.rule})).count(c.rule) > 0)
-        << c.rule << " did not fire on " << c.service_path;
-    EXPECT_TRUE(LintContent(c.service_path, good, {}).empty())
-        << c.rule << " false-positive on " << c.service_path;
-    // Unfiltered, the full rule catalog must also surface the violation.
-    EXPECT_TRUE(RuleNames(LintContent(c.service_path, bad, {})).count(c.rule) > 0);
-  }
-}
-
-TEST(CplintRules, DeterminismRulesGuardPlannerPaths) {
-  // Plan decisions must be pure functions of (query, p, stats): byte-diffed
-  // across thread counts by the determinism suite and across fault
-  // schedules by the chaos suite. That only holds if src/planner/ stays
-  // free of wall clocks, ambient rng, and unordered iteration — prove each
-  // rule live on a planner-flavored violation and quiet on the sanctioned
-  // counterpart.
-  const struct {
-    std::string rule;
-    std::string stem;
-    std::string planner_path;
-  } kCases[] = {
-      {"no-wall-clock", "planner_wall_clock", "src/planner/cost_model.cc"},
-      {"no-unseeded-rng", "planner_unseeded_rng", "src/planner/stats.cc"},
-      {"no-unordered-iteration", "planner_unordered_iteration",
-       "src/planner/join_order_dp.cc"},
-  };
-  for (const auto& c : kCases) {
-    const std::string bad = ReadFixture(c.stem + "_bad.cc");
-    const std::string good = ReadFixture(c.stem + "_good.cc");
-    EXPECT_TRUE(RuleNames(LintContent(c.planner_path, bad, {c.rule})).count(c.rule) > 0)
-        << c.rule << " did not fire on " << c.planner_path;
-    EXPECT_TRUE(LintContent(c.planner_path, good, {}).empty())
-        << c.rule << " false-positive on " << c.planner_path;
-    // Unfiltered, the full rule catalog must also surface the violation.
-    EXPECT_TRUE(RuleNames(LintContent(c.planner_path, bad, {})).count(c.rule) > 0);
-  }
-}
-
-TEST(CplintRules, DeterminismRulesGuardClusterPaths) {
-  // The cluster subsystem's whole contract is content-keyed determinism:
-  // speeds are pure functions of (spec, slot), epochs of (base_p,
-  // schedule), migration plans of the shard sizes. Prove all three
-  // determinism rules live on cluster-flavored violations under
-  // src/cluster/ paths (no exemption applies there) and quiet on the
-  // sanctioned counterparts.
-  const struct {
-    std::string rule;
-    std::string stem;
-    std::string cluster_path;
-  } kCases[] = {
-      {"no-wall-clock", "cluster_wall_clock", "src/cluster/cluster_profile.cc"},
-      {"no-unseeded-rng", "cluster_unseeded_rng", "src/cluster/elastic.cc"},
-      {"no-unordered-iteration", "cluster_unordered_iteration",
-       "src/cluster/routing.cc"},
-  };
-  for (const auto& c : kCases) {
-    const std::string bad = ReadFixture(c.stem + "_bad.cc");
-    const std::string good = ReadFixture(c.stem + "_good.cc");
-    EXPECT_TRUE(RuleNames(LintContent(c.cluster_path, bad, {c.rule})).count(c.rule) > 0)
-        << c.rule << " did not fire on " << c.cluster_path;
-    EXPECT_TRUE(LintContent(c.cluster_path, good, {}).empty())
-        << c.rule << " false-positive on " << c.cluster_path;
-    // Unfiltered, the full rule catalog must also surface the violation.
-    EXPECT_TRUE(RuleNames(LintContent(c.cluster_path, bad, {})).count(c.rule) > 0);
+  for (const auto& r : kRules) {
+    const std::string bad = ReadFixture(r.stem + "_bad.cc");
+    const std::string good = ReadFixture(r.stem + "_good.cc");
+    for (const char* path : kSubsystemPaths) {
+      EXPECT_EQ(CountRule(LintContent(path, bad, {r.rule}), r.rule), r.violating_lines)
+          << r.rule << " on " << path;
+      EXPECT_EQ(CountRule(LintContent(path, bad, {}), r.rule), r.violating_lines)
+          << r.rule << " unfiltered on " << path;
+      EXPECT_TRUE(LintContent(path, good, {}).empty())
+          << r.rule << " good fixture not quiet on " << path;
+    }
   }
 }
 
@@ -267,7 +229,7 @@ TEST(CplintIo, UnreadableFileReportsIoError) {
 
 TEST(CplintCollect, FindsFixtureSourcesSorted) {
   const auto sources = CollectSources(CPLINT_FIXTURE_DIR);
-  EXPECT_GE(sources.size(), 22u);
+  EXPECT_GE(sources.size(), 21u);
   for (size_t i = 1; i < sources.size(); ++i) EXPECT_LE(sources[i - 1], sources[i]);
 }
 

@@ -6,18 +6,27 @@
 /// floor is as good as optimal — and (b) never loses the theoretical
 /// exponent (<= 4x the best on *every* case). Any violation prints the
 /// full repro: query, per-relation stats, cost table, and every measured
-/// run, so a failure is replayable from the log alone.
+/// run, so a failure is replayable from the log alone. Also checks that
+/// planner::Execute, the one runner the harness and the query service
+/// share, reports each algorithm exactly as its own core entry point does.
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/acyclic_join.h"
+#include "core/one_round.h"
+#include "core/output_balanced.h"
 #include "planner/differential.h"
+#include "planner/execute.h"
 #include "planner/plan_chooser.h"
 #include "planner/stats.h"
 #include "query/hypergraph.h"
+#include "report_compare.h"
 #include "util/thread_pool.h"
 
 namespace coverpack {
@@ -108,6 +117,106 @@ TEST_F(PlannerDifferentialTest, DecisionsAreThreadCountInvariantOverCorpus) {
         PlanChooser::Choose(corpus[i].query, kServers, stats).Digest();
     EXPECT_EQ(serial[i], digest) << corpus[i].name;
   }
+}
+
+/// Reference for Execute: the algorithm's core entry point called
+/// directly, its result fields copied the way each algorithm reports them
+/// (one-round sums its tracker for total communication, output-balanced
+/// counts its tracker's width as servers used, and only the multi-round
+/// run has an L).
+ExecutedRun DirectRun(Algorithm algorithm, const DifferentialCase& c, bool collect,
+                      uint64_t load_threshold) {
+  ExecutedRun want;
+  if (algorithm == Algorithm::kAcyclicMultiRound) {
+    AcyclicRunOptions options;
+    options.policy = RunPolicy::kOptimal;
+    options.collect = collect;
+    options.p = kServers;
+    options.load_threshold = load_threshold;
+    const AcyclicRunResult run = ComputeAcyclicJoin(c.query, c.instance, options);
+    want.max_load = run.max_load;
+    want.rounds = run.rounds;
+    want.total_communication = run.total_communication;
+    want.servers_used = run.servers_used;
+    want.load_threshold = run.load_threshold;
+    want.output_count = run.output_count;
+    want.load_tracker = run.load_tracker;
+  } else if (algorithm == Algorithm::kOutputBalanced) {
+    OutputBalancedOptions options;
+    options.collect = collect;
+    const OutputBalancedResult run =
+        ComputeOutputBalanced(c.query, c.instance, kServers, options);
+    want.max_load = run.max_load;
+    want.rounds = run.rounds;
+    want.total_communication = run.total_communication;
+    want.servers_used = run.load_tracker.num_servers();
+    want.output_count = run.output_count;
+    want.load_tracker = run.load_tracker;
+  } else {
+    OneRoundOptions options;
+    options.collect = collect;
+    const OneRoundResult run =
+        ComputeOneRoundSkewAware(c.query, c.instance, kServers, options);
+    want.max_load = run.max_load;
+    want.rounds = run.rounds;
+    want.total_communication = run.load_tracker.TotalCommunication();
+    want.servers_used = run.servers_used;
+    want.output_count = run.output_count;
+    want.load_tracker = run.load_tracker;
+  }
+  return want;
+}
+
+TEST_F(PlannerDifferentialTest, ExecuteMatchesDirectComputeCalls) {
+  // Connected acyclic shapes run all three algorithms; the cyclic ones
+  // run one-round only. Small outputs keep collect mode cheap.
+  const std::set<std::string> kCases = {"path3_matching", "semijoin_matching",
+                                        "triangle_uniform", "cycle4_matching"};
+  const std::vector<DifferentialCase> corpus = BuildDifferentialCorpus(kCorpusSeed, 0);
+  size_t checked_cases = 0;
+  std::set<Algorithm> algorithms_seen;
+  for (const DifferentialCase& c : corpus) {
+    if (kCases.count(c.name) == 0) continue;
+    ++checked_cases;
+    const PlanDecision decision =
+        PlanChooser::Choose(c.query, kServers, BuildStatsSnapshot(c.query, c.instance));
+    // The threshold the service passes; Execute must hand it to the
+    // multi-round run and ignore it everywhere else.
+    const uint64_t threshold = decision.table.thm5_threshold;
+    for (const CostEstimate& entry : decision.table.entries) {
+      if (!entry.applicable) continue;
+      algorithms_seen.insert(entry.algorithm);
+      for (bool collect : {false, true}) {
+        const std::string label = c.name + "/" + AlgorithmName(entry.algorithm) +
+                                  (collect ? "/collect" : "/charge-only");
+        const ExecutedRun got =
+            Execute(entry.algorithm, c.query, c.instance, kServers, collect, threshold);
+        const ExecutedRun want = DirectRun(entry.algorithm, c, collect, threshold);
+        EXPECT_EQ(got.max_load, want.max_load) << label;
+        EXPECT_EQ(got.rounds, want.rounds) << label;
+        EXPECT_EQ(got.total_communication, want.total_communication) << label;
+        EXPECT_EQ(got.servers_used, want.servers_used) << label;
+        EXPECT_EQ(got.load_threshold, want.load_threshold) << label;
+        EXPECT_EQ(got.output_count, want.output_count) << label;
+        EXPECT_TRUE(testutil::TrackersEqual(got.load_tracker, want.load_tracker)) << label;
+      }
+    }
+  }
+  EXPECT_EQ(checked_cases, kCases.size());
+  EXPECT_EQ(algorithms_seen.size(), 3u);
+}
+
+TEST(PlannerAlgorithmNameTest, ParseAlgorithmInvertsAlgorithmName) {
+  for (Algorithm algorithm : {Algorithm::kOneRound, Algorithm::kAcyclicMultiRound,
+                              Algorithm::kOutputBalanced}) {
+    const std::optional<Algorithm> parsed = ParseAlgorithm(AlgorithmName(algorithm));
+    ASSERT_TRUE(parsed.has_value()) << AlgorithmName(algorithm);
+    EXPECT_EQ(*parsed, algorithm);
+  }
+  // "auto" means "let the chooser decide", which is no algorithm.
+  EXPECT_FALSE(ParseAlgorithm("auto").has_value());
+  EXPECT_FALSE(ParseAlgorithm("").has_value());
+  EXPECT_FALSE(ParseAlgorithm("Acyclic").has_value());
 }
 
 }  // namespace

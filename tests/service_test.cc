@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/load_planner.h"
 #include "query/catalog.h"
+#include "query/join_tree.h"
 #include "query/parser.h"
 #include "relation/instance.h"
 #include "service/plan_cache.h"
@@ -516,6 +518,39 @@ TEST(QueryServiceTest, ServiceLoadsMatchStandalonePipelineRuns) {
     const service::ExecutionResult standalone = service::ExecuteRegistered(
         entry.query, entry.instance, plan, config.servers_per_query, /*collect=*/false);
     EXPECT_EQ(stats.entry_fingerprints[i], standalone.fingerprint) << entry.name;
+  }
+}
+
+TEST(QueryServiceTest, PlanThresholdIsTheorem4OnAcyclicAndZeroOnCyclic) {
+  // The plan caches the cost table's Theorem 4 threshold; it must be the
+  // very L core's PlanLoadOptimal plans from the instance, including under
+  // unequal relation sizes, or a cache-hit run would differ from a
+  // standalone auto-planned one.
+  const struct {
+    const char* name;
+    Hypergraph query;
+    std::vector<uint64_t> sizes;
+  } kEntries[] = {
+      {"path3", catalog::Path(3), {256, 64, 512}},
+      {"star3", catalog::Star(3), {128, 128, 128}},
+      {"semijoin", catalog::SemiJoinExample(), {32, 300, 40}},
+      {"alpha_not_berge", catalog::AlphaNotBerge(), {100, 200, 300, 400}},
+      {"triangle", catalog::Triangle(), {64, 64, 128}},
+      {"cycle4", catalog::Cycle(4), {96, 96, 96, 96}},
+  };
+  for (const auto& entry : kEntries) {
+    ASSERT_EQ(entry.sizes.size(), entry.query.num_edges()) << entry.name;
+    const Instance instance = SizedInstance(entry.query, entry.sizes);
+    for (uint32_t p : {4u, 16u, 64u}) {
+      const CachedPlan plan =
+          service::ComputePlan(entry.query, instance, p, CanonicalizeShape(entry.query));
+      if (JoinTree::Build(entry.query).has_value()) {
+        EXPECT_EQ(plan.load_threshold, PlanLoadOptimal(entry.query, instance, p))
+            << entry.name << " p=" << p;
+      } else {
+        EXPECT_EQ(plan.load_threshold, 0u) << entry.name << " p=" << p;
+      }
+    }
   }
 }
 
