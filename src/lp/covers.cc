@@ -56,15 +56,22 @@ EdgeWeighting FractionalEdgePacking(const Hypergraph& query) {
 }
 
 Rational EdgeQuasiPackingNumber(const Hypergraph& query) {
-  Rational best(0);
-  AttrSet all = query.AllAttrs();
+  // The largest kept set U = V - x in which every attribute owns a private
+  // edge (see the header). Removing few attributes first finds large U
+  // early, so most later subsets fail the size test before any edge scan.
+  uint32_t best = 0;
+  const AttrSet all = query.AllAttrs();
   for (SubsetIterator it(all); !it.Done(); it.Next()) {
-    Hypergraph residual = query.Residual(it.Current());
-    if (residual.num_edges() == 0) continue;
-    Rational tau = FractionalEdgePacking(residual).total;
-    best = Rational::Max(best, tau);
+    const AttrSet kept = all.Minus(it.Current());
+    if (kept.size() <= best) continue;
+    AttrSet owned;
+    for (const Edge& edge : query.edges()) {
+      const AttrSet residual = edge.attrs.Intersect(kept);
+      if (residual.size() == 1) owned = owned.Union(residual);
+    }
+    if (owned == kept) best = kept.size();
   }
-  return best;
+  return Rational(best);
 }
 
 VertexWeighting FractionalVertexCover(const Hypergraph& query) {
@@ -76,10 +83,10 @@ VertexWeighting FractionalVertexCover(const Hypergraph& query) {
     for (AttrId v : edge.attrs.ToVector()) row[v] = Rational(1);
     lp.AddGeq(row, Rational(1));
   }
+  // Attributes outside every edge appear in no constraint and have objective
+  // coefficient 0, so the minimum leaves them at 0.
   std::vector<Rational> objective(num_attrs, Rational(0));
   for (AttrId v : query.AllAttrs().ToVector()) objective[v] = Rational(1);
-  // Attributes outside every edge must stay at zero; give them a cap so the
-  // minimization cannot be degenerate.
   lp.SetObjective(objective);
   LpResult result = lp.Minimize();
   CP_CHECK_EQ(result.status, LpStatus::kOptimal) << "vertex cover LP must be feasible";

@@ -10,7 +10,6 @@
 #ifndef COVERPACK_LP_COVERS_H_
 #define COVERPACK_LP_COVERS_H_
 
-#include <optional>
 #include <vector>
 
 #include "query/hypergraph.h"
@@ -41,8 +40,16 @@ EdgeWeighting FractionalEdgeCover(const Hypergraph& query);
 EdgeWeighting FractionalEdgePacking(const Hypergraph& query);
 
 /// Optimal fractional edge quasi-packing psi* = max over all attribute
-/// subsets x of tau*(Q_x) (footnote 2 of the paper). Exponential in the
-/// number of attributes — queries have constant size.
+/// subsets x of tau*(Q_x) (footnote 2 of the paper), computed without an
+/// LP. Let U = V - x be the attributes Q_x keeps; an edge e is private to
+/// v in U when e & U = {v}. Then
+///   psi* = max { |U| : U nonempty, every v in U has a private edge },
+/// always an integer. Proof: if every v in U has a private edge, one unit
+/// per v on a private edge packs |U|, and any packing has sum f(e) <=
+/// sum f(e)|e & U| = sum over v of its load <= |U|, so tau*(Q_x) = |U|.
+/// If some v has none, dropping v keeps every residual edge nonempty and
+/// removes one constraint, so tau* cannot fall. One bitmask pass per
+/// subset: O(2^|V| |E|) word operations — queries have constant size.
 Rational EdgeQuasiPackingNumber(const Hypergraph& query);
 
 /// Optimal fractional vertex covering: minimize sum x_v with

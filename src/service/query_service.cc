@@ -52,9 +52,10 @@ CachedPlan ComputePlan(const Hypergraph& query, uint32_t p, const ShapeCanon& ca
   // is byte-identical to a standalone auto-planned run.
   plan.load_threshold = decision.table.thm5_threshold;
   plan.planner_est_load = decision.est_load;
-  // Cold planning cost: dominated by the psi* subset sweep (2^attrs LP
-  // solves) plus per-edge tree/decomposition work. A deterministic
-  // function of the shape only.
+  // Cold planning cost: one charge per attribute subset of the psi* sweep
+  // (priced as the paper's per-subset LP; see kLpSubsetTicks) plus
+  // per-edge tree/decomposition work. A deterministic function of the
+  // shape only.
   const uint32_t attrs = std::min<uint32_t>(canon.num_attrs, 20);
   plan.plan_cost_ticks = kPlanBaseTicks + (uint64_t{1} << attrs) * kLpSubsetTicks +
                          uint64_t{canon.num_edges} * kTreeTicks;

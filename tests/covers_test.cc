@@ -94,6 +94,26 @@ TEST(CoversTest, QuasiPackingDominatesCoverAndPacking) {
   }
 }
 
+TEST(CoversTest, QuasiPackingPinnedValues) {
+  // Each value was computed by the max-over-residuals LP sweep of footnote
+  // 2 (one tau* LP per attribute subset).
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Triangle()), Rational(2));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Cycle(5)), Rational(3));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Cycle(6)), Rational(4));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::LoomisWhitney(4)), Rational(2));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Clique(4)), Rational(3));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::BoxJoin()), Rational(3));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Path(5)), Rational(4));
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Figure4Query()), Rational(6));
+  EXPECT_EQ(EdgeQuasiPackingNumber(ParseQuery("R(A,B,C)")), Rational(1));
+  // Nested edges: R1 sits inside R2.
+  EXPECT_EQ(EdgeQuasiPackingNumber(ParseQuery("R1(A,B), R2(A,B,C), R3(C)")), Rational(2));
+  // No LP reference here (the sweep takes over a second): on binary queries psi*
+  // is |V| minus the domination number, and 6 attributes dominate a
+  // 16-attribute path.
+  EXPECT_EQ(EdgeQuasiPackingNumber(catalog::Path(15)), Rational(10));
+}
+
 TEST(CoversTest, CoverWeightsAreValidCovers) {
   for (const auto& entry : catalog::StandardRoster()) {
     EdgeWeighting cover = FractionalEdgeCover(entry.query);

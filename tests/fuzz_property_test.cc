@@ -7,6 +7,7 @@
 /// can sweep a much larger query space without changing test discovery.
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/acyclic_join.h"
 #include "lp/covers.h"
 #include "lp/packing_provable.h"
+#include "query/catalog.h"
 #include "query/decomposition.h"
 #include "query/join_tree.h"
 #include "query/properties.h"
@@ -205,6 +207,69 @@ TEST_P(RandomBergeAcyclicTest, TauBoundedByRho) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBergeAcyclicTest, ::testing::Range<uint64_t>(1, 41));
+
+/// psi* by its definition (footnote 2): the max of tau*(Q_x) over every
+/// attribute subset x, one LP each. The library counts private edges
+/// instead; this sweep is its oracle.
+Rational LpSweepPsi(const Hypergraph& q) {
+  Rational best(0);
+  for (SubsetIterator it(q.AllAttrs()); !it.Done(); it.Next()) {
+    Hypergraph residual = q.Residual(it.Current());
+    if (residual.num_edges() > 0) best = Rational::Max(best, TauStar(residual));
+  }
+  return best;
+}
+
+/// An arbitrary hypergraph: 1-9 attributes, 1-7 edges, each edge drawn
+/// attribute by attribute with repeats. Edges may nest or coincide, and
+/// attributes of the table may be left out of every edge.
+Hypergraph RandomHypergraph(Rng* rng) {
+  const uint32_t num_attrs = 1 + static_cast<uint32_t>(rng->Uniform(9));
+  const uint32_t num_edges = 1 + static_cast<uint32_t>(rng->Uniform(7));
+  Hypergraph::Builder builder;
+  for (uint32_t a = 0; a < num_attrs; ++a) {
+    builder.AddAttribute(std::string(1, static_cast<char>('A' + a)));
+  }
+  for (uint32_t e = 0; e < num_edges; ++e) {
+    std::vector<AttrId> attrs(1 + rng->Uniform(num_attrs));
+    for (AttrId& attr : attrs) attr = static_cast<AttrId>(rng->Uniform(num_attrs));
+    builder.AddRelationByIds(std::string{'R', static_cast<char>('1' + e)}, attrs);
+  }
+  return builder.Build();
+}
+
+void ExpectPsiMatchesLpSweep(const Hypergraph& q) {
+  const Rational psi = EdgeQuasiPackingNumber(q);
+  EXPECT_EQ(psi, LpSweepPsi(q)) << q.ToString();
+  EXPECT_TRUE(psi.is_integer()) << q.ToString();
+  // psi* >= max(rho*, tau*) [19].
+  EXPECT_GE(psi, RhoStar(q)) << q.ToString();
+  EXPECT_GE(psi, TauStar(q)) << q.ToString();
+}
+
+TEST(QuasiPackingTest, MatchesLpSweepOnRoster) {
+  for (const auto& entry : catalog::StandardRoster()) {
+    SCOPED_TRACE(entry.name);
+    ExpectPsiMatchesLpSweep(entry.query);
+  }
+}
+
+class RandomQuasiPackingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomQuasiPackingTest, MatchesLpSweep) {
+  for (uint64_t seed : FuzzSeeds(GetParam())) {
+    Rng rng(seed * 2862933555777941757ull + 11);
+    for (int i = 0; i < 2; ++i) {
+      ExpectPsiMatchesLpSweep(workload::RandomAcyclicQuery(&rng));
+      const uint32_t m = 3 + static_cast<uint32_t>(rng.Uniform(4));  // 3..6 relations
+      ExpectPsiMatchesLpSweep(
+          workload::RandomDegreeTwoQuery(&rng, m, m + static_cast<uint32_t>(rng.Uniform(m))));
+    }
+    for (int i = 0; i < 6; ++i) ExpectPsiMatchesLpSweep(RandomHypergraph(&rng));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomQuasiPackingTest, ::testing::Range<uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace coverpack
