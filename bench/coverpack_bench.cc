@@ -11,12 +11,13 @@
 ///   coverpack_bench --filter='thm5*'  # '*'/'?' terms are whole-id globs
 ///   coverpack_bench --clients=8 --arrival=bursty --zipf-s=1.4 --no-cache
 ///                                   # reshape the service_throughput sweep
-///   coverpack_bench --out path.json # default: BENCH_results.json in CWD
+///   coverpack_bench --out path.json # or --out=path.json; default:
+///                                   # BENCH_results.json in CWD
 ///   coverpack_bench --threads=8     # pool size (default: hw concurrency)
 ///   coverpack_bench --compare-serial  # also time --threads=1, stamp speedup
 ///   coverpack_bench --seed=123      # override every experiment's base seed
-///   coverpack_bench --crash-rate=0.05 --straggler-rate=0.25 \
-///                   --straggler-severity=8 --drop-rate=0.001 \
+///   coverpack_bench --crash-rate=0.05 --straggler-rate=0.25
+///                   --straggler-severity=8 --drop-rate=0.001
 ///                   --dup-rate=0.001 --fault-seed=7 --max-attempts=4
 ///                                   # run EVERYTHING under fault injection
 ///
@@ -26,14 +27,22 @@
 /// fault-free state and only adds fault.* / recovery.* metrics (see
 /// EXPERIMENTS.md).
 ///
+/// Every numeric flag must parse completely and lie in its range (rates in
+/// [0, 1], severity >= 1, counts >= 1); anything else is a usage error.
+///
 /// Exit status: 0 iff every selected experiment reproduces its claim
 /// (verdict SHAPE-REPRODUCED); 1 on any DEVIATION; 2 on usage errors or
 /// an empty selection.
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -68,7 +77,7 @@ struct DriverOptions {
 };
 
 int Usage(std::ostream& os, int code) {
-  os << "usage: coverpack_bench [--list] [--fast] [--filter SUBSTR]... [--out PATH]\n"
+  os << "usage: coverpack_bench [--list] [--fast] [--filter SUBSTR]... [--out[=]PATH]\n"
         "                       [--threads=N] [--compare-serial] [--seed=U]\n"
         "                       [--crash-rate=R] [--drop-rate=R] [--dup-rate=R]\n"
         "                       [--straggler-rate=R] [--straggler-severity=X]\n"
@@ -83,7 +92,7 @@ int Usage(std::ostream& os, int code) {
         "                  --filter=a,b,c takes a comma-separated list; a\n"
         "                  TERM with '*' or '?' is a whole-id glob\n"
         "                  (--filter='thm5*'), otherwise a substring\n"
-        "  --out PATH      where to write the JSON results\n"
+        "  --out[=]PATH    where to write the JSON results\n"
         "                  (default BENCH_results.json)\n"
         "  --threads=N     thread-pool size; results are bit-identical at\n"
         "                  any N (default: hardware concurrency)\n"
@@ -111,6 +120,46 @@ int Usage(std::ostream& os, int code) {
         "                  one schedule: none | +<k>@<round>,-<k>@<round>...\n";
   return code;
 }
+
+/// Reads `text`, the value of numeric flag `name`, as a finite number in
+/// [min, max]. The whole string must parse; on failure prints what the
+/// flag accepts (`range`) and returns false.
+bool ReadNumber(const char* name, const std::string& text, double min, double max,
+                const char* range, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  const bool parsed = !text.empty() && std::isspace(static_cast<unsigned char>(text[0])) == 0 &&
+                      end == text.c_str() + text.size() && errno == 0 && std::isfinite(value);
+  if (!parsed || value < min || value > max) {
+    std::cerr << "coverpack_bench: " << name << " must be " << range << ", got '" << text
+              << "'\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Reads `text`, the value of numeric flag `name`, as a decimal integer in
+/// [min, max], with the same whole-string rule as ReadNumber.
+bool ReadCount(const char* name, const std::string& text, uint64_t min, uint64_t max,
+               const char* range, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  const bool parsed = !text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) != 0 &&
+                      end == text.c_str() + text.size() && errno == 0;
+  if (!parsed || value < min || value > max) {
+    std::cerr << "coverpack_bench: " << name << " must be " << range << ", got '" << text
+              << "'\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+constexpr const char* kRate = "a number in [0, 1]";
+constexpr uint64_t kMaxCount = std::numeric_limits<uint32_t>::max();
 
 bool Selected(const Experiment& experiment, const DriverOptions& options) {
   if (options.fast_only && !experiment.fast) return false;
@@ -235,6 +284,10 @@ int RunDriver(const DriverOptions& options) {
 }  // namespace coverpack
 
 int main(int argc, char** argv) {
+  using coverpack::bench::kMaxCount;
+  using coverpack::bench::kRate;
+  using coverpack::bench::ReadCount;
+  using coverpack::bench::ReadNumber;
   coverpack::bench::DriverOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -258,40 +311,76 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       if (i + 1 >= argc) return coverpack::bench::Usage(std::cerr, 2);
       options.out_path = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      long value = std::strtol(arg.c_str() + 10, nullptr, 10);
-      if (value < 1) return coverpack::bench::Usage(std::cerr, 2);
-      options.threads = static_cast<unsigned>(value);
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) return coverpack::bench::Usage(std::cerr, 2);
-      long value = std::strtol(argv[++i], nullptr, 10);
-      if (value < 1) return coverpack::bench::Usage(std::cerr, 2);
-      options.threads = static_cast<unsigned>(value);
+    } else if (arg.rfind("--out=", 0) == 0) {
+      options.out_path = arg.substr(6);
+      if (options.out_path.empty()) {
+        std::cerr << "coverpack_bench: --out= needs a path\n";
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
+    } else if (arg.rfind("--threads=", 0) == 0 || arg == "--threads") {
+      std::string text;
+      if (arg == "--threads") {
+        if (i + 1 >= argc) return coverpack::bench::Usage(std::cerr, 2);
+        text = argv[++i];
+      } else {
+        text = arg.substr(10);
+      }
+      uint64_t threads = 0;
+      if (!ReadCount("--threads", text, 1, kMaxCount, "an integer >= 1", &threads)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
+      options.threads = static_cast<unsigned>(threads);
     } else if (arg == "--compare-serial") {
       options.compare_serial = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-      if (options.seed == 0) return coverpack::bench::Usage(std::cerr, 2);
+      if (!ReadCount("--seed", arg.substr(7), 1, std::numeric_limits<uint64_t>::max(),
+                     "a nonzero integer", &options.seed)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--crash-rate=", 0) == 0) {
-      options.faults.crash_rate = std::strtod(arg.c_str() + 13, nullptr);
+      if (!ReadNumber("--crash-rate", arg.substr(13), 0.0, 1.0, kRate,
+                      &options.faults.crash_rate)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--drop-rate=", 0) == 0) {
-      options.faults.drop_rate = std::strtod(arg.c_str() + 12, nullptr);
+      if (!ReadNumber("--drop-rate", arg.substr(12), 0.0, 1.0, kRate,
+                      &options.faults.drop_rate)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--dup-rate=", 0) == 0) {
-      options.faults.duplicate_rate = std::strtod(arg.c_str() + 11, nullptr);
+      if (!ReadNumber("--dup-rate", arg.substr(11), 0.0, 1.0, kRate,
+                      &options.faults.duplicate_rate)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--straggler-rate=", 0) == 0) {
-      options.faults.straggler_rate = std::strtod(arg.c_str() + 17, nullptr);
+      if (!ReadNumber("--straggler-rate", arg.substr(17), 0.0, 1.0, kRate,
+                      &options.faults.straggler_rate)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--straggler-severity=", 0) == 0) {
-      options.faults.straggler_severity = std::strtod(arg.c_str() + 21, nullptr);
+      if (!ReadNumber("--straggler-severity", arg.substr(21), 1.0,
+                      std::numeric_limits<double>::max(), "a number >= 1",
+                      &options.faults.straggler_severity)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.faults.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      if (!ReadCount("--fault-seed", arg.substr(13), 0, std::numeric_limits<uint64_t>::max(),
+                     "an unsigned integer", &options.faults.seed)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      long value = std::strtol(arg.c_str() + 15, nullptr, 10);
-      if (value < 1) return coverpack::bench::Usage(std::cerr, 2);
-      options.faults.max_attempts = static_cast<uint32_t>(value);
+      uint64_t attempts = 0;
+      if (!ReadCount("--max-attempts", arg.substr(15), 1, kMaxCount, "an integer >= 1",
+                     &attempts)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
+      options.faults.max_attempts = static_cast<uint32_t>(attempts);
     } else if (arg.rfind("--clients=", 0) == 0) {
-      long value = std::strtol(arg.c_str() + 10, nullptr, 10);
-      if (value < 1) return coverpack::bench::Usage(std::cerr, 2);
-      options.service.clients = static_cast<uint32_t>(value);
+      uint64_t clients = 0;
+      if (!ReadCount("--clients", arg.substr(10), 1, kMaxCount, "an integer >= 1", &clients)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
+      options.service.clients = static_cast<uint32_t>(clients);
     } else if (arg.rfind("--arrival=", 0) == 0) {
       options.service.arrival = arg.substr(10);
       if (!coverpack::service::ParseArrivalMode(options.service.arrival).has_value()) {
@@ -299,8 +388,11 @@ int main(int argc, char** argv) {
         return coverpack::bench::Usage(std::cerr, 2);
       }
     } else if (arg.rfind("--zipf-s=", 0) == 0) {
-      options.service.zipf_skew = std::strtod(arg.c_str() + 9, nullptr);
-      if (options.service.zipf_skew <= 0.0) return coverpack::bench::Usage(std::cerr, 2);
+      if (!ReadNumber("--zipf-s", arg.substr(9), std::numeric_limits<double>::denorm_min(),
+                      std::numeric_limits<double>::max(), "a number > 0",
+                      &options.service.zipf_skew)) {
+        return coverpack::bench::Usage(std::cerr, 2);
+      }
     } else if (arg == "--no-cache") {
       options.service.no_cache = true;
     } else if (arg.rfind("--planner=", 0) == 0) {

@@ -488,6 +488,9 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
 
   if (collect_) {
     run.results = Relation(query.AllAttrs());
+    size_t rows = 0;
+    for (const Relation& part : child_results) rows += part.size();
+    run.results.Reserve(rows);
     for (const Relation& part : child_results) {
       CP_CHECK(part.attrs() == run.results.attrs());
       run.results.AppendAll(part);

@@ -221,6 +221,19 @@ class ExchangeDelivery {
   /// restore-and-replay of the failed round.
   void Restore();
 
+  /// Read-only walk over every recorded route, in the deterministic
+  /// (source, shard, row, emit) order an attempt delivers them: calls
+  /// `visit(source, server, row)` once per routed row and writes nothing,
+  /// so an interposer can decide an attempt's fate before any row lands.
+  template <typename VisitFn>
+  void ForEachRoute(const VisitFn& visit) const {
+    for (const Target& target : targets_) {
+      for (const auto& routes : plan_->sources_[target.source_index].shard_routes) {
+        for (const ExchangePlan::Route& r : routes) visit(target.source_index, r.server, r.row);
+      }
+    }
+  }
+
  private:
   friend class Exchange;
 

@@ -12,19 +12,20 @@ namespace coverpack {
 
 namespace {
 
-/// Backtracking state for GenericJoin over sorted row-id slices.
+/// Backtracking state for GenericJoin over per-edge trie orders.
 ///
-/// Each edge keeps one arena array of row ids; the live set at any depth is
-/// a contiguous slice of it. At depth d (attribute A), every holder's slice
-/// is sorted by its A-column, candidate values are walked off the smallest
-/// holder's sorted slice in ascending order, and each holder's refinement
-/// is the equal-value run located by a monotone cursor — O(L log L) per
-/// level instead of the old O(candidates * L) rescans. Rows in a slice
-/// agree on every already-bound attribute of their edge, so deeper sorts
-/// permute only within equal keys and never break an ancestor's order;
-/// backtracking restores slice bounds only. Candidates ascend, so the
-/// output rows appear in the same lexicographic order as the historical
-/// per-candidate-rescan implementation.
+/// Each edge keeps one arena array of row ids, sorted once into trie order:
+/// lexicographic over the edge's columns. Columns ascend by AttrId, which is
+/// also the search's level order, so at any depth the live rows of an edge
+/// are one contiguous slice of that order, agree on every bound attribute of
+/// the edge, and ascend by the column of the edge's next attribute. Level d
+/// (attribute A) intersects its holders' slices leapfrog-style: each holder
+/// gallops from its cursor to the first key >= the current candidate, a key
+/// past the candidate becomes the new candidate, and once every holder sits
+/// on the same key its equal-key run is found by galloping once more. Each
+/// gallop costs O(log distance), and backtracking restores slice bounds
+/// only. Candidates ascend, so the output holds every distinct satisfying
+/// assignment once, in lexicographic order.
 struct SearchState {
   struct Holder {
     EdgeId edge;
@@ -41,10 +42,47 @@ struct SearchState {
   };
 
   std::vector<Level> levels;
-  std::vector<uint32_t*> rows;  // per edge: arena row-id array
+  std::vector<uint32_t*> rows;  // per edge: arena row-id array, trie order
   std::vector<Slice> slice;     // per edge: live range of rows[e]
   std::vector<Value> assignment;
   Relation* output = nullptr;
+};
+
+/// First position in [pos, end) at which `before` fails (or `end`), for a
+/// predicate that holds on a prefix of the range: probes pos, pos + 1,
+/// pos + 3, pos + 7, ... until one fails, then binary-searches the last
+/// gap. O(log d) for an answer d positions away.
+template <typename Before>
+uint32_t Gallop(uint32_t pos, uint32_t end, const Before& before) {
+  if (pos >= end || !before(pos)) return pos;
+  size_t known = pos;  // before(known) holds
+  size_t step = 1;
+  while (known + step < end && before(static_cast<uint32_t>(known + step))) {
+    known += step;
+    step <<= 1;
+  }
+  uint32_t lo = static_cast<uint32_t>(known + 1);
+  uint32_t hi = static_cast<uint32_t>(std::min<size_t>(known + step, end));
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (before(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// One holder's live slice at a level, with its leapfrog cursor.
+struct Run {
+  const uint32_t* rows;  // the edge's row ids in trie order
+  const Value* column;   // the level attribute's column: key = column[id * width]
+  uint32_t width;
+  uint32_t pos;
+  uint32_t end;
+
+  Value Key(uint32_t at) const { return column[size_t{rows[at]} * width]; }
 };
 
 void Recurse(SearchState* state, size_t depth) {
@@ -55,71 +93,57 @@ void Recurse(SearchState* state, size_t depth) {
   const SearchState::Level& level = state->levels[depth];
   const size_t num_holders = level.holders.size();
 
-  // Sort each holder's live slice by the level attribute's column.
-  size_t lead = 0;
-  for (size_t h = 0; h < num_holders; ++h) {
-    const SearchState::Holder& holder = level.holders[h];
-    SearchState::Slice s = state->slice[holder.edge];
-    uint32_t* begin = state->rows[holder.edge] + s.begin;
-    uint32_t* end = state->rows[holder.edge] + s.end;
-    const Value* base = holder.base;
-    const uint32_t width = holder.width;
-    const uint32_t col = holder.col;
-    std::sort(begin, end, [base, width, col](uint32_t a, uint32_t b) {
-      return base[size_t{a} * width + col] < base[size_t{b} * width + col];
-    });
-    if (s.end - s.begin < state->slice[level.holders[lead].edge].end -
-                              state->slice[level.holders[lead].edge].begin) {
-      lead = h;
-    }
-  }
-
-  // Walk candidate values off the lead holder's sorted slice; every
-  // holder's cursor advances monotonically (candidates ascend).
   constexpr size_t kMaxEdges = 64;
   CP_DCHECK(num_holders <= kMaxEdges);
-  uint32_t cursor[kMaxEdges];
-  SearchState::Slice refined[kMaxEdges];
+  Run runs[kMaxEdges];
   SearchState::Slice saved[kMaxEdges];
   for (size_t h = 0; h < num_holders; ++h) {
-    cursor[h] = state->slice[level.holders[h].edge].begin;
+    const SearchState::Holder& holder = level.holders[h];
+    saved[h] = state->slice[holder.edge];
+    runs[h] = Run{state->rows[holder.edge], holder.base + holder.col, holder.width,
+                  saved[h].begin, saved[h].end};
   }
-  const SearchState::Holder& lead_holder = level.holders[lead];
-  const SearchState::Slice lead_slice = state->slice[lead_holder.edge];
-  uint32_t pos = lead_slice.begin;
-  while (pos < lead_slice.end) {
-    const uint32_t* lead_rows = state->rows[lead_holder.edge];
-    Value value = lead_holder.base[size_t{lead_rows[pos]} * lead_holder.width +
-                                   lead_holder.col];
-    bool viable = true;
-    for (size_t h = 0; h < num_holders; ++h) {
-      const SearchState::Holder& holder = level.holders[h];
-      const SearchState::Slice s = state->slice[holder.edge];
-      const uint32_t* rows = state->rows[holder.edge];
-      const Value* base = holder.base;
-      const uint32_t width = holder.width;
-      const uint32_t col = holder.col;
-      uint32_t cur = cursor[h];
-      while (cur < s.end && base[size_t{rows[cur]} * width + col] < value) ++cur;
-      uint32_t run = cur;
-      while (run < s.end && base[size_t{rows[run]} * width + col] == value) ++run;
-      refined[h] = SearchState::Slice{cur, run};
-      cursor[h] = run;
-      if (cur == run) viable = false;
-    }
-    if (viable) {
-      for (size_t h = 0; h < num_holders; ++h) {
-        EdgeId e = level.holders[h].edge;
-        saved[h] = state->slice[e];
-        state->slice[e] = refined[h];
+
+  // Leapfrog: the last `agreed` holders visited (round-robin) sit on
+  // `value`. Every live slice is non-empty, so holder 0 seeds the first
+  // candidate.
+  Value value = runs[0].Key(runs[0].pos);
+  size_t agreed = 1;
+  size_t h = num_holders > 1 ? 1 : 0;
+  for (;;) {
+    if (agreed < num_holders) {
+      Run& run = runs[h];
+      run.pos = Gallop(run.pos, run.end, [&](uint32_t at) { return run.Key(at) < value; });
+      if (run.pos == run.end) break;
+      const Value found = run.Key(run.pos);
+      if (found == value) {
+        ++agreed;
+      } else {
+        value = found;
+        agreed = 1;
       }
-      state->assignment[depth] = value;
-      Recurse(state, depth + 1);
-      for (size_t h = 0; h < num_holders; ++h) {
-        state->slice[level.holders[h].edge] = saved[h];
-      }
+      h = h + 1 == num_holders ? 0 : h + 1;
+      continue;
     }
-    pos = cursor[lead];
+    // Every holder sits on `value`: its equal-key run is the refinement.
+    state->assignment[depth] = value;
+    bool exhausted = false;
+    for (size_t k = 0; k < num_holders; ++k) {
+      Run& run = runs[k];
+      const uint32_t run_end =
+          Gallop(run.pos + 1, run.end, [&](uint32_t at) { return run.Key(at) == value; });
+      state->slice[level.holders[k].edge] = SearchState::Slice{run.pos, run_end};
+      run.pos = run_end;
+      exhausted = exhausted || run_end == run.end;
+    }
+    Recurse(state, depth + 1);
+    if (exhausted) break;
+    value = runs[0].Key(runs[0].pos);
+    agreed = 1;
+    h = num_holders > 1 ? 1 : 0;
+  }
+  for (size_t k = 0; k < num_holders; ++k) {
+    state->slice[level.holders[k].edge] = saved[k];
   }
 }
 
@@ -165,8 +189,19 @@ Relation GenericJoin(const Hypergraph& query, const Instance& instance) {
   for (uint32_t e = 0; e < m; ++e) {
     const size_t n = instance[e].size();
     CP_CHECK(n <= 0xFFFFFFFFu);
-    state.rows[e] = scope.arena()->AllocateArray<uint32_t>(n);
-    for (size_t i = 0; i < n; ++i) state.rows[e][i] = static_cast<uint32_t>(i);
+    uint32_t* rows = scope.arena()->AllocateArray<uint32_t>(n);
+    for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+    // Trie order: lexicographic over the columns, i.e. over the levels.
+    const Value* base = instance[e].raw().data();
+    const uint32_t width = instance[e].width();
+    const auto row_less = [base, width](uint32_t a, uint32_t b) {
+      const Value* ra = base + size_t{a} * width;
+      const Value* rb = base + size_t{b} * width;
+      return std::lexicographical_compare(ra, ra + width, rb, rb + width);
+    };
+    // HyperCube cells receive rows in their source's order, often sorted.
+    if (!std::is_sorted(rows, rows + n, row_less)) std::sort(rows, rows + n, row_less);
+    state.rows[e] = rows;
     state.slice[e] = SearchState::Slice{0, static_cast<uint32_t>(n)};
   }
   state.assignment.resize(attr_order.size());

@@ -3,7 +3,8 @@
 /// algorithms and for computing instance statistics (subjoin sizes).
 ///
 /// GenericJoin is an attribute-at-a-time worst-case optimal join in the
-/// style of [22, 26] (NPRR / Generic Join); AcyclicJoinCount counts join
+/// style of [22, 26] (NPRR / Generic Join), run leapfrog-style over each
+/// relation sorted once into trie order; AcyclicJoinCount counts join
 /// results of an acyclic query in near-linear time by message passing over
 /// a join tree — the COUNT(*) join-aggregate query of Appendix A.5.
 
@@ -20,8 +21,11 @@
 namespace coverpack {
 
 /// Evaluates the full natural join of `instance` over `query` sequentially.
-/// The result schema is the union of all edge attributes. Worst-case
-/// optimal up to log factors; intended as the test oracle.
+/// The result schema is the union of all edge attributes; it holds every
+/// distinct result tuple once, in ascending lexicographic order. Each
+/// relation's row ids are sorted once, and every attribute level
+/// intersects its relations by galloping, so the join is worst-case optimal
+/// up to log factors. The test oracle, and the per-cell join of HyperCube.
 Relation GenericJoin(const Hypergraph& query, const Instance& instance);
 
 /// Counts join results of the full natural join without materializing them,

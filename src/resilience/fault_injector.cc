@@ -139,8 +139,6 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
   record.checkpoint_tuples = delivery.CheckpointedRows();
   const bool row_faults_possible = spec.drop_rate > 0.0 || spec.duplicate_rate > 0.0;
 
-  uint64_t delivered = 0;
-  bool accepted = false;
   uint32_t attempt = 0;
   for (; attempt < spec.max_attempts; ++attempt) {
     // Crashes are decided up front per attempt: a crashed receiver loses
@@ -159,36 +157,37 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     // clean, so fall through to the coalesced clean delivery below.
     if (attempt_crashes == 0 && !row_faults_possible) break;
 
+    // Every routed row bound for a live receiver draws its drop and
+    // duplicate dice; rows bound for a crashed one are lost wholesale.
+    // Fates are decided on a read-only walk of the routes: no row is
+    // written until an attempt is known to be clean.
     uint64_t attempt_drops = 0;
     uint64_t attempt_dups = 0;
     std::vector<uint8_t> corrupted = crashed;
-    const auto fate = [&](size_t source, uint32_t server,
-                          size_t row) -> mpc::ExchangeDelivery::RowFate {
-      if (crashed[server] != 0) return mpc::ExchangeDelivery::RowFate::kDrop;
-      if (plan_.DropsRow(key, attempt, source, server, row)) {
-        ++attempt_drops;
-        corrupted[server] = 1;
-        return mpc::ExchangeDelivery::RowFate::kDrop;
+    if (row_faults_possible) {
+      std::vector<FaultPlan::RowPrefix> prefixes(plan.num_servers());
+      for (uint32_t s = 0; s < plan.num_servers(); ++s) {
+        if (crashed[s] == 0) prefixes[s] = plan_.RowFaultPrefix(key, attempt, s);
       }
-      if (plan_.DuplicatesRow(key, attempt, source, server, row)) {
-        ++attempt_dups;
-        corrupted[server] = 1;
-        return mpc::ExchangeDelivery::RowFate::kDuplicate;
-      }
-      return mpc::ExchangeDelivery::RowFate::kDeliver;
-    };
-    delivered = delivery.Attempt(fate);
-    ++record.attempts;
-    if (attempt_crashes == 0 && attempt_drops == 0 && attempt_dups == 0) {
-      // The dice came up clean: the attempt delivered every message exactly
-      // once, so it is accepted as-is.
-      accepted = true;
-      break;
+      delivery.ForEachRoute([&](size_t source, uint32_t server, size_t row) {
+        if (crashed[server] != 0) return;
+        if (plan_.DropsRow(prefixes[server], source, row)) {
+          ++attempt_drops;
+          corrupted[server] = 1;
+        } else if (plan_.DuplicatesRow(prefixes[server], source, row)) {
+          ++attempt_dups;
+          corrupted[server] = 1;
+        }
+      });
     }
+    // The dice came up clean: this attempt delivers every message exactly
+    // once, which is the coalesced clean delivery below.
+    if (attempt_crashes == 0 && attempt_drops == 0 && attempt_dups == 0) break;
 
-    // Faulty attempt: roll every destination back to its round checkpoint,
-    // charge the recovery ledger, and retry with backoff.
-    delivery.Restore();
+    // Faulty attempt: the round rolls back to its checkpoint (nothing was
+    // written, so there is nothing to truncate), the recovery ledger is
+    // charged, and the delivery is retried with backoff.
+    ++record.attempts;
     {
       MutexLock lock(mutex_);
       checkpoints_.NoteRestore(delivery.round());
@@ -215,17 +214,16 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     }
   }
 
-  if (!accepted) {
-    if (record.faulted && attempt >= spec.max_attempts) {
-      // Retry budget exhausted: degrade gracefully to a full deterministic
-      // rerun of the exchange, accounted at full plan volume.
-      record.full_rerun = true;
-      record.tuples_resent += plan.total_planned();
-      record.tuples_resent_full_rerun += plan.total_planned();
-    }
-    delivered = delivery.Attempt();
-    ++record.attempts;
+  if (record.faulted && attempt >= spec.max_attempts) {
+    // Retry budget exhausted: degrade gracefully to a full deterministic
+    // rerun of the exchange, accounted at full plan volume.
+    record.full_rerun = true;
+    record.tuples_resent += plan.total_planned();
+    record.tuples_resent_full_rerun += plan.total_planned();
   }
+  // The accepted clean attempt or the full rerun: the only rows written.
+  const uint64_t delivered = delivery.Attempt();
+  ++record.attempts;
   ResilienceTelemetry::Record(record);
   return delivered;
 }

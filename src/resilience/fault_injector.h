@@ -5,12 +5,15 @@
 /// tuple crosses server boundaries, see mpc/exchange.h) and subjects every
 /// charged exchange to its FaultPlan: receiving servers crash mid-delivery,
 /// individual messages are dropped or duplicated. Recovery is
-/// restore-and-replay at round granularity — destinations are truncated
-/// back to their pre-exchange checkpoint and the delivery is retried, with
-/// exponential-backoff accounting, until a clean attempt lands or the
+/// restore-and-replay at round granularity — a faulty attempt rolls the
+/// round back to its pre-exchange checkpoint and the delivery is retried,
+/// with exponential-backoff accounting, until a clean attempt lands or the
 /// bounded retry budget is exhausted; past the budget it degrades
 /// gracefully to a full deterministic rerun of the exchange (accounted at
-/// full plan volume). Because the final accepted attempt is always a clean
+/// full plan volume). Each attempt's fate is decided first, on a read-only
+/// walk of the routes (ExchangeDelivery::ForEachRoute), so rows are written
+/// only once: by the accepted clean attempt or by the final rerun, through
+/// the coalesced clean delivery. Because that delivery is the fault-free
 /// one and the load charging in Exchange::Execute is untouched, a run under
 /// any FaultPlan produces bit-identical results, loads, and traces to the
 /// fault-free run — only the fault.* / recovery.* ledger differs.

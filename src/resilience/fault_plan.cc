@@ -48,20 +48,32 @@ bool FaultPlan::CrashesDelivery(uint64_t key, uint32_t attempt, uint32_t server)
   return Decide(h, spec_.crash_rate);
 }
 
+FaultPlan::RowPrefix FaultPlan::RowFaultPrefix(uint64_t key, uint32_t attempt,
+                                               uint32_t server) const {
+  const uint64_t coordinates = (uint64_t{attempt} << 32) | server;
+  RowPrefix prefix;
+  prefix.drop = HashCombine(HashCombine(HashCombine(spec_.seed, kDropStream), key), coordinates);
+  prefix.duplicate =
+      HashCombine(HashCombine(HashCombine(spec_.seed, kDuplicateStream), key), coordinates);
+  return prefix;
+}
+
+bool FaultPlan::DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
+  return Decide(HashCombine(HashCombine(prefix.drop, source), row), spec_.drop_rate);
+}
+
+bool FaultPlan::DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
+  return Decide(HashCombine(HashCombine(prefix.duplicate, source), row), spec_.duplicate_rate);
+}
+
 bool FaultPlan::DropsRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
                          uint64_t row) const {
-  uint64_t h = HashCombine(HashCombine(HashCombine(spec_.seed, kDropStream), key),
-                           (uint64_t{attempt} << 32) | server);
-  h = HashCombine(HashCombine(h, source), row);
-  return Decide(h, spec_.drop_rate);
+  return DropsRow(RowFaultPrefix(key, attempt, server), source, row);
 }
 
 bool FaultPlan::DuplicatesRow(uint64_t key, uint32_t attempt, uint64_t source,
                               uint32_t server, uint64_t row) const {
-  uint64_t h = HashCombine(HashCombine(HashCombine(spec_.seed, kDuplicateStream), key),
-                           (uint64_t{attempt} << 32) | server);
-  h = HashCombine(HashCombine(h, source), row);
-  return Decide(h, spec_.duplicate_rate);
+  return DuplicatesRow(RowFaultPrefix(key, attempt, server), source, row);
 }
 
 double FaultPlan::SpeedOf(uint32_t round, uint32_t server) const {

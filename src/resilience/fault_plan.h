@@ -78,12 +78,26 @@ class FaultPlan {
   /// Does `server` crash during attempt `attempt` of the exchange `key`?
   bool CrashesDelivery(uint64_t key, uint32_t attempt, uint32_t server) const;
 
+  /// The part of a row decision's hash that depends only on (seed, stream,
+  /// key, attempt, server): one receiver's share of one attempt. A per-row
+  /// loop computes it once per receiver and decides each routed row from
+  /// it with the prefix overloads below.
+  struct RowPrefix {
+    uint64_t drop = 0;
+    uint64_t duplicate = 0;
+  };
+  RowPrefix RowFaultPrefix(uint64_t key, uint32_t attempt, uint32_t server) const;
+
   /// Is this routed row dropped / duplicated in attempt `attempt`? A row
-  /// is identified by its (source, server, row) delivery coordinates.
+  /// is identified by its (source, server, row) delivery coordinates. Both
+  /// are the prefix overloads applied to RowFaultPrefix(key, attempt,
+  /// server), so the two forms always agree.
   bool DropsRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
                 uint64_t row) const;
   bool DuplicatesRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
                      uint64_t row) const;
+  bool DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
+  bool DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
 
   /// Relative speed of `server` in `round`: 1.0, or 1/straggler_severity
   /// when the (round, server) pair straggles. Always > 0.

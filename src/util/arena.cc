@@ -36,7 +36,7 @@ void* Arena::AllocateSlow(size_t bytes, size_t align) {
     // Oversized single requests get a dedicated page; alignment slack is
     // bounded by `align` because fresh pages start at a max-aligned base.
     if (size < bytes + align) size = bytes + align;
-    pages_.push_back(Page{std::make_unique<char[]>(size), size});
+    pages_.push_back(Page{std::make_unique_for_overwrite<char[]>(size), size});
     reserved_ += size;
     next = pages_.size() - 1;
   }
@@ -57,6 +57,24 @@ void Arena::RewindTo(const Mark& mark) {
   }
   cursor_ = mark.cursor;
   used_ = mark.used;
+}
+
+void Arena::ReleasePagesBeyond(size_t keep_bytes) {
+  CP_DCHECK(empty());
+  size_t kept = 0;
+  size_t bytes = 0;
+  while (kept < pages_.size() && bytes + pages_[kept].size <= keep_bytes) {
+    bytes += pages_[kept++].size;
+  }
+  if (kept == pages_.size()) return;
+  pages_.resize(kept);
+  reserved_ = bytes;
+  if (pages_.empty()) {
+    base_ = nullptr;
+    limit_ = 0;
+  } else {
+    ActivatePage(0);
+  }
 }
 
 Arena& ScratchArena::Local() {
@@ -83,6 +101,7 @@ MemoryTelemetryState& TelemetryState() {
 ArenaScope::~ArenaScope() {
   MemoryTelemetry::RecordScope(used());
   arena_->RewindTo(mark_);
+  if (arena_->empty()) arena_->ReleasePagesBeyond(Arena::kRetainedBytes);
 }
 
 void MemoryTelemetry::Reset() {

@@ -10,14 +10,19 @@
 ///
 ///  * `Arena` — a bump allocator over geometrically growing pages. `Reset()`
 ///    rewinds the cursor but keeps the pages, so steady-state operator calls
-///    allocate nothing from the system.
+///    allocate nothing from the system. Pages are not zeroed, so a page holds
+///    physical memory only where it has been written.
 ///  * `ArenaVector<T>` — a minimal push_back/index container for trivially
 ///    copyable T backed by an Arena. Growth relocates into a fresh arena
 ///    block (the abandoned prefix is reclaimed at the next Reset/scope pop).
 ///  * `ScratchArena::Local()` — the per-thread scratch arena the operators
 ///    share. Every operator call opens an `ArenaScope`, which remembers the
 ///    cursor and rewinds it on destruction — nesting (HashJoin inside
-///    MultiwayJoin inside a pool task) works like a stack of frames.
+///    MultiwayJoin inside a pool task) works like a stack of frames. A scope
+///    that leaves its arena empty frees every page past the first
+///    `kRetainedBytes`, so a thread keeps only small pages between calls.
+///    Were the large pages kept too, the memory of a multi-threaded run would
+///    depend on which threads happened to run the largest operator calls.
 ///
 /// Determinism contract: arena contents never influence results, and the
 /// telemetry recorded per scope (logical bytes handed out) is a pure
@@ -45,6 +50,9 @@ class Arena {
   /// First page size; later pages double up to kMaxPageBytes.
   static constexpr size_t kMinPageBytes = size_t{1} << 16;   // 64 KiB
   static constexpr size_t kMaxPageBytes = size_t{1} << 26;   // 64 MiB
+  /// Reservation an empty scratch arena keeps: the pages from 64 KiB up to
+  /// 2 MiB of the doubling sequence.
+  static constexpr size_t kRetainedBytes = size_t{1} << 22;  // 4 MiB
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -101,6 +109,14 @@ class Arena {
   /// Rewinds to a previously captured position. Pages allocated since stay
   /// reserved for reuse.
   void RewindTo(const Mark& mark);
+
+  /// True when nothing is allocated: the cursor is at the start of the
+  /// first page.
+  bool empty() const { return page_index_ == 0 && cursor_ == 0; }
+
+  /// Frees the pages past the longest prefix whose sizes sum to at most
+  /// `keep_bytes`. Precondition: empty().
+  void ReleasePagesBeyond(size_t keep_bytes);
 
  private:
   void* AllocateSlow(size_t bytes, size_t align);

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -35,6 +39,20 @@ GlobalPoolState& GlobalPool() {
   return state;
 }
 
+/// Pins glibc's mmap threshold at 4 MiB; the trim threshold then stays at
+/// its 128 KiB default. Left dynamic, glibc raises both each time a mapped
+/// block is freed, up to 32 and 64 MiB, and from then on every thread's
+/// malloc arena may keep tens of MiB of freed join output. How much each
+/// arena keeps depends on which pool thread ran which task, so peak memory
+/// would vary from run to run by tens of MiB. Pinned, a block of 4 MiB or
+/// more goes back to the system when freed, and the peak follows live
+/// memory.
+void PinMallocThresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 4 << 20);
+#endif
+}
+
 unsigned DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -44,6 +62,7 @@ unsigned DefaultThreads() {
 
 ThreadPool::ThreadPool(unsigned num_threads)
     : num_threads_(std::max(1u, num_threads)) {
+  PinMallocThresholds();
   workers_.reserve(num_threads_ - 1);
   for (unsigned i = 0; i + 1 < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -49,7 +49,9 @@ class ThreadPool {
   using ShardFn = std::function<void(size_t, size_t, size_t)>;
 
   /// \param num_threads total concurrency including the calling thread;
-  /// clamped to >= 1. `ThreadPool(4)` spawns 3 workers.
+  /// clamped to >= 1. `ThreadPool(4)` spawns 3 workers. Under glibc it also
+  /// pins the process's mmap threshold at 4 MiB, so that peak memory does
+  /// not depend on which thread ran which task (see thread_pool.cc).
   explicit ThreadPool(unsigned num_threads);
 
   ThreadPool(const ThreadPool&) = delete;

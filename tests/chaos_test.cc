@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/acyclic_join.h"
+#include "core/one_round.h"
 #include "mpc/cluster.h"
 #include "mpc/hypercube.h"
 #include "query/catalog.h"
@@ -378,6 +379,94 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
   EXPECT_EQ(clean.planner.cache_misses, stormed.planner.cache_misses);
   EXPECT_GT(clean.planner.TotalDecisions(), 0u);
   EXPECT_EQ(clean.Digest(), stormed.Digest());
+}
+
+
+/// The recovery ledger of one fixed cyclic run: the skew-aware one-round
+/// triangle on 64 servers with collection on, so routed rows draw their
+/// per-row dice. Fault decisions are content-keyed, so the ledger is a pure
+/// function of (spec, instance).
+ResilienceTelemetrySnapshot CyclicStormLedger(const FaultSpec& spec) {
+  const Hypergraph triangle = catalog::Triangle();
+  Rng rng(0x5707);
+  const Instance instance = workload::ZipfInstance(triangle, 4000, 600, 0.8, &rng);
+  OneRoundOptions options;
+  options.collect = true;
+  const OneRoundResult clean = ComputeOneRoundSkewAware(triangle, instance, 64, options);
+  ResilienceTelemetry::Reset();
+  OneRoundResult stormed;
+  {
+    ScopedFaultInjection injection(spec);
+    stormed = ComputeOneRoundSkewAware(triangle, instance, 64, options);
+  }
+  EXPECT_TRUE(RelationsEqual(clean.results, stormed.results));
+  EXPECT_TRUE(TrackersEqual(clean.load_tracker, stormed.load_tracker));
+  return ResilienceTelemetry::Snapshot();
+}
+
+/// Sum of a sample vector (integer-valued, so exact in any order).
+double SampleSum(const std::vector<double>& samples) {
+  double sum = 0.0;
+  for (const double sample : samples) sum += sample;
+  return sum;
+}
+
+// The two tests below pin every ledger counter of that run. A change that
+// moves a single crash, drop or duplicate, or the accounting of one, fails
+// here; the clean-vs-faulted report diffs strip these counters and cannot.
+TEST_F(ChaosTest, CiCrashStormLedgerIsPinned) {
+  FaultSpec spec;
+  spec.seed = 7;
+  spec.crash_rate = 0.05;
+  spec.drop_rate = 0.001;
+  spec.duplicate_rate = 0.001;
+  const ResilienceTelemetrySnapshot ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.exchanges_injected, 1u);
+  EXPECT_EQ(ledger.exchanges_faulted, 1u);
+  EXPECT_EQ(ledger.crashes, 15u);
+  EXPECT_EQ(ledger.rows_dropped, 177u);
+  EXPECT_EQ(ledger.rows_duplicated, 194u);
+  EXPECT_EQ(ledger.retries, 4u);
+  EXPECT_EQ(ledger.full_reruns, 1u);
+  EXPECT_EQ(ledger.backoff_units, 15u);
+  EXPECT_EQ(ledger.tuples_resent, 199478u);
+  EXPECT_EQ(ledger.tuples_resent_crash, 11417u);
+  EXPECT_EQ(ledger.tuples_resent_corruption, 140061u);
+  EXPECT_EQ(ledger.tuples_resent_full_rerun, 48000u);
+  EXPECT_EQ(ledger.checkpoints_captured, 1u);
+  EXPECT_EQ(ledger.checkpoint_tuples, 0u);
+  EXPECT_EQ(ledger.max_single_resend, 861u);
+  EXPECT_EQ(ledger.attempts_samples.size(), 1u);
+  EXPECT_EQ(SampleSum(ledger.attempts_samples), 5.0);
+  EXPECT_EQ(SampleSum(ledger.resent_samples), 199478.0);
+}
+
+TEST_F(ChaosTest, HeavyCrashStormLedgerIsPinned) {
+  FaultSpec spec;
+  spec.seed = 7;
+  spec.crash_rate = 0.15;
+  spec.drop_rate = 0.01;
+  spec.duplicate_rate = 0.01;
+  spec.max_attempts = 2;
+  const ResilienceTelemetrySnapshot ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.exchanges_injected, 1u);
+  EXPECT_EQ(ledger.exchanges_faulted, 1u);
+  EXPECT_EQ(ledger.crashes, 16u);
+  EXPECT_EQ(ledger.rows_dropped, 829u);
+  EXPECT_EQ(ledger.rows_duplicated, 834u);
+  EXPECT_EQ(ledger.retries, 2u);
+  EXPECT_EQ(ledger.full_reruns, 1u);
+  EXPECT_EQ(ledger.backoff_units, 3u);
+  EXPECT_EQ(ledger.tuples_resent, 144000u);
+  EXPECT_EQ(ledger.tuples_resent_crash, 12272u);
+  EXPECT_EQ(ledger.tuples_resent_corruption, 83728u);
+  EXPECT_EQ(ledger.tuples_resent_full_rerun, 48000u);
+  EXPECT_EQ(ledger.checkpoints_captured, 1u);
+  EXPECT_EQ(ledger.checkpoint_tuples, 0u);
+  EXPECT_EQ(ledger.max_single_resend, 861u);
+  EXPECT_EQ(ledger.attempts_samples.size(), 1u);
+  EXPECT_EQ(SampleSum(ledger.attempts_samples), 3.0);
+  EXPECT_EQ(SampleSum(ledger.resent_samples), 144000.0);
 }
 
 }  // namespace

@@ -111,6 +111,33 @@ TEST(ArenaScopeTest, NestedScopesStackAndRecordTelemetry) {
   EXPECT_EQ(MemoryTelemetry::Snapshot().scopes, 0u);
 }
 
+TEST(ArenaScopeTest, ScopeThatEmptiesTheArenaFreesLargePages) {
+  Arena arena;
+  {
+    ArenaScope scope(&arena);
+    scope.arena()->AllocateArray<char>(Arena::kMinPageBytes / 2);
+    scope.arena()->AllocateArray<char>(Arena::kRetainedBytes * 2);  // a page of its own
+    EXPECT_EQ(arena.num_pages(), 2u);
+  }
+  EXPECT_TRUE(arena.empty());
+  EXPECT_EQ(arena.num_pages(), 1u);  // the small first page stays
+  EXPECT_EQ(arena.reserved(), Arena::kMinPageBytes);
+
+  {
+    ArenaScope outer(&arena);
+    outer.arena()->AllocateArray<uint64_t>(2);
+    {
+      ArenaScope inner(&arena);
+      inner.arena()->AllocateArray<char>(Arena::kRetainedBytes * 2);
+    }
+    // The outer frame's rows are still live, so no page is freed yet.
+    EXPECT_FALSE(arena.empty());
+    EXPECT_EQ(arena.num_pages(), 2u);
+  }
+  EXPECT_EQ(arena.num_pages(), 1u);
+  EXPECT_EQ(arena.reserved(), Arena::kMinPageBytes);
+}
+
 // ---------------------------------------------------------------------------
 // Crafted hash collisions: key-equality soundness of the grouped index.
 //

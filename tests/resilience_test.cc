@@ -109,6 +109,42 @@ TEST(FaultPlanTest, SeedsAndCoordinatesDecorrelateDecisions) {
   EXPECT_TRUE(differs);
 }
 
+TEST(FaultPlanTest, HoistedRowPrefixDecidesLikeThePerRowCall) {
+  // The injector hashes (seed, stream, key, attempt, server) once per
+  // receiver and decides each routed row from that prefix; every decision
+  // must equal the self-contained per-row call at the same coordinates.
+  FaultSpec spec;
+  spec.seed = 0x5EED;
+  spec.drop_rate = 0.3;
+  spec.duplicate_rate = 0.3;
+  FaultPlan plan(spec);
+  Rng rng(2024);
+  uint64_t drops = 0;
+  uint64_t dups = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const uint64_t key = FaultPlan::ExchangeKey(static_cast<uint32_t>(rng.Uniform(8)), "hypercube",
+                                                rng.Next(), rng.Next(), 64);
+    const uint32_t attempt = static_cast<uint32_t>(rng.Uniform(6));
+    const uint32_t server = static_cast<uint32_t>(rng.Uniform(64));
+    const FaultPlan::RowPrefix prefix = plan.RowFaultPrefix(key, attempt, server);
+    for (int i = 0; i < 32; ++i) {
+      const uint64_t source = rng.Uniform(4);
+      const uint64_t row = rng.Next();
+      const bool drop = plan.DropsRow(key, attempt, source, server, row);
+      const bool dup = plan.DuplicatesRow(key, attempt, source, server, row);
+      EXPECT_EQ(plan.DropsRow(prefix, source, row), drop);
+      EXPECT_EQ(plan.DuplicatesRow(prefix, source, row), dup);
+      drops += drop ? 1 : 0;
+      dups += dup ? 1 : 0;
+    }
+  }
+  // Both streams fire at about their rate over the 2048 seeded rows.
+  EXPECT_GT(drops, 500u);
+  EXPECT_LT(drops, 730u);
+  EXPECT_GT(dups, 500u);
+  EXPECT_LT(dups, 730u);
+}
+
 TEST(FaultPlanTest, StragglerSpeedsAreSeveritiesOrUnit) {
   FaultSpec spec;
   spec.seed = 5;
