@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cctype>
 
-#include "cluster/cluster_telemetry.h"
 #include "experiments/runners.h"
-#include "mpc/exchange.h"
-#include "resilience/fault_injector.h"
-#include "telemetry/cluster_metrics.h"
-#include "telemetry/exchange_metrics.h"
-#include "telemetry/memory_metrics.h"
 #include "telemetry/metrics.h"
-#include "telemetry/resilience_metrics.h"
-#include "util/arena.h"
 #include "util/hash.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace bench {
@@ -174,21 +167,12 @@ uint64_t ExperimentSeed(uint64_t site_seed) {
 }
 
 telemetry::RunReport RunExperiment(const Experiment& experiment) {
-  mpc::ExchangeTelemetry::Reset();
-  resilience::ResilienceTelemetry::Reset();
-  cluster::ClusterTelemetry::Reset();
-  MemoryTelemetry::Reset();
+  Ledger::Global().Reset();
   telemetry::RunReport report = experiment.run(experiment);
-  telemetry::SnapshotExchangeTelemetryInto(&report.metrics);
-  // No-op unless this run executed exchanges under fault injection, so
-  // fault-free reports keep their schema byte-identical.
-  telemetry::SnapshotResilienceTelemetryInto(&report.metrics);
-  // Same schema-invariance contract for the elastic-cluster ledger: only
-  // runs that built a ClusterProfile pipeline emit cluster.* keys.
-  telemetry::SnapshotClusterTelemetryInto(&report.metrics);
-  // Arena-scope accounting: logical bytes only, so the values are identical
-  // at any thread count or fault schedule (see DESIGN.md §4h).
-  telemetry::SnapshotMemoryTelemetryInto(&report.metrics);
+  // A namespace appears only if the run recorded into it: fault.* and
+  // recovery.* only under fault injection, cluster.* only for elastic
+  // pipelines, so every other report keeps its schema.
+  report.metrics.AddLedger(Ledger::Global().Read());
   if (g_base_seed != 0) report.AddParam("base_seed", g_base_seed);
   return report;
 }

@@ -45,11 +45,11 @@ const Experiment* FindExperiment(const std::string& id);
 /// historical substring semantics.
 bool ExperimentMatchesFilter(const Experiment& experiment, const std::string& filter);
 
-/// Runs one experiment with exchange instrumentation: resets the
-/// process-global ExchangeTelemetry, invokes the run function, and
-/// snapshots the "exchange.*" metrics into the report (EXPERIMENTS.md
-/// documents the keys). All drivers go through this so every
-/// BENCH_results.json row carries the exchange profile of its run.
+/// Runs one experiment with the run ledger (util/ledger.h): resets it,
+/// invokes the run function, and adds every namespace the run recorded
+/// into ("exchange.*", "fault.*"/"recovery.*", "cluster.*", "memory.*";
+/// EXPERIMENTS.md documents the keys) to the report's metrics. All drivers
+/// go through this so every BENCH_results.json row carries them.
 telemetry::RunReport RunExperiment(const Experiment& experiment);
 
 /// Seeds a RunReport with the experiment's identity. Every run function

@@ -32,6 +32,7 @@
 #include "query/catalog.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
+#include "util/ledger.h"
 #include "workload/generators.h"
 
 namespace coverpack {
@@ -55,21 +56,9 @@ bool TrackersEqual(const LoadTracker& a, const LoadTracker& b) {
   return true;
 }
 
-/// Ledger growth between two snapshots (counters only).
-resilience::ResilienceTelemetrySnapshot Delta(
-    const resilience::ResilienceTelemetrySnapshot& before,
-    const resilience::ResilienceTelemetrySnapshot& after) {
-  resilience::ResilienceTelemetrySnapshot d;
-  d.exchanges_injected = after.exchanges_injected - before.exchanges_injected;
-  d.exchanges_faulted = after.exchanges_faulted - before.exchanges_faulted;
-  d.crashes = after.crashes - before.crashes;
-  d.rows_dropped = after.rows_dropped - before.rows_dropped;
-  d.rows_duplicated = after.rows_duplicated - before.rows_duplicated;
-  d.retries = after.retries - before.retries;
-  d.full_reruns = after.full_reruns - before.full_reruns;
-  d.tuples_resent = after.tuples_resent - before.tuples_resent;
-  d.tuples_resent_crash = after.tuples_resent_crash - before.tuples_resent_crash;
-  return d;
+/// Growth of the ledger's counter `name` since `before` was read.
+uint64_t Grown(const LedgerSnapshot& before, const char* name) {
+  return Ledger::Global().Read(name).Counter(name) - before.Counter(name);
 }
 
 }  // namespace
@@ -143,13 +132,13 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
     ys.push_back(uniform.makespan);
 
     for (const FaultConfig& config : configs) {
-      const auto before = resilience::ResilienceTelemetry::Snapshot();
+      const LedgerSnapshot before = Ledger::Global().Read();
       AcyclicRunResult faulted;
       {
         resilience::ScopedFaultInjection injection(config.spec);
         faulted = ComputeAcyclicJoin(query, instance, options);
       }
-      const auto delta = Delta(before, resilience::ResilienceTelemetry::Snapshot());
+      const uint64_t crashes = Grown(before, "fault.crashes");
 
       // Claim 1: recovery is invisible in every measured quantity.
       const bool identical = TrackersEqual(baseline.load_tracker, faulted.load_tracker) &&
@@ -160,8 +149,8 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
       identical_ok = identical_ok && identical;
 
       // Claim 2: each crash re-sends at most one round's bottleneck load.
-      const uint64_t resend_cap = delta.crashes * baseline.max_load;
-      if (delta.tuples_resent_crash > resend_cap) resend_ok = false;
+      const uint64_t resend_cap = crashes * baseline.max_load;
+      if (Grown(before, "recovery.tuples_resent_crash") > resend_cap) resend_ok = false;
 
       // Claim 3, straggler part: the makespan is monotone in the straggler
       // schedule and bounded by severity x the uniform makespan.
@@ -173,8 +162,9 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
         makespan_ok = false;
       }
 
-      table.AddRow({std::to_string(p), config.name, std::to_string(delta.crashes),
-                    std::to_string(delta.retries), std::to_string(delta.tuples_resent),
+      table.AddRow({std::to_string(p), config.name, std::to_string(crashes),
+                    std::to_string(Grown(before, "recovery.retries")),
+                    std::to_string(Grown(before, "recovery.tuples_resent")),
                     std::to_string(resend_cap), identical ? "yes" : "NO",
                     FormatDouble(hetero.slowdown, 3)});
     }
@@ -204,7 +194,7 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
         mpc::HypercubeJoin(&clean, box, box_instance, shares, /*round=*/0, /*collect=*/true);
     for (const size_t config_index : {size_t{1}, size_t{2}}) {  // crash10%, drop+dup
       const FaultConfig& config = configs[config_index];
-      const auto before = resilience::ResilienceTelemetry::Snapshot();
+      const LedgerSnapshot before = Ledger::Global().Read();
       Cluster faulty(p);
       mpc::HypercubeResult recovered;
       {
@@ -212,7 +202,8 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
         recovered = mpc::HypercubeJoin(&faulty, box, box_instance, shares, /*round=*/0,
                                        /*collect=*/true);
       }
-      const auto delta = Delta(before, resilience::ResilienceTelemetry::Snapshot());
+      const uint64_t dropped = Grown(before, "fault.rows_dropped");
+      const uint64_t duplicated = Grown(before, "fault.rows_duplicated");
       bool identical = base.output_count == recovered.output_count &&
                        base.max_receive_load == recovered.max_receive_load &&
                        TrackersEqual(clean.tracker(), faulty.tracker()) &&
@@ -222,18 +213,17 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
       }
       // The corruption config must actually corrupt something here —
       // otherwise the "healed" claim is vacuous.
-      const bool exercised =
-          config_index != 2 || delta.rows_dropped + delta.rows_duplicated > 0;
+      const bool exercised = config_index != 2 || dropped + duplicated > 0;
       hypercube_ok = hypercube_ok && identical && exercised;
       std::cout << "hypercube box join under " << config.name << ": output "
-                << recovered.output_count << ", dropped " << delta.rows_dropped
-                << ", duplicated " << delta.rows_duplicated << ", retries "
-                << delta.retries << ", identical: " << (identical ? "yes" : "NO") << "\n";
+                << recovered.output_count << ", dropped " << dropped << ", duplicated "
+                << duplicated << ", retries " << Grown(before, "recovery.retries")
+                << ", identical: " << (identical ? "yes" : "NO") << "\n";
     }
   }
 
-  const auto ledger = resilience::ResilienceTelemetry::Snapshot();
-  if (ledger.max_single_resend > max_baseline_load) resend_ok = false;
+  const LedgerSnapshot recovery = Ledger::Global().Read("recovery.");
+  if (recovery.Max("recovery.max_single_resend") > max_baseline_load) resend_ok = false;
   report.metrics.SetGauge("max_baseline_load", static_cast<double>(max_baseline_load));
   std::cout << "all faulted runs bit-identical: " << (identical_ok ? "yes" : "NO")
             << "; resend within one round's load per crash: " << (resend_ok ? "yes" : "NO")

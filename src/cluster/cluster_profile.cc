@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "util/hash.h"
@@ -28,6 +29,22 @@ bool ParsePositiveDouble(const std::string& text, double* out) {
   const double value = std::strtod(text.c_str(), &end);
   if (end != text.c_str() + text.size()) return false;
   if (!(value > 0.0) || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+/// Parses a plain decimal integer no larger than `max`: digits only (no
+/// sign, no whitespace) and no overflow, so every accepted value is exactly
+/// the one ToString prints back.
+bool ParseDecimal(const std::string& text, uint64_t max, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
   *out = value;
   return true;
 }
@@ -106,11 +123,9 @@ std::optional<SpeedSpec> ParseSpeedSpec(const std::string& text) {
   }
   if (text.rfind("seeded:", 0) == 0) {
     spec.kind = SpeedSpec::Kind::kSeeded;
-    const std::string digits = text.substr(7);
-    if (digits.empty()) return std::nullopt;
-    char* end = nullptr;
-    spec.seed = std::strtoull(digits.c_str(), &end, 10);
-    if (end != digits.c_str() + digits.size()) return std::nullopt;
+    if (!ParseDecimal(text.substr(7), std::numeric_limits<uint64_t>::max(), &spec.seed)) {
+      return std::nullopt;
+    }
     return spec;
   }
   spec.kind = SpeedSpec::Kind::kExplicit;
@@ -135,35 +150,41 @@ std::string ElasticSpec::ToString() const {
 std::optional<ElasticSpec> ParseElasticSpec(const std::string& text) {
   ElasticSpec spec;
   if (text.empty() || text == "none") return spec;
+  // Deltas and net deltas stay within +-INT32_MAX, so negating one (a
+  // leave) never overflows.
+  constexpr int64_t kMaxDelta = std::numeric_limits<int32_t>::max();
   for (const std::string& part : SplitCommas(text)) {
     const size_t at = part.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= part.size()) return std::nullopt;
-    char* end = nullptr;
-    const std::string delta_text = part.substr(0, at);
-    const long delta = std::strtol(delta_text.c_str(), &end, 10);
-    if (end != delta_text.c_str() + delta_text.size() || delta == 0) return std::nullopt;
-    const std::string round_text = part.substr(at + 1);
-    const unsigned long round = std::strtoul(round_text.c_str(), &end, 10);
-    if (end != round_text.c_str() + round_text.size() || round == 0) return std::nullopt;
-    spec.events.push_back(
-        {static_cast<uint32_t>(round), static_cast<int32_t>(delta)});
+    if (at == std::string::npos || at == 0) return std::nullopt;
+    const bool leave = part[0] == '-';
+    const size_t digits = (leave || part[0] == '+') ? 1 : 0;
+    uint64_t count = 0;
+    uint64_t round = 0;
+    if (!ParseDecimal(part.substr(digits, at - digits), kMaxDelta, &count) || count == 0 ||
+        !ParseDecimal(part.substr(at + 1), std::numeric_limits<uint32_t>::max(), &round) ||
+        round == 0) {
+      return std::nullopt;
+    }
+    const int32_t delta = static_cast<int32_t>(count);
+    spec.events.push_back({static_cast<uint32_t>(round), leave ? -delta : delta});
   }
-  // Canonical form: sorted by round, one merged event per round.
+  // Canonical form: sorted by round, one merged event per round, rounds
+  // whose events cancel out dropped.
   std::stable_sort(spec.events.begin(), spec.events.end(),
                    [](const ElasticEvent& a, const ElasticEvent& b) {
                      return a.round < b.round;
                    });
   std::vector<ElasticEvent> merged;
-  for (const ElasticEvent& event : spec.events) {
-    if (!merged.empty() && merged.back().round == event.round) {
-      merged.back().delta += event.delta;
-    } else {
-      merged.push_back(event);
+  int64_t net = 0;
+  for (size_t i = 0; i < spec.events.size(); ++i) {
+    net += spec.events[i].delta;
+    if (i + 1 < spec.events.size() && spec.events[i + 1].round == spec.events[i].round) {
+      continue;
     }
+    if (net > kMaxDelta || net < -kMaxDelta) return std::nullopt;
+    if (net != 0) merged.push_back({spec.events[i].round, static_cast<int32_t>(net)});
+    net = 0;
   }
-  merged.erase(std::remove_if(merged.begin(), merged.end(),
-                              [](const ElasticEvent& e) { return e.delta == 0; }),
-               merged.end());
   spec.events = std::move(merged);
   return spec;
 }
@@ -265,13 +286,6 @@ std::vector<double> ClusterProfile::NormalizedActiveSpeeds(const Epoch& epoch) c
   for (double s : speeds) total += s;
   const double mean = total / static_cast<double>(speeds.size());
   for (double& s : speeds) s /= mean;
-  return speeds;
-}
-
-std::vector<double> ClusterProfile::SlotSpeeds() const {
-  std::vector<double> speeds;
-  speeds.reserve(num_slots_);
-  for (uint32_t slot = 0; slot < num_slots_; ++slot) speeds.push_back(SpeedOfSlot(slot));
   return speeds;
 }
 

@@ -113,9 +113,6 @@ class ClusterProfile {
   /// different epochs (or different p) share one unit of work.
   std::vector<double> NormalizedActiveSpeeds(const Epoch& epoch) const;
 
-  /// Raw speeds of every slot, aligned with slot ids [0, num_slots).
-  std::vector<double> SlotSpeeds() const;
-
   /// Deterministic identity of the whole profile: equal keys iff equal
   /// (base_p, speed spec, schedule). Mirrors FaultPlan's content keying.
   uint64_t ContentKey() const;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "cluster/cluster_telemetry.h"
 #include "cluster/routing.h"
 #include "util/hash.h"
+#include "util/ledger.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -20,6 +20,32 @@ struct Segment {
   uint64_t end = 0;
   uint32_t dest = 0;
 };
+
+/// Records one pipeline run (`migration` null) or one migration into the
+/// ledger's cluster.* namespace, touching every key, so a pipeline without
+/// migrations still reports the whole namespace. Everything recorded is a
+/// planned (content-determined) volume, never a schedule-dependent one.
+void RecordClusterEvent(const MigrationResult* migration, uint64_t checkpoint_tuples) {
+  static const std::vector<double> kMigrationBounds = {1.0, 10.0, 100.0, 1000.0,
+                                                       1e4, 1e5,  1e6,   1e7};
+  const MigrationResult none;
+  const MigrationResult& m = migration != nullptr ? *migration : none;
+  const uint64_t migrated = migration != nullptr ? 1 : 0;
+  Ledger::Global().Record(
+      {Ledger::Add("cluster.runs", migration == nullptr ? 1 : 0),
+       Ledger::Add("cluster.migrations", migrated),
+       Ledger::Add("cluster.servers_joined", m.servers_joined),
+       Ledger::Add("cluster.servers_left", m.servers_left),
+       Ledger::Add("cluster.tuples_migrated", m.stats.planned),
+       Ledger::Add("cluster.tuples_from_leavers", m.tuples_from_leavers),
+       Ledger::Add("cluster.tuples_to_joiners", m.tuples_to_joiners),
+       Ledger::Add("cluster.checkpoints_captured", migrated),
+       Ledger::Add("cluster.checkpoint_tuples", checkpoint_tuples),
+       Ledger::Max("cluster.max_single_migration", m.stats.max_receive),
+       migration != nullptr ? Ledger::Sample("cluster.migration_tuples", kMigrationBounds,
+                                             static_cast<double>(m.stats.planned))
+                            : Ledger::Series("cluster.migration_tuples", kMigrationBounds)});
+}
 
 }  // namespace
 
@@ -131,15 +157,7 @@ MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
     if (!in_to[slot]) CP_CHECK_EQ(state->shard(slot).size(), 0u);
   }
 
-  ClusterTelemetry::MigrationRecord record;
-  record.servers_joined = result.servers_joined;
-  record.servers_left = result.servers_left;
-  record.tuples_moved = result.stats.planned;
-  record.tuples_from_leavers = result.tuples_from_leavers;
-  record.tuples_to_joiners = result.tuples_to_joiners;
-  record.max_single_receive = result.stats.max_receive;
-  record.checkpoint_tuples = total;
-  ClusterTelemetry::RecordMigration(record);
+  RecordClusterEvent(&result, total);
   return result;
 }
 
@@ -160,7 +178,7 @@ ElasticRunResult RunElasticPipeline(const ElasticRunConfig& config) {
   CP_CHECK_GE(config.rounds, 1u);
   const ClusterProfile profile(config.base_p, config.speeds, config.schedule);
   Cluster cluster(profile.num_slots());
-  ClusterTelemetry::RecordRun();
+  RecordClusterEvent(nullptr, 0);
 
   // Synthetic input: `rows` random tuples from a moderate key domain, so
   // partition rounds see both repeated and unique keys. One serial Rng —

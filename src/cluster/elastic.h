@@ -57,7 +57,7 @@ struct MigrationResult {
 /// shares proportional to `to_speeds` (aligned with `to`). Charged to
 /// `cluster` in `round` and audited like any other exchange. Notes the
 /// pre-migration snapshot in `checkpoints` (may be null) and records the
-/// move in the ClusterTelemetry ledger. No-op when `from == to`.
+/// move in the ledger's cluster.* namespace. No-op when `from == to`.
 MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
                                const std::vector<uint32_t>& from,
                                const std::vector<uint32_t>& to,

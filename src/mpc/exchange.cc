@@ -1,12 +1,10 @@
 #include "mpc/exchange.h"
 
 #include <atomic>
-#include <map>
 #include <string>
 
 #include "util/audit.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace mpc {
@@ -121,33 +119,6 @@ void ExchangeDelivery::Restore() {
   }
 }
 
-namespace {
-
-/// Process-global telemetry state. Plain values under one mutex rather
-/// than a MetricsRegistry: registries enforce a single-owner mutation
-/// audit, while exchanges legitimately execute from both the main thread
-/// and pool tasks. One sample pair per Execute call — exchanges happen per
-/// primitive per round, so the sample vectors stay small.
-struct TelemetryState {
-  Mutex mutex;
-  uint64_t count CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_moved CP_GUARDED_BY(mutex) = 0;
-  uint64_t max_fanin CP_GUARDED_BY(mutex) = 0;
-  std::map<std::string, ExchangeTelemetrySnapshot::LabelAggregate> by_label
-      CP_GUARDED_BY(mutex);
-  // planned volume per exchange
-  std::vector<double> tuples_samples CP_GUARDED_BY(mutex);
-  // max receive / mean receive per exchange
-  std::vector<double> skew_samples CP_GUARDED_BY(mutex);
-};
-
-TelemetryState& State() {
-  static TelemetryState state;
-  return state;
-}
-
-}  // namespace
-
 ExchangeStats Exchange::Execute(Cluster* cluster, uint32_t round, const ExchangePlan& plan,
                                 const ExchangeSink& sink, const char* label) {
   if (cluster != nullptr) CP_CHECK_LE(plan.num_servers_, cluster->p());
@@ -188,51 +159,33 @@ ExchangeStats Exchange::Execute(Cluster* cluster, uint32_t round, const Exchange
         volume_before, stats.charged, cluster->tracker().TotalCommunication(), label);)
   }
 
-  ExchangeTelemetry::Record(label, stats, plan.num_servers_);
+  // Telemetry: every key of the exchange.* namespace, per execution. The
+  // fan-in skew is max over mean planned receive (1.0 = balanced), sampled
+  // only for exchanges that moved data.
+  static const std::vector<double> kTupleBounds = {1.0, 10.0, 100.0, 1000.0,
+                                                   1e4, 1e5,  1e6,   1e7};
+  static const std::vector<double> kSkewBounds = {1.0,  2.0,  4.0,  8.0,
+                                                  16.0, 32.0, 64.0, 128.0};
+  const std::string by_label = std::string("exchange.") + label;
+  const double mean_receive = static_cast<double>(stats.planned) / plan.num_servers_;
+  Ledger::Global().Record(
+      {Ledger::Add("exchange.count", 1), Ledger::Add("exchange.tuples_moved", stats.planned),
+       Ledger::Max("exchange.max_fanin", stats.max_receive),
+       Ledger::Add(by_label + ".count", 1),
+       Ledger::Add(by_label + ".tuples_moved", stats.planned),
+       Ledger::Sample("exchange.tuples_per_exchange", kTupleBounds,
+                      static_cast<double>(stats.planned)),
+       stats.planned > 0 ? Ledger::Sample("exchange.fanin_skew", kSkewBounds,
+                                          static_cast<double>(stats.max_receive) / mean_receive)
+                         : Ledger::Series("exchange.fanin_skew", kSkewBounds)});
   return stats;
 }
 
-void ExchangeTelemetry::Reset() {
-  TelemetryState& state = State();
-  MutexLock lock(state.mutex);
-  state.count = 0;
-  state.tuples_moved = 0;
-  state.max_fanin = 0;
-  state.by_label.clear();
-  state.tuples_samples.clear();
-  state.skew_samples.clear();
-}
-
-void ExchangeTelemetry::Record(const char* label, const ExchangeStats& stats,
-                               uint32_t num_servers) {
-  TelemetryState& state = State();
-  MutexLock lock(state.mutex);
-  ++state.count;
-  state.tuples_moved += stats.planned;
-  state.max_fanin = std::max(state.max_fanin, stats.max_receive);
-  ExchangeTelemetrySnapshot::LabelAggregate& agg = state.by_label[label];
-  ++agg.count;
-  agg.tuples_moved += stats.planned;
-  state.tuples_samples.push_back(static_cast<double>(stats.planned));
-  // Skew of the fan-in: max planned receive over the mean planned receive.
-  // 1.0 = perfectly balanced; recorded only for exchanges that moved data.
-  if (stats.planned > 0) {
-    const double mean = static_cast<double>(stats.planned) / num_servers;
-    state.skew_samples.push_back(static_cast<double>(stats.max_receive) / mean);
-  }
-}
+void ExchangeTelemetry::Reset() { Ledger::Global().Reset("exchange."); }
 
 ExchangeTelemetrySnapshot ExchangeTelemetry::Snapshot() {
-  TelemetryState& state = State();
-  MutexLock lock(state.mutex);
-  ExchangeTelemetrySnapshot snapshot;
-  snapshot.count = state.count;
-  snapshot.tuples_moved = state.tuples_moved;
-  snapshot.max_fanin = state.max_fanin;
-  snapshot.by_label.assign(state.by_label.begin(), state.by_label.end());
-  snapshot.tuples_samples = state.tuples_samples;
-  snapshot.skew_samples = state.skew_samples;
-  return snapshot;
+  const LedgerSnapshot ledger = Ledger::Global().Read("exchange.");
+  return {ledger.Counter("exchange.count"), ledger.Counter("exchange.tuples_moved")};
 }
 
 }  // namespace mpc

@@ -29,9 +29,9 @@
 ///
 /// In COVERPACK_AUDIT builds Execute verifies the conservation invariant
 /// at the choke point: tuples planned == tuples delivered == load charged
-/// for the round. Every execution also feeds the process-global
-/// ExchangeTelemetry aggregation (tuples moved, fan-in, skew), which the
-/// bench harness snapshots into each experiment's RunReport metrics.
+/// for the round. Every execution also records into the run ledger's
+/// `exchange.*` namespace (tuples moved, fan-in, skew; see util/ledger.h),
+/// which the bench harness adds to each experiment's RunReport metrics.
 ///
 /// Which paper primitive each call site models is catalogued in DESIGN.md
 /// ("The Exchange layer").
@@ -316,40 +316,19 @@ class Exchange {
   }
 };
 
-/// A point-in-time copy of the process-global exchange telemetry: plain
-/// values, so the mpc layer stays independent of the telemetry library
-/// (telemetry::SnapshotExchangeTelemetryInto converts this into RunReport
-/// metrics — see telemetry/exchange_metrics.h).
+/// What the perf probes (bench/perf/probes.cc) read of the ledger's
+/// `exchange.*` namespace. Everything else reads the ledger by name.
 struct ExchangeTelemetrySnapshot {
-  /// Per-label aggregate.
-  struct LabelAggregate {
-    uint64_t count = 0;
-    uint64_t tuples_moved = 0;
-  };
-
   uint64_t count = 0;         ///< exchanges executed
   uint64_t tuples_moved = 0;  ///< total planned volume over all exchanges
-  uint64_t max_fanin = 0;     ///< largest single-server receive seen
-  std::vector<std::pair<std::string, LabelAggregate>> by_label;  // sorted by label
-  std::vector<double> tuples_samples;  ///< planned volume, one per exchange
-  std::vector<double> skew_samples;    ///< max/mean receive, per moving exchange
 };
 
-/// Process-global aggregation of per-exchange telemetry. Everything
-/// recorded here is content-determined (thread-count invariant): exchange
-/// counts, tuples moved, per-exchange volume and fan-in-skew samples, and
-/// the largest single-server fan-in seen. The bench harness resets it
-/// before each experiment and snapshots it into the experiment's RunReport
-/// metrics afterwards ("exchange.*" keys — see EXPERIMENTS.md).
-/// Mutex-synchronized: Execute may run concurrently from pool tasks.
+/// Read view over the ledger's `exchange.*` namespace, kept for the perf
+/// probes only.
 class ExchangeTelemetry {
  public:
+  /// Drops the `exchange.*` namespace.
   static void Reset();
-
-  /// Folds one execution into the aggregate. Called by Exchange::Execute.
-  static void Record(const char* label, const ExchangeStats& stats, uint32_t num_servers);
-
-  /// Copies the current aggregate out.
   static ExchangeTelemetrySnapshot Snapshot();
 };
 

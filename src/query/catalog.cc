@@ -104,11 +104,6 @@ Hypergraph PackingProvableSixEdges() {
   return ParseQuery("R1(A,B,C), R2(D,E,F), R3(A,E), R4(B,F), R5(C,D)");
 }
 
-Hypergraph EvenCycle(uint32_t k) {
-  CP_CHECK_GE(k, 2u);
-  return Cycle(2 * k);
-}
-
 std::vector<NamedQuery> StandardRoster() {
   std::vector<NamedQuery> roster;
   roster.push_back({"semijoin(R1(A),R2(A,B),R3(B))", SemiJoinExample()});

@@ -70,10 +70,6 @@ Hypergraph AlphaNotBerge();
 /// there is no odd cycle.
 Hypergraph PackingProvableSixEdges();
 
-/// Degree-two join formed by an even cycle of length 2k (same as Cycle(2k));
-/// convenience wrapper used in Theorem 7 benches.
-Hypergraph EvenCycle(uint32_t k);
-
 /// A named catalog entry for table-driven tests and benches.
 struct NamedQuery {
   std::string name;

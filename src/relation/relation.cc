@@ -1,7 +1,6 @@
 #include "relation/relation.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace coverpack {
 
@@ -94,23 +93,6 @@ bool Relation::SameContentAs(const Relation& other) const {
     if (!std::equal(pa, pa + width_, pb)) return false;
   }
   return true;
-}
-
-std::string Relation::ToString(size_t limit) const {
-  std::ostringstream oss;
-  oss << "Relation(attrs=" << attrs_.bits() << ", rows=" << size() << ") {";
-  for (size_t i = 0; i < size() && i < limit; ++i) {
-    oss << (i == 0 ? " " : ", ") << "(";
-    auto r = row(i);
-    for (size_t j = 0; j < r.size(); ++j) {
-      if (j) oss << ",";
-      oss << r[j];
-    }
-    oss << ")";
-  }
-  if (size() > limit) oss << ", ...";
-  oss << " }";
-  return oss.str();
 }
 
 }  // namespace coverpack

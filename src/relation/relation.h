@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "query/attr_set.h"
@@ -119,9 +118,6 @@ class Relation {
 
   /// True if both relations have the same schema and the same row multiset.
   bool SameContentAs(const Relation& other) const;
-
-  /// Renders up to `limit` rows for debugging.
-  std::string ToString(size_t limit = 20) const;
 
   /// Flat row storage: size() * width() values, rows consecutive. Mutation
   /// goes through AppendRow/AppendRows so the row count stays in sync.

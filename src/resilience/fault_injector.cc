@@ -1,116 +1,23 @@
 #include "resilience/fault_injector.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "util/ledger.h"
 #include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace coverpack {
 namespace resilience {
 
-namespace {
-
-/// Process-global ledger state. Same single-mutex pattern as
-/// ExchangeTelemetry: exchanges execute from both the main thread and pool
-/// tasks, and the ledger must merge their recovery costs race-free.
-struct LedgerState {
-  Mutex mutex;
-  uint64_t exchanges_injected CP_GUARDED_BY(mutex) = 0;
-  uint64_t exchanges_faulted CP_GUARDED_BY(mutex) = 0;
-  uint64_t crashes CP_GUARDED_BY(mutex) = 0;
-  uint64_t rows_dropped CP_GUARDED_BY(mutex) = 0;
-  uint64_t rows_duplicated CP_GUARDED_BY(mutex) = 0;
-  uint64_t retries CP_GUARDED_BY(mutex) = 0;
-  uint64_t full_reruns CP_GUARDED_BY(mutex) = 0;
-  uint64_t backoff_units CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_crash CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_corruption CP_GUARDED_BY(mutex) = 0;
-  uint64_t tuples_resent_full_rerun CP_GUARDED_BY(mutex) = 0;
-  uint64_t checkpoints_captured CP_GUARDED_BY(mutex) = 0;
-  uint64_t checkpoint_tuples CP_GUARDED_BY(mutex) = 0;
-  uint64_t max_single_resend CP_GUARDED_BY(mutex) = 0;
-  std::vector<double> attempts_samples CP_GUARDED_BY(mutex);
-  std::vector<double> resent_samples CP_GUARDED_BY(mutex);
-};
-
-LedgerState& Ledger() {
-  static LedgerState state;
-  return state;
-}
-
-}  // namespace
-
 void ResilienceTelemetry::Reset() {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  state.exchanges_injected = 0;
-  state.exchanges_faulted = 0;
-  state.crashes = 0;
-  state.rows_dropped = 0;
-  state.rows_duplicated = 0;
-  state.retries = 0;
-  state.full_reruns = 0;
-  state.backoff_units = 0;
-  state.tuples_resent = 0;
-  state.tuples_resent_crash = 0;
-  state.tuples_resent_corruption = 0;
-  state.tuples_resent_full_rerun = 0;
-  state.checkpoints_captured = 0;
-  state.checkpoint_tuples = 0;
-  state.max_single_resend = 0;
-  state.attempts_samples.clear();
-  state.resent_samples.clear();
-}
-
-void ResilienceTelemetry::Record(const ExchangeRecord& record) {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  ++state.exchanges_injected;
-  ++state.checkpoints_captured;
-  state.checkpoint_tuples += record.checkpoint_tuples;
-  if (!record.faulted) return;
-  ++state.exchanges_faulted;
-  state.crashes += record.crashes;
-  state.rows_dropped += record.rows_dropped;
-  state.rows_duplicated += record.rows_duplicated;
-  state.retries += record.retries;
-  if (record.full_rerun) ++state.full_reruns;
-  state.backoff_units += record.backoff_units;
-  state.tuples_resent += record.tuples_resent;
-  state.tuples_resent_crash += record.tuples_resent_crash;
-  state.tuples_resent_corruption += record.tuples_resent_corruption;
-  state.tuples_resent_full_rerun += record.tuples_resent_full_rerun;
-  state.max_single_resend = std::max(state.max_single_resend, record.max_single_resend);
-  // Samples are integer counts stored as doubles: histogram sums over them
-  // are exact in any accumulation order, which keeps reports bit-identical
-  // across thread counts even though exchanges record concurrently.
-  state.attempts_samples.push_back(static_cast<double>(record.attempts));
-  state.resent_samples.push_back(static_cast<double>(record.tuples_resent));
+  Ledger::Global().Reset("fault.");
+  Ledger::Global().Reset("recovery.");
 }
 
 ResilienceTelemetrySnapshot ResilienceTelemetry::Snapshot() {
-  LedgerState& state = Ledger();
-  MutexLock lock(state.mutex);
-  ResilienceTelemetrySnapshot snapshot;
-  snapshot.exchanges_injected = state.exchanges_injected;
-  snapshot.exchanges_faulted = state.exchanges_faulted;
-  snapshot.crashes = state.crashes;
-  snapshot.rows_dropped = state.rows_dropped;
-  snapshot.rows_duplicated = state.rows_duplicated;
-  snapshot.retries = state.retries;
-  snapshot.full_reruns = state.full_reruns;
-  snapshot.backoff_units = state.backoff_units;
-  snapshot.tuples_resent = state.tuples_resent;
-  snapshot.tuples_resent_crash = state.tuples_resent_crash;
-  snapshot.tuples_resent_corruption = state.tuples_resent_corruption;
-  snapshot.tuples_resent_full_rerun = state.tuples_resent_full_rerun;
-  snapshot.checkpoints_captured = state.checkpoints_captured;
-  snapshot.checkpoint_tuples = state.checkpoint_tuples;
-  snapshot.max_single_resend = state.max_single_resend;
-  snapshot.attempts_samples = state.attempts_samples;
-  snapshot.resent_samples = state.resent_samples;
-  return snapshot;
+  const LedgerSnapshot ledger = Ledger::Global().Read("recovery.");
+  return {ledger.Counter("recovery.retries"), ledger.Counter("recovery.full_reruns"),
+          ledger.Counter("recovery.tuples_resent")};
 }
 
 RoundCheckpointStore FaultInjector::CheckpointLedger() const {
@@ -135,8 +42,17 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     checkpoints_.NoteCapture(delivery.round(), delivery.CheckpointedRows());
   }
 
-  ResilienceTelemetry::ExchangeRecord record;
-  record.checkpoint_tuples = delivery.CheckpointedRows();
+  // This exchange's recovery tallies: each faulty attempt is one retry,
+  // and every resend is split by cause.
+  uint64_t retries = 0;
+  uint64_t crashes = 0;
+  uint64_t rows_dropped = 0;
+  uint64_t rows_duplicated = 0;
+  uint64_t backoff_units = 0;
+  uint64_t resent_crash = 0;
+  uint64_t resent_corruption = 0;
+  uint64_t resent_full_rerun = 0;
+  uint64_t max_single_resend = 0;
   const bool row_faults_possible = spec.drop_rate > 0.0 || spec.duplicate_rate > 0.0;
 
   uint32_t attempt = 0;
@@ -187,44 +103,67 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
     // Faulty attempt: the round rolls back to its checkpoint (nothing was
     // written, so there is nothing to truncate), the recovery ledger is
     // charged, and the delivery is retried with backoff.
-    ++record.attempts;
     {
       MutexLock lock(mutex_);
       checkpoints_.NoteRestore(delivery.round());
     }
-    record.faulted = true;
-    ++record.retries;
-    record.crashes += attempt_crashes;
-    record.rows_dropped += attempt_drops;
-    record.rows_duplicated += attempt_dups;
+    ++retries;
+    crashes += attempt_crashes;
+    rows_dropped += attempt_drops;
+    rows_duplicated += attempt_dups;
     const uint64_t shift = attempt < 63 ? attempt : 63;
-    record.backoff_units += std::min(spec.backoff_base << shift, spec.backoff_cap);
+    backoff_units += std::min(spec.backoff_base << shift, spec.backoff_cap);
     // Replaying the round re-sends each affected server its full planned
     // receive — by definition at most the round's bottleneck load each.
     for (uint32_t s = 0; s < plan.num_servers(); ++s) {
       if (corrupted[s] == 0) continue;
       const uint64_t amount = plan.PlannedReceive(s);
-      record.tuples_resent += amount;
       if (crashed[s] != 0) {
-        record.tuples_resent_crash += amount;
+        resent_crash += amount;
       } else {
-        record.tuples_resent_corruption += amount;
+        resent_corruption += amount;
       }
-      record.max_single_resend = std::max(record.max_single_resend, amount);
+      max_single_resend = std::max(max_single_resend, amount);
     }
   }
 
-  if (record.faulted && attempt >= spec.max_attempts) {
-    // Retry budget exhausted: degrade gracefully to a full deterministic
-    // rerun of the exchange, accounted at full plan volume.
-    record.full_rerun = true;
-    record.tuples_resent += plan.total_planned();
-    record.tuples_resent_full_rerun += plan.total_planned();
-  }
+  const bool faulted = retries > 0;
+  // Retry budget exhausted: degrade gracefully to a full deterministic
+  // rerun of the exchange, accounted at full plan volume.
+  const bool full_rerun = faulted && attempt >= spec.max_attempts;
+  if (full_rerun) resent_full_rerun = plan.total_planned();
   // The accepted clean attempt or the full rerun: the only rows written.
   const uint64_t delivered = delivery.Attempt();
-  ++record.attempts;
-  ResilienceTelemetry::Record(record);
+
+  // One ledger event per injected exchange, touching every fault.* and
+  // recovery.* key. Samples (delivery attempts incl. the clean one, and
+  // tuples resent) are integer counts stored as doubles, so histogram sums
+  // over them are exact in any order of concurrent recording.
+  static const std::vector<double> kAttemptBounds = {1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
+  static const std::vector<double> kResentBounds = {1.0, 10.0, 100.0, 1000.0,
+                                                    1e4, 1e5,  1e6,   1e7};
+  const uint64_t tuples_resent = resent_crash + resent_corruption + resent_full_rerun;
+  Ledger::Global().Record(
+      {Ledger::Add("fault.exchanges_injected", 1),
+       Ledger::Add("fault.exchanges_faulted", faulted ? 1 : 0),
+       Ledger::Add("fault.crashes", crashes), Ledger::Add("fault.rows_dropped", rows_dropped),
+       Ledger::Add("fault.rows_duplicated", rows_duplicated),
+       Ledger::Add("recovery.retries", retries),
+       Ledger::Add("recovery.full_reruns", full_rerun ? 1 : 0),
+       Ledger::Add("recovery.backoff_units", backoff_units),
+       Ledger::Add("recovery.tuples_resent", tuples_resent),
+       Ledger::Add("recovery.tuples_resent_crash", resent_crash),
+       Ledger::Add("recovery.tuples_resent_corruption", resent_corruption),
+       Ledger::Add("recovery.tuples_resent_full_rerun", resent_full_rerun),
+       Ledger::Add("recovery.checkpoints_captured", 1),
+       Ledger::Add("recovery.checkpoint_tuples", delivery.CheckpointedRows()),
+       Ledger::Max("recovery.max_single_resend", max_single_resend),
+       faulted ? Ledger::Sample("recovery.attempts_per_exchange", kAttemptBounds,
+                                static_cast<double>(retries + 1))
+               : Ledger::Series("recovery.attempts_per_exchange", kAttemptBounds),
+       faulted ? Ledger::Sample("recovery.resent_per_faulted_exchange", kResentBounds,
+                                static_cast<double>(tuples_resent))
+               : Ledger::Series("recovery.resent_per_faulted_exchange", kResentBounds)});
   return delivered;
 }
 

@@ -18,15 +18,14 @@
 /// any FaultPlan produces bit-identical results, loads, and traces to the
 /// fault-free run — only the fault.* / recovery.* ledger differs.
 ///
-/// All recovery cost lands in the process-global ResilienceTelemetry
-/// ledger (Reset / Snapshot, mirroring ExchangeTelemetry) and is surfaced
-/// as fault.* / recovery.* metrics in bench reports.
+/// All recovery cost lands in the run ledger's fault.* / recovery.*
+/// namespaces (util/ledger.h), never in the LoadTracker: the tracker must
+/// stay bit-identical to the fault-free run.
 
 #ifndef COVERPACK_RESILIENCE_FAULT_INJECTOR_H_
 #define COVERPACK_RESILIENCE_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "mpc/exchange.h"
 #include "resilience/checkpoint.h"
@@ -37,61 +36,27 @@
 namespace coverpack {
 namespace resilience {
 
-/// Point-in-time copy of the recovery ledger. Sample vectors hold
-/// integer-valued doubles only, so downstream histogram aggregates are
-/// exact and independent of the (thread-dependent) recording order.
+/// What the perf probes (bench/perf/probes.cc) read of the ledger's
+/// recovery.* namespace. Everything else reads the ledger by name.
 struct ResilienceTelemetrySnapshot {
-  uint64_t exchanges_injected = 0;  ///< charged exchanges run under the injector
-  uint64_t exchanges_faulted = 0;   ///< of those, how many needed recovery
-  uint64_t crashes = 0;             ///< (attempt, server) crash events
-  uint64_t rows_dropped = 0;        ///< messages lost to drop corruption
-  uint64_t rows_duplicated = 0;     ///< messages duplicated in transit
-  uint64_t retries = 0;             ///< faulty attempts rolled back and retried
-  uint64_t full_reruns = 0;         ///< retry budget exhausted -> full replay
-  uint64_t backoff_units = 0;       ///< simulated backoff cost, min(base<<k, cap)
-  uint64_t tuples_resent = 0;       ///< total recovery re-delivery volume
-  uint64_t tuples_resent_crash = 0;       ///< ... due to server crashes
-  uint64_t tuples_resent_corruption = 0;  ///< ... due to drop/duplicate
-  uint64_t tuples_resent_full_rerun = 0;  ///< ... due to full reruns
-  uint64_t checkpoints_captured = 0;  ///< implicit round checkpoints taken
-  uint64_t checkpoint_tuples = 0;     ///< tuples those checkpoints protected
-  uint64_t max_single_resend = 0;     ///< largest per-server resend, any crash
-  std::vector<double> attempts_samples;  ///< delivery attempts per faulted exchange
-  std::vector<double> resent_samples;    ///< tuples resent per faulted exchange
+  uint64_t retries = 0;        ///< faulty attempts rolled back and retried
+  uint64_t full_reruns = 0;    ///< retry budget exhausted -> full replay
+  uint64_t tuples_resent = 0;  ///< total recovery re-delivery volume
 };
 
-/// Process-global recovery ledger. Kept separate from the LoadTracker on
-/// purpose: the tracker must stay bit-identical to the fault-free run, so
-/// every cost of *recovering* lives here instead.
+/// Read view over the ledger's fault.* / recovery.* namespaces, kept for
+/// the perf probes only.
 class ResilienceTelemetry {
  public:
-  /// One exchange's worth of recovery accounting, merged atomically.
-  struct ExchangeRecord {
-    bool faulted = false;
-    uint64_t crashes = 0;
-    uint64_t rows_dropped = 0;
-    uint64_t rows_duplicated = 0;
-    uint64_t retries = 0;
-    bool full_rerun = false;
-    uint64_t backoff_units = 0;
-    uint64_t tuples_resent = 0;
-    uint64_t tuples_resent_crash = 0;
-    uint64_t tuples_resent_corruption = 0;
-    uint64_t tuples_resent_full_rerun = 0;
-    uint64_t checkpoint_tuples = 0;
-    uint64_t max_single_resend = 0;
-    uint64_t attempts = 0;  ///< total delivery attempts, incl. the clean one
-  };
-
+  /// Drops the fault.* and recovery.* namespaces.
   static void Reset();
-  static void Record(const ExchangeRecord& record);
   static ResilienceTelemetrySnapshot Snapshot();
 };
 
 /// The interposer. Install around a run (see ScopedFaultInjection) and
 /// every charged exchange is delivered under the plan's fault schedule.
 /// Thread-safe: concurrent Deliver calls work on disjoint delivery state
-/// and merge into the ledger under its lock.
+/// and record into the ledger one event each.
 class FaultInjector : public mpc::ExchangeInterposer {
  public:
   explicit FaultInjector(const FaultSpec& spec) : plan_(spec) {}

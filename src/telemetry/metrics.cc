@@ -180,6 +180,30 @@ const TimerStat* MetricsRegistry::FindTimer(const std::string& name) const {
   return it == timers_.end() ? nullptr : &it->second;
 }
 
+void MetricsRegistry::AddLedger(const LedgerSnapshot& ledger) {
+  for (const auto& [name, value] : ledger.counters) AddCounter(name, value);
+  for (const auto& [name, value] : ledger.maxima) SetGauge(name, static_cast<double>(value));
+  for (const auto& [name, series] : ledger.series) {
+    Histogram& histogram = GetHistogram(name, series.bounds);
+    for (double sample : series.samples) histogram.Observe(sample);
+  }
+}
+
+void MetricsRegistry::EraseWithPrefix(const std::string& prefix) {
+  MutexLock lock(mutex_);
+  NoteMutation();
+  std::erase_if(counters_, [&](const auto& entry) { return entry.first.starts_with(prefix); });
+  std::erase_if(gauges_, [&](const auto& entry) { return entry.first.starts_with(prefix); });
+  std::erase_if(histograms_,
+                [&](const auto& entry) { return entry.first.starts_with(prefix); });
+}
+
+void MetricsRegistry::EraseTimers() {
+  MutexLock lock(mutex_);
+  NoteMutation();
+  timers_.clear();
+}
+
 JsonValue MetricsRegistry::ToJson() const {
   MutexLock lock(mutex_);
   JsonValue value = JsonValue::Object();

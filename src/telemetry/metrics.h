@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "telemetry/json_writer.h"
+#include "util/ledger.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -106,6 +107,18 @@ class MetricsRegistry {
   /// Records one wall-clock sample for timer `name`.
   void RecordTimeMs(const std::string& name, double elapsed_ms);
   const TimerStat* FindTimer(const std::string& name) const;
+
+  /// Adds a copy of the run ledger (util/ledger.h): counters as counters,
+  /// maxima as gauges, series as histograms with their bounds, observed in
+  /// record order. A key touched with a zero delta or no sample appears.
+  void AddLedger(const LedgerSnapshot& ledger);
+
+  /// Removes every counter, gauge and histogram whose name starts with
+  /// `prefix`.
+  void EraseWithPrefix(const std::string& prefix);
+  /// Removes every timer: wall-clock samples are the only report content
+  /// that may differ between two runs of one experiment.
+  void EraseTimers();
 
   bool empty() const {
     MutexLock lock(mutex_);

@@ -2,9 +2,9 @@
 /// \brief Bridges a ServiceRunStats into a MetricsRegistry (and therefore
 /// into RunReport / BENCH_results.json).
 ///
-/// Follows the exchange_metrics.h pattern: the service layer exposes a
-/// plain struct (no telemetry dependency), and this translation lives in
-/// cp_telemetry, which links cp_service. Keys are scoped by scenario —
+/// The service layer returns a per-call result struct (no telemetry
+/// dependency), and this translation lives in cp_telemetry, which links
+/// cp_service. Keys are scoped by scenario —
 /// "service.<scenario>.*" for the scheduler-side numbers and
 /// "cache.<scenario>.*" for the PlanCache counters — so one report can
 /// carry every (client count, arrival mode, cache state) combination the

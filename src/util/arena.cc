@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/mutex.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 
@@ -82,52 +82,21 @@ Arena& ScratchArena::Local() {
   return arena;
 }
 
-namespace {
-
-struct MemoryTelemetryState {
-  Mutex mu;
-  uint64_t scopes CP_GUARDED_BY(mu) = 0;
-  uint64_t bytes_total CP_GUARDED_BY(mu) = 0;
-  uint64_t high_water_bytes CP_GUARDED_BY(mu) = 0;
-};
-
-MemoryTelemetryState& TelemetryState() {
-  static MemoryTelemetryState* state = new MemoryTelemetryState();
-  return *state;
-}
-
-}  // namespace
-
 ArenaScope::~ArenaScope() {
-  MemoryTelemetry::RecordScope(used());
+  const uint64_t bytes = used();
+  Ledger::Global().Record({Ledger::Add("memory.arena_scopes", 1),
+                           Ledger::Add("memory.arena_bytes_total", bytes),
+                           Ledger::Max("memory.arena_high_water_bytes", bytes)});
   arena_->RewindTo(mark_);
   if (arena_->empty()) arena_->ReleasePagesBeyond(Arena::kRetainedBytes);
 }
 
-void MemoryTelemetry::Reset() {
-  auto& state = TelemetryState();
-  MutexLock lock(state.mu);
-  state.scopes = 0;
-  state.bytes_total = 0;
-  state.high_water_bytes = 0;
-}
-
-void MemoryTelemetry::RecordScope(uint64_t bytes) {
-  auto& state = TelemetryState();
-  MutexLock lock(state.mu);
-  ++state.scopes;
-  state.bytes_total += bytes;
-  if (bytes > state.high_water_bytes) state.high_water_bytes = bytes;
-}
+void MemoryTelemetry::Reset() { Ledger::Global().Reset("memory."); }
 
 MemoryTelemetrySnapshot MemoryTelemetry::Snapshot() {
-  auto& state = TelemetryState();
-  MutexLock lock(state.mu);
-  MemoryTelemetrySnapshot snapshot;
-  snapshot.scopes = state.scopes;
-  snapshot.bytes_total = state.bytes_total;
-  snapshot.high_water_bytes = state.high_water_bytes;
-  return snapshot;
+  const LedgerSnapshot ledger = Ledger::Global().Read("memory.");
+  return {ledger.Counter("memory.arena_scopes"), ledger.Counter("memory.arena_bytes_total"),
+          ledger.Max("memory.arena_high_water_bytes")};
 }
 
 }  // namespace coverpack

@@ -24,11 +24,12 @@
 ///    Were the large pages kept too, the memory of a multi-threaded run would
 ///    depend on which threads happened to run the largest operator calls.
 ///
-/// Determinism contract: arena contents never influence results, and the
-/// telemetry recorded per scope (logical bytes handed out) is a pure
-/// function of the operator inputs — so `memory.*` report metrics are
-/// byte-identical at any thread count and under any fault schedule, even
-/// though the physical pages are per-thread.
+/// Determinism contract: arena contents never influence results, and what
+/// each closing scope records into the run ledger's `memory.*` namespace
+/// (logical bytes handed out; util/ledger.h) is a pure function of the
+/// operator inputs — so `memory.*` report metrics are byte-identical at any
+/// thread count and under any fault schedule, even though the physical
+/// pages are per-thread.
 
 #ifndef COVERPACK_UTIL_ARENA_H_
 #define COVERPACK_UTIL_ARENA_H_
@@ -201,7 +202,8 @@ class ScratchArena {
 };
 
 /// RAII frame over an arena: remembers the cursor on entry, rewinds on
-/// exit, and reports the frame's logical byte usage to MemoryTelemetry.
+/// exit, and records the frame's logical byte usage into the ledger's
+/// `memory.*` namespace (scopes, bytes total, largest single frame).
 /// Operators open one scope per call; nested calls stack.
 class ArenaScope {
  public:
@@ -221,28 +223,20 @@ class ArenaScope {
   Arena::Mark mark_;
 };
 
-/// A point-in-time copy of the process-global scratch-memory telemetry.
-/// Every field is content-determined (sums and maxima over per-scope
-/// logical usage), so it is thread-count and fault-schedule invariant —
-/// the property that lets memory.* metrics live in byte-compared reports.
+/// What the perf probes (bench/perf/probes.cc) read of the ledger's
+/// `memory.*` namespace. Everything else reads the ledger by name.
 struct MemoryTelemetrySnapshot {
   uint64_t scopes = 0;            ///< operator-level arena frames closed
   uint64_t bytes_total = 0;       ///< sum of logical bytes over all frames
   uint64_t high_water_bytes = 0;  ///< largest single frame
 };
 
-/// Process-global aggregation of arena-frame usage, following the
-/// ExchangeTelemetry pattern: the bench harness resets it before each
-/// experiment and snapshots it into RunReport metrics afterwards
-/// ("memory.*" keys — see EXPERIMENTS.md). Mutation is a single atomic
-/// fold per closed ArenaScope.
+/// Read view over the ledger's `memory.*` namespace, kept for the perf
+/// probes only.
 class MemoryTelemetry {
  public:
+  /// Drops the `memory.*` namespace.
   static void Reset();
-
-  /// Folds one closed frame into the aggregate. Called by ~ArenaScope.
-  static void RecordScope(uint64_t bytes);
-
   static MemoryTelemetrySnapshot Snapshot();
 };
 

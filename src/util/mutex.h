@@ -7,7 +7,7 @@
 /// gap — `Mutex` is a CP_CAPABILITY whose Lock/Unlock are annotated, and
 /// `MutexLock` / `DualMutexLock` are the scoped guards the analysis
 /// tracks. All shared-state classes in the repo (MetricsRegistry,
-/// ThreadPool, the Exchange and resilience ledgers) lock through these.
+/// ThreadPool, the run Ledger) lock through these.
 ///
 /// Condition variables: use std::condition_variable_any and wait on the
 /// Mutex directly (`cv.wait(mutex_)`) with an explicit predicate loop.

@@ -1,8 +1,8 @@
 /// \file thread_annotations.h
 /// \brief Clang Thread Safety Analysis macros (no-ops on other compilers).
 ///
-/// The repo's concurrency contract — mutex-serialized telemetry, the
-/// shard-claiming thread pool, the resilience ledgers — is enforced three
+/// The repo's concurrency contract — mutex-serialized telemetry and run
+/// ledger, the shard-claiming thread pool — is enforced three
 /// ways: TSan at runtime (CI `sanitize-thread`), CP_AUDIT mutation
 /// discipline in audit builds, and, with these macros, clang's static
 /// thread-safety analysis at compile time (`-DCOVERPACK_THREAD_SAFETY=ON`,

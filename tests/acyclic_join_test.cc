@@ -91,7 +91,9 @@ TEST(AcyclicJoinTest, SingleRelationBaseCase) {
 }
 
 TEST(AcyclicJoinTest, HeavyValueIsolatedCorrectly) {
-  // One value of B is extremely heavy: forces the heavy branch.
+  // One value of B is extremely heavy, yet at p = 8 the run never takes
+  // the heavy branch: this checks the light groups on a skewed instance.
+  // HeavyChildResultsCarryTheirConstant below reaches the heavy branch.
   Hypergraph q = catalog::Line3();
   Instance instance(q);
   for (Value v = 0; v < 200; ++v) {
@@ -109,6 +111,22 @@ TEST(AcyclicJoinTest, HeavyValueIsolatedCorrectly) {
     EXPECT_EQ(run.output_count, expected.size());
     EXPECT_TRUE(run.results.SameContentAs(expected));
   }
+}
+
+TEST(AcyclicJoinTest, HeavyChildResultsCarryTheirConstant) {
+  // A Zipf-skewed path at p = 64: values above the threshold become heavy
+  // subqueries, and each heavy child's collected results get the heavy
+  // value attached back before they join the output.
+  Hypergraph q = catalog::Path(3);
+  Rng rng(1);
+  Instance instance = workload::ZipfInstance(q, 600, 200, 1.3, &rng);
+  AcyclicRunOptions options;
+  options.p = 64;
+  options.collect = true;
+  AcyclicRunResult run = ComputeAcyclicJoin(q, instance, options);
+  Relation expected = GenericJoin(q, instance);
+  EXPECT_EQ(run.output_count, expected.size());
+  EXPECT_TRUE(run.results.SameContentAs(expected));
 }
 
 TEST(AcyclicJoinTest, ExplicitLoadThresholdIsRespected) {

@@ -83,23 +83,43 @@ INSTANTIATE_TEST_SUITE_P(
                                          "R1(A,B,C), R2(D,E,F), R3(A,D), R4(B,E), R5(C,F)"),
                        ::testing::Values(0.0, 1.2), ::testing::Values(1u, 5u)));
 
-TEST(OneRoundTest, SkewAwareBeatsVanillaOnHeavyHitter) {
-  // The motivating skew scenario: vanilla hypercube funnels a heavy value
-  // into one server; the skew-aware variant splits it off.
-  Hypergraph q = catalog::Triangle();
-  uint64_t n = 3000;
+/// A triangle whose value A = 0 is heavy in R1 and R3.
+Instance HeavyHitterTriangle(const Hypergraph& q) {
+  const uint64_t n = 3000;
   Instance instance(q);
   for (Value v = 0; v < n; ++v) {
     instance[0].AppendRow({0, v});          // A=0 heavy in R1
     instance[1].AppendRow({v, v % 50});
     instance[2].AppendRow({v % 50, 0});     // A=0 heavy in R3
   }
+  return instance;
+}
+
+TEST(OneRoundTest, SkewAwareBeatsVanillaOnHeavyHitter) {
+  // The motivating skew scenario: vanilla hypercube funnels a heavy value
+  // into one server; the skew-aware variant splits it off.
+  Hypergraph q = catalog::Triangle();
+  Instance instance = HeavyHitterTriangle(q);
   uint32_t p = 64;
   OneRoundResult vanilla = ComputeOneRoundVanilla(q, instance, p, /*collect=*/false);
   OneRoundOptions options;
   options.collect = false;
   OneRoundResult aware = ComputeOneRoundSkewAware(q, instance, p, options);
   EXPECT_LT(aware.max_load, vanilla.max_load);
+}
+
+TEST(OneRoundTest, SkewAwareSplitReattachesHeavyBindings) {
+  // The same split, collected: the heavy value's residual query runs on
+  // its own servers, and its results get A = 0 attached back.
+  Hypergraph q = catalog::Triangle();
+  Instance instance = HeavyHitterTriangle(q);
+  OneRoundOptions options;
+  options.collect = true;
+  OneRoundResult run = ComputeOneRoundSkewAware(q, instance, 64, options);
+  Relation expected = GenericJoin(q, instance);
+  EXPECT_EQ(expected.size(), 60u);
+  EXPECT_EQ(run.output_count, expected.size());
+  EXPECT_TRUE(run.results.SameContentAs(expected));
 }
 
 TEST(OneRoundTest, VanillaMatchesOracleOnUniform) {

@@ -20,6 +20,7 @@
 #include "resilience/fault_injector.h"
 #include "resilience/fault_plan.h"
 #include "service/query_service.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/generators.h"
@@ -28,8 +29,6 @@ namespace coverpack {
 namespace {
 
 using resilience::FaultSpec;
-using resilience::ResilienceTelemetry;
-using resilience::ResilienceTelemetrySnapshot;
 using resilience::ScopedFaultInjection;
 using testutil::RelationsEqual;
 using testutil::TrackersEqual;
@@ -38,7 +37,7 @@ class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_threads_ = ThreadPool::GlobalThreads();
-    ResilienceTelemetry::Reset();
+    Ledger::Global().Reset();
   }
   void TearDown() override { ThreadPool::SetGlobalThreads(saved_threads_); }
 
@@ -95,13 +94,13 @@ TEST_F(ChaosTest, TotalCrashStormDegradesToFullRerunsYetStaysExact) {
     stormed = RunBoxJoin(16, 2048);
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, stormed));
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_GT(ledger.exchanges_faulted, 0u);
-  EXPECT_EQ(ledger.full_reruns, ledger.exchanges_faulted);
-  EXPECT_EQ(ledger.retries, 2 * ledger.exchanges_faulted);
-  EXPECT_GT(ledger.tuples_resent_full_rerun, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.Counter("fault.exchanges_faulted"), 0u);
+  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), ledger.Counter("fault.exchanges_faulted"));
+  EXPECT_EQ(ledger.Counter("recovery.retries"), 2 * ledger.Counter("fault.exchanges_faulted"));
+  EXPECT_GT(ledger.Counter("recovery.tuples_resent_full_rerun"), 0u);
   // Every faulted exchange burned its whole budget plus the clean replay.
-  for (const double attempts : ledger.attempts_samples) {
+  for (const double attempts : ledger.Samples("recovery.attempts_per_exchange")) {
     EXPECT_EQ(attempts, static_cast<double>(spec.max_attempts + 1));
   }
 }
@@ -121,11 +120,11 @@ TEST_F(ChaosTest, HeavyCorruptionIsHealedTupleForTuple) {
     mangled = RunBoxJoin(32, 2048);
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, mangled));
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_GT(ledger.rows_dropped, 0u);
-  EXPECT_GT(ledger.rows_duplicated, 0u);
-  EXPECT_GT(ledger.tuples_resent_corruption, 0u);
-  EXPECT_EQ(ledger.crashes, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.Counter("fault.rows_dropped"), 0u);
+  EXPECT_GT(ledger.Counter("fault.rows_duplicated"), 0u);
+  EXPECT_GT(ledger.Counter("recovery.tuples_resent_corruption"), 0u);
+  EXPECT_EQ(ledger.Counter("fault.crashes"), 0u);
 }
 
 TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
@@ -163,12 +162,13 @@ TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
   EXPECT_TRUE(TrackersEqual(clean.load_tracker, chaotic.load_tracker));
   EXPECT_EQ(TraceToString(clean.trace), TraceToString(chaotic.trace));
 
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_GT(ledger.crashes, 0u);
-  EXPECT_EQ(ledger.tuples_resent, ledger.tuples_resent_crash +
-                                      ledger.tuples_resent_corruption +
-                                      ledger.tuples_resent_full_rerun);
-  for (const double attempts : ledger.attempts_samples) {
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"),
+            ledger.Counter("recovery.tuples_resent_crash") +
+                ledger.Counter("recovery.tuples_resent_corruption") +
+                ledger.Counter("recovery.tuples_resent_full_rerun"));
+  for (const double attempts : ledger.Samples("recovery.attempts_per_exchange")) {
     EXPECT_LE(attempts, static_cast<double>(spec.max_attempts + 1));
   }
   // Stragglers never change results, only the simulated makespan: with the
@@ -194,28 +194,19 @@ TEST_F(ChaosTest, ChaosScheduleAndLedgerAreThreadCountInvariant) {
     ScopedFaultInjection injection(spec);
     serial = RunBoxJoin(16, 4096);
   }
-  const ResilienceTelemetrySnapshot serial_ledger = ResilienceTelemetry::Snapshot();
+  const LedgerSnapshot serial_ledger = Ledger::Global().Read();
 
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   ThreadPool::SetGlobalThreads(4);
   BoxRun parallel;
   {
     ScopedFaultInjection injection(spec);
     parallel = RunBoxJoin(16, 4096);
   }
-  const ResilienceTelemetrySnapshot parallel_ledger = ResilienceTelemetry::Snapshot();
 
   EXPECT_TRUE(BoxRunsIdentical(serial, parallel));
-  EXPECT_EQ(serial_ledger.exchanges_faulted, parallel_ledger.exchanges_faulted);
-  EXPECT_EQ(serial_ledger.crashes, parallel_ledger.crashes);
-  EXPECT_EQ(serial_ledger.rows_dropped, parallel_ledger.rows_dropped);
-  EXPECT_EQ(serial_ledger.rows_duplicated, parallel_ledger.rows_duplicated);
-  EXPECT_EQ(serial_ledger.retries, parallel_ledger.retries);
-  EXPECT_EQ(serial_ledger.full_reruns, parallel_ledger.full_reruns);
-  EXPECT_EQ(serial_ledger.tuples_resent, parallel_ledger.tuples_resent);
-  EXPECT_EQ(serial_ledger.backoff_units, parallel_ledger.backoff_units);
-  EXPECT_EQ(serial_ledger.attempts_samples, parallel_ledger.attempts_samples);
-  EXPECT_EQ(serial_ledger.resent_samples, parallel_ledger.resent_samples);
+  EXPECT_GT(serial_ledger.Counter("fault.exchanges_faulted"), 0u);
+  EXPECT_EQ(serial_ledger, Ledger::Global().Read());
 }
 
 TEST_F(ChaosTest, BackoffFollowsTheCappedExponentialSchedule) {
@@ -231,14 +222,15 @@ TEST_F(ChaosTest, BackoffFollowsTheCappedExponentialSchedule) {
     ScopedFaultInjection injection(spec);
     RunBoxJoin(4, 256);
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  ASSERT_GT(ledger.exchanges_faulted, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  ASSERT_GT(ledger.Counter("fault.exchanges_faulted"), 0u);
   uint64_t per_exchange = 0;
   for (uint32_t attempt = 0; attempt < spec.max_attempts; ++attempt) {
     const uint64_t raw = spec.backoff_base << attempt;
     per_exchange += raw < spec.backoff_cap ? raw : spec.backoff_cap;
   }
-  EXPECT_EQ(ledger.backoff_units, per_exchange * ledger.exchanges_faulted);
+  EXPECT_EQ(ledger.Counter("recovery.backoff_units"),
+            per_exchange * ledger.Counter("fault.exchanges_faulted"));
 }
 
 TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
@@ -254,20 +246,16 @@ TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
     ScopedFaultInjection injection(spec);
     first = RunBoxJoin(16, 1024);
   }
-  const ResilienceTelemetrySnapshot first_ledger = ResilienceTelemetry::Snapshot();
-  ResilienceTelemetry::Reset();
+  const LedgerSnapshot first_ledger = Ledger::Global().Read();
+  Ledger::Global().Reset();
   BoxRun second;
   {
     ScopedFaultInjection injection(spec);
     second = RunBoxJoin(16, 1024);
   }
-  const ResilienceTelemetrySnapshot second_ledger = ResilienceTelemetry::Snapshot();
   EXPECT_TRUE(BoxRunsIdentical(first, second));
-  EXPECT_EQ(first_ledger.crashes, second_ledger.crashes);
-  EXPECT_EQ(first_ledger.rows_dropped, second_ledger.rows_dropped);
-  EXPECT_EQ(first_ledger.rows_duplicated, second_ledger.rows_duplicated);
-  EXPECT_EQ(first_ledger.retries, second_ledger.retries);
-  EXPECT_EQ(first_ledger.tuples_resent, second_ledger.tuples_resent);
+  EXPECT_GT(first_ledger.Counter("fault.crashes"), 0u);
+  EXPECT_EQ(first_ledger, Ledger::Global().Read());
 }
 
 // Recovery must compose with the query service: a full client workload —
@@ -306,8 +294,8 @@ TEST_F(ChaosTest, QueryServiceSurvivesCrashStormBitIdentically) {
     ScopedFaultInjection injection(spec);
     faulted = run_service();
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_GT(ledger.crashes, 0u);  // the storm must actually hit the pipelines
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);  // the storm must actually hit the pipelines
   EXPECT_EQ(clean.Digest(), faulted.Digest());
 
   // And the chaotic run itself is thread-count invariant.
@@ -360,8 +348,8 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
     ScopedFaultInjection injection(spec);
     stormed = run_service();
   }
-  const ResilienceTelemetrySnapshot ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_GT(ledger.crashes, 0u);  // the storm must actually hit the pipelines
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);  // the storm must actually hit the pipelines
 
   // Decision-level comparison first, so a failure names the query whose
   // plan flipped rather than pointing at an opaque digest diff.
@@ -382,18 +370,18 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
 }
 
 
-/// The recovery ledger of one fixed cyclic run: the skew-aware one-round
+/// The ledger of one fixed cyclic run: the skew-aware one-round
 /// triangle on 64 servers with collection on, so routed rows draw their
 /// per-row dice. Fault decisions are content-keyed, so the ledger is a pure
 /// function of (spec, instance).
-ResilienceTelemetrySnapshot CyclicStormLedger(const FaultSpec& spec) {
+LedgerSnapshot CyclicStormLedger(const FaultSpec& spec) {
   const Hypergraph triangle = catalog::Triangle();
   Rng rng(0x5707);
   const Instance instance = workload::ZipfInstance(triangle, 4000, 600, 0.8, &rng);
   OneRoundOptions options;
   options.collect = true;
   const OneRoundResult clean = ComputeOneRoundSkewAware(triangle, instance, 64, options);
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   OneRoundResult stormed;
   {
     ScopedFaultInjection injection(spec);
@@ -401,7 +389,7 @@ ResilienceTelemetrySnapshot CyclicStormLedger(const FaultSpec& spec) {
   }
   EXPECT_TRUE(RelationsEqual(clean.results, stormed.results));
   EXPECT_TRUE(TrackersEqual(clean.load_tracker, stormed.load_tracker));
-  return ResilienceTelemetry::Snapshot();
+  return Ledger::Global().Read();
 }
 
 /// Sum of a sample vector (integer-valued, so exact in any order).
@@ -411,34 +399,35 @@ double SampleSum(const std::vector<double>& samples) {
   return sum;
 }
 
-// The two tests below pin every ledger counter of that run. A change that
-// moves a single crash, drop or duplicate, or the accounting of one, fails
-// here; the clean-vs-faulted report diffs strip these counters and cannot.
+// The two tests below pin every fault.*/recovery.* key of that run. A
+// change that moves a single crash, drop or duplicate, or the accounting of
+// one, fails here; the clean-vs-faulted report diffs drop these namespaces
+// and cannot.
 TEST_F(ChaosTest, CiCrashStormLedgerIsPinned) {
   FaultSpec spec;
   spec.seed = 7;
   spec.crash_rate = 0.05;
   spec.drop_rate = 0.001;
   spec.duplicate_rate = 0.001;
-  const ResilienceTelemetrySnapshot ledger = CyclicStormLedger(spec);
-  EXPECT_EQ(ledger.exchanges_injected, 1u);
-  EXPECT_EQ(ledger.exchanges_faulted, 1u);
-  EXPECT_EQ(ledger.crashes, 15u);
-  EXPECT_EQ(ledger.rows_dropped, 177u);
-  EXPECT_EQ(ledger.rows_duplicated, 194u);
-  EXPECT_EQ(ledger.retries, 4u);
-  EXPECT_EQ(ledger.full_reruns, 1u);
-  EXPECT_EQ(ledger.backoff_units, 15u);
-  EXPECT_EQ(ledger.tuples_resent, 199478u);
-  EXPECT_EQ(ledger.tuples_resent_crash, 11417u);
-  EXPECT_EQ(ledger.tuples_resent_corruption, 140061u);
-  EXPECT_EQ(ledger.tuples_resent_full_rerun, 48000u);
-  EXPECT_EQ(ledger.checkpoints_captured, 1u);
-  EXPECT_EQ(ledger.checkpoint_tuples, 0u);
-  EXPECT_EQ(ledger.max_single_resend, 861u);
-  EXPECT_EQ(ledger.attempts_samples.size(), 1u);
-  EXPECT_EQ(SampleSum(ledger.attempts_samples), 5.0);
-  EXPECT_EQ(SampleSum(ledger.resent_samples), 199478.0);
+  const LedgerSnapshot ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);
+  EXPECT_EQ(ledger.Counter("fault.crashes"), 15u);
+  EXPECT_EQ(ledger.Counter("fault.rows_dropped"), 177u);
+  EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), 194u);
+  EXPECT_EQ(ledger.Counter("recovery.retries"), 4u);
+  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 15u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"), 199478u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), 11417u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), 140061u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), 48000u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);
+  EXPECT_EQ(ledger.Max("recovery.max_single_resend"), 861u);
+  EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
+  EXPECT_EQ(SampleSum(ledger.Samples("recovery.attempts_per_exchange")), 5.0);
+  EXPECT_EQ(SampleSum(ledger.Samples("recovery.resent_per_faulted_exchange")), 199478.0);
 }
 
 TEST_F(ChaosTest, HeavyCrashStormLedgerIsPinned) {
@@ -448,25 +437,25 @@ TEST_F(ChaosTest, HeavyCrashStormLedgerIsPinned) {
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
   spec.max_attempts = 2;
-  const ResilienceTelemetrySnapshot ledger = CyclicStormLedger(spec);
-  EXPECT_EQ(ledger.exchanges_injected, 1u);
-  EXPECT_EQ(ledger.exchanges_faulted, 1u);
-  EXPECT_EQ(ledger.crashes, 16u);
-  EXPECT_EQ(ledger.rows_dropped, 829u);
-  EXPECT_EQ(ledger.rows_duplicated, 834u);
-  EXPECT_EQ(ledger.retries, 2u);
-  EXPECT_EQ(ledger.full_reruns, 1u);
-  EXPECT_EQ(ledger.backoff_units, 3u);
-  EXPECT_EQ(ledger.tuples_resent, 144000u);
-  EXPECT_EQ(ledger.tuples_resent_crash, 12272u);
-  EXPECT_EQ(ledger.tuples_resent_corruption, 83728u);
-  EXPECT_EQ(ledger.tuples_resent_full_rerun, 48000u);
-  EXPECT_EQ(ledger.checkpoints_captured, 1u);
-  EXPECT_EQ(ledger.checkpoint_tuples, 0u);
-  EXPECT_EQ(ledger.max_single_resend, 861u);
-  EXPECT_EQ(ledger.attempts_samples.size(), 1u);
-  EXPECT_EQ(SampleSum(ledger.attempts_samples), 3.0);
-  EXPECT_EQ(SampleSum(ledger.resent_samples), 144000.0);
+  const LedgerSnapshot ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);
+  EXPECT_EQ(ledger.Counter("fault.crashes"), 16u);
+  EXPECT_EQ(ledger.Counter("fault.rows_dropped"), 829u);
+  EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), 834u);
+  EXPECT_EQ(ledger.Counter("recovery.retries"), 2u);
+  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 3u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"), 144000u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), 12272u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), 83728u);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), 48000u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);
+  EXPECT_EQ(ledger.Max("recovery.max_single_resend"), 861u);
+  EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
+  EXPECT_EQ(SampleSum(ledger.Samples("recovery.attempts_per_exchange")), 3.0);
+  EXPECT_EQ(SampleSum(ledger.Samples("recovery.resent_per_faulted_exchange")), 144000.0);
 }
 
 }  // namespace

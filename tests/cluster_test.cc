@@ -35,7 +35,8 @@ using testutil::TrackersEqual;
 // ---------------------------------------------------------------- parsing
 
 TEST(SpeedSpecTest, ParsesEveryKindAndRoundTrips) {
-  for (const char* text : {"uniform", "halves:4", "geom:8", "seeded:7", "1,2,4"}) {
+  for (const char* text :
+       {"uniform", "halves:4", "geom:8", "seeded:7", "seeded:18446744073709551615", "1,2,4"}) {
     auto spec = ParseSpeedSpec(text);
     ASSERT_TRUE(spec.has_value()) << text;
     EXPECT_EQ(spec->ToString(), text);
@@ -47,7 +48,8 @@ TEST(SpeedSpecTest, ParsesEveryKindAndRoundTrips) {
 TEST(SpeedSpecTest, RejectsMalformedSpecs) {
   for (const char* text :
        {"halves:", "halves:0", "halves:-2", "geom:0.5", "seeded:", "seeded:x", "1,,2",
-        "1,-3", "0", "nonsense", "geom:", "halves:4x"}) {
+        "1,-3", "0", "nonsense", "geom:", "halves:4x", "seeded:-1", "seeded:+5", "seeded: 5",
+        "seeded:99999999999999999999"}) {
     EXPECT_FALSE(ParseSpeedSpec(text).has_value()) << text;
   }
 }
@@ -64,10 +66,14 @@ TEST(ElasticSpecTest, ParsesAndCanonicalizesSchedules) {
   EXPECT_EQ(spec->ToString(), "+2@2,-1@3");
   // Same-round events merge; a zero net delta drops the event.
   EXPECT_TRUE(ParseElasticSpec("+2@4,-2@4")->empty());
+  // The ends of the ranges parse exactly: +-INT32_MAX servers, round UINT32_MAX.
+  EXPECT_EQ(ParseElasticSpec("2147483647@4294967295,-2147483647@1")->ToString(),
+            "-2147483647@1,+2147483647@4294967295");
 }
 
 TEST(ElasticSpecTest, RejectsMalformedSchedules) {
-  for (const char* text : {"+2@0", "+x@2", "+2@", "@", "+2", "+2@3,"}) {
+  for (const char* text : {"+2@0", "+x@2", "+2@", "@", "+2", "+2@3,", "2147483647@1,1@1",
+                           "1@4294967296", "5000000000@2", "-2147483648@1", "+@1", "1@-1"}) {
     EXPECT_FALSE(ParseElasticSpec(text).has_value()) << text;
   }
 }

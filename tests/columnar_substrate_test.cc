@@ -16,6 +16,7 @@
 #include "relation/relation.h"
 #include "util/arena.h"
 #include "util/hash.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace {
@@ -88,7 +89,7 @@ TEST(ArenaVectorTest, GrowthPreservesContents) {
 }
 
 TEST(ArenaScopeTest, NestedScopesStackAndRecordTelemetry) {
-  MemoryTelemetry::Reset();
+  Ledger::Global().Reset("memory.");
   Arena arena;
   {
     ArenaScope outer(&arena);
@@ -103,12 +104,12 @@ TEST(ArenaScopeTest, NestedScopesStackAndRecordTelemetry) {
     EXPECT_EQ(outer.used(), 8 * sizeof(uint64_t));
   }
   EXPECT_EQ(arena.used(), 0u);
-  MemoryTelemetrySnapshot snapshot = MemoryTelemetry::Snapshot();
-  EXPECT_EQ(snapshot.scopes, 2u);
-  EXPECT_EQ(snapshot.bytes_total, 12 * sizeof(uint64_t));
-  EXPECT_EQ(snapshot.high_water_bytes, 8 * sizeof(uint64_t));
-  MemoryTelemetry::Reset();
-  EXPECT_EQ(MemoryTelemetry::Snapshot().scopes, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read("memory.");
+  EXPECT_EQ(ledger.Counter("memory.arena_scopes"), 2u);
+  EXPECT_EQ(ledger.Counter("memory.arena_bytes_total"), 12 * sizeof(uint64_t));
+  EXPECT_EQ(ledger.Max("memory.arena_high_water_bytes"), 8 * sizeof(uint64_t));
+  Ledger::Global().Reset("memory.");
+  EXPECT_EQ(Ledger::Global().Read("memory."), LedgerSnapshot());
 }
 
 TEST(ArenaScopeTest, ScopeThatEmptiesTheArenaFreesLargePages) {
@@ -269,15 +270,18 @@ TEST(RelationOverflowDeathTest, ReserveRejectsRowCountOverflow) {
   EXPECT_DEATH(r.Reserve(std::numeric_limits<size_t>::max() / 2), "RowCountFits");
 }
 
+// At width 2, SIZE_MAX / 2 rows still fit (2 * rows == SIZE_MAX - 1); one
+// more row is the first count whose value total wraps size_t.
 TEST(RelationOverflowDeathTest, AppendRowsRejectsRowCountOverflow) {
   Relation r(AttrSet::FromIds({0, 1}));
   Value row[2] = {1, 2};
-  EXPECT_DEATH(r.AppendRows(row, std::numeric_limits<size_t>::max() / 2), "RowCountFits");
+  EXPECT_DEATH(r.AppendRows(row, std::numeric_limits<size_t>::max() / 2 + 1), "RowCountFits");
 }
 
 TEST(RelationOverflowDeathTest, AppendUninitializedRejectsRowCountOverflow) {
   Relation r(AttrSet::FromIds({0, 1}));
-  EXPECT_DEATH(r.AppendUninitialized(std::numeric_limits<size_t>::max() / 2), "RowCountFits");
+  EXPECT_DEATH(r.AppendUninitialized(std::numeric_limits<size_t>::max() / 2 + 1),
+               "RowCountFits");
 }
 #endif  // !NDEBUG
 

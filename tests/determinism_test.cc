@@ -45,11 +45,8 @@
 namespace coverpack {
 namespace {
 
-using testutil::MaskTimers;
+using testutil::ComparableJson;
 using testutil::RelationsEqual;
-using testutil::ReportJson;
-using testutil::StripClusterMetrics;
-using testutil::StripResilienceMetrics;
 using testutil::TrackersEqual;
 
 class DeterminismTest : public ::testing::Test {
@@ -61,12 +58,6 @@ class DeterminismTest : public ::testing::Test {
   unsigned saved_threads_ = 1;
 };
 
-TEST_F(DeterminismTest, MaskTimersReplacesTimerObjects) {
-  EXPECT_EQ(MaskTimers(R"({"timers":{"a":{"count":1,"total_ms":2.5}},"x":1})"),
-            R"({"timers":{},"x":1})");
-  EXPECT_EQ(MaskTimers(R"({"x":1})"), R"({"x":1})");
-}
-
 TEST_F(DeterminismTest, FastExperimentsAreBitIdenticalAcrossThreadCounts) {
   for (const bench::Experiment& experiment : bench::AllExperiments()) {
     if (!experiment.fast) continue;
@@ -76,7 +67,7 @@ TEST_F(DeterminismTest, FastExperimentsAreBitIdenticalAcrossThreadCounts) {
     ThreadPool::SetGlobalThreads(4);
     telemetry::RunReport parallel = bench::RunExperiment(experiment);
     EXPECT_EQ(serial.ok, parallel.ok);
-    EXPECT_EQ(MaskTimers(ReportJson(serial)), MaskTimers(ReportJson(parallel)));
+    EXPECT_EQ(ComparableJson(serial), ComparableJson(parallel));
   }
 }
 
@@ -209,14 +200,13 @@ TEST_F(DeterminismTest, FastExperimentsAreBitIdenticalUnderFaultInjection) {
       faulted_parallel = bench::RunExperiment(experiment);
     }
     EXPECT_EQ(clean.ok, faulted_parallel.ok);
-    // Both sides stripped: for almost every experiment the clean report has
-    // no ledger keys and stripping is a no-op, but resilience_overhead
-    // injects faults internally and legitimately ledgers them even when no
-    // outer FaultPlan is installed.
-    EXPECT_EQ(StripResilienceMetrics(MaskTimers(ReportJson(clean))),
-              StripResilienceMetrics(MaskTimers(ReportJson(faulted_parallel))));
-    EXPECT_EQ(MaskTimers(ReportJson(faulted_serial)),
-              MaskTimers(ReportJson(faulted_parallel)));
+    // Both sides dropped: for almost every experiment the clean report has
+    // no fault.*/recovery.* keys, but resilience_overhead injects faults
+    // internally and legitimately records them even when no outer
+    // FaultPlan is installed.
+    EXPECT_EQ(ComparableJson(clean, {"fault.", "recovery."}),
+              ComparableJson(faulted_parallel, {"fault.", "recovery."}));
+    EXPECT_EQ(ComparableJson(faulted_serial), ComparableJson(faulted_parallel));
   }
 }
 
@@ -291,8 +281,8 @@ TEST_F(DeterminismTest, ServiceThroughputReportIsBitIdenticalAcrossThreadCounts)
   ThreadPool::SetGlobalThreads(4);
   telemetry::RunReport parallel = bench::RunExperiment(*experiment);
   EXPECT_TRUE(serial.ok);
-  const std::string serial_json = MaskTimers(ReportJson(serial));
-  EXPECT_EQ(serial_json, MaskTimers(ReportJson(parallel)));
+  const std::string serial_json = ComparableJson(serial);
+  EXPECT_EQ(serial_json, ComparableJson(parallel));
   // The diff above is only meaningful if the cache telemetry is really in
   // the compared bytes.
   EXPECT_NE(serial_json.find("cache.open_c8_warm.hits"), std::string::npos);
@@ -307,8 +297,8 @@ TEST_F(DeterminismTest, PlannerAblationReportIsBitIdenticalAcrossThreadCounts) {
   ThreadPool::SetGlobalThreads(4);
   telemetry::RunReport parallel = bench::RunExperiment(*experiment);
   EXPECT_TRUE(serial.ok);
-  const std::string serial_json = MaskTimers(ReportJson(serial));
-  EXPECT_EQ(serial_json, MaskTimers(ReportJson(parallel)));
+  const std::string serial_json = ComparableJson(serial);
+  EXPECT_EQ(serial_json, ComparableJson(parallel));
   // The diff above is only meaningful if the planner telemetry is really
   // in the compared bytes.
   EXPECT_NE(serial_json.find("planner.ablation.decisions_total"), std::string::npos);
@@ -320,10 +310,9 @@ TEST_F(DeterminismTest, PlannerAblationReportIsBitIdenticalAcrossThreadCounts) {
 // The cluster subsystem's determinism contract, explicitly: the elastic
 // sweep (speed-weighted routing, membership migrations, chaos composition)
 // is byte-identical at 1 vs 4 threads, and a crash-storm FaultPlan wrapped
-// around the whole experiment changes nothing but the fault./recovery.
-// ledger — the cluster.* ledger itself is content-determined, so it is
-// compared, not stripped, in the thread diff, and stripped only alongside
-// the resilience keys in the chaos diff.
+// around the whole experiment changes nothing but the fault.*/recovery.*
+// namespaces. The cluster.* namespace records planned (content-determined)
+// volumes, so both diffs compare it.
 TEST_F(DeterminismTest, ClusterElasticReportIsBitIdenticalAcrossThreadsAndChaos) {
   const bench::Experiment* experiment = bench::FindExperiment("cluster_elastic");
   ASSERT_NE(experiment, nullptr);
@@ -332,8 +321,8 @@ TEST_F(DeterminismTest, ClusterElasticReportIsBitIdenticalAcrossThreadsAndChaos)
   ThreadPool::SetGlobalThreads(4);
   telemetry::RunReport parallel = bench::RunExperiment(*experiment);
   EXPECT_TRUE(serial.ok);
-  const std::string serial_json = MaskTimers(ReportJson(serial));
-  EXPECT_EQ(serial_json, MaskTimers(ReportJson(parallel)));
+  const std::string serial_json = ComparableJson(serial);
+  EXPECT_EQ(serial_json, ComparableJson(parallel));
   // The diff above is only meaningful if the cluster ledger is really in
   // the compared bytes.
   EXPECT_NE(serial_json.find("cluster.tuples_migrated"), std::string::npos);
@@ -350,9 +339,8 @@ TEST_F(DeterminismTest, ClusterElasticReportIsBitIdenticalAcrossThreadsAndChaos)
     stormy = bench::RunExperiment(*experiment);
   }
   EXPECT_EQ(serial.ok, stormy.ok);
-  EXPECT_EQ(StripClusterMetrics(StripResilienceMetrics(serial_json)),
-            StripClusterMetrics(
-                StripResilienceMetrics(MaskTimers(ReportJson(stormy)))));
+  EXPECT_EQ(ComparableJson(serial, {"fault.", "recovery."}),
+            ComparableJson(stormy, {"fault.", "recovery."}));
 }
 
 TEST_F(DeterminismTest, PlanChooserDecisionDigestsAreThreadCountInvariant) {

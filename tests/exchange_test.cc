@@ -1,6 +1,6 @@
 /// \file exchange_test.cc
 /// \brief Unit tests for the unified Exchange layer: planning, delivery,
-/// charging, and the telemetry aggregate.
+/// charging, and what it records into the ledger's exchange.* namespace.
 
 #include "mpc/exchange.h"
 
@@ -10,6 +10,7 @@
 
 #include "mpc/cluster.h"
 #include "relation/relation.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace mpc {
@@ -188,7 +189,7 @@ TEST(ExchangeTest, MultiSourceSinkKeyedBySourceIndex) {
 }
 
 TEST(ExchangeTest, TelemetryAggregatesAcrossExchanges) {
-  ExchangeTelemetry::Reset();
+  Ledger::Global().Reset();
   const uint32_t p = 2;
   Relation data = MakeSequential(1, 6);
   Cluster cluster(p);
@@ -199,25 +200,25 @@ TEST(ExchangeTest, TelemetryAggregatesAcrossExchanges) {
   ExchangePlan broadcast(p);
   broadcast.PlanBroadcast(4);
   Exchange::Execute(&cluster, 1, broadcast, "beta");
+  ExchangePlan empty(p);
+  Exchange::Execute(&cluster, 2, empty, "beta");
 
-  ExchangeTelemetrySnapshot snapshot = ExchangeTelemetry::Snapshot();
-  EXPECT_EQ(snapshot.count, 2u);
-  EXPECT_EQ(snapshot.tuples_moved, 6u + 8u);
-  EXPECT_EQ(snapshot.max_fanin, 4u);
-  ASSERT_EQ(snapshot.by_label.size(), 2u);
-  EXPECT_EQ(snapshot.by_label[0].first, "alpha");
-  EXPECT_EQ(snapshot.by_label[0].second.tuples_moved, 6u);
-  EXPECT_EQ(snapshot.by_label[1].first, "beta");
-  EXPECT_EQ(snapshot.by_label[1].second.count, 1u);
-  EXPECT_EQ(snapshot.tuples_samples.size(), 2u);
+  const LedgerSnapshot ledger = Ledger::Global().Read("exchange.");
+  EXPECT_EQ(ledger.Counter("exchange.count"), 3u);
+  EXPECT_EQ(ledger.Counter("exchange.tuples_moved"), 6u + 8u);
+  EXPECT_EQ(ledger.Max("exchange.max_fanin"), 4u);
+  EXPECT_EQ(ledger.Counter("exchange.alpha.tuples_moved"), 6u);
+  EXPECT_EQ(ledger.Counter("exchange.beta.count"), 2u);
+  EXPECT_EQ(ledger.Samples("exchange.tuples_per_exchange"),
+            (std::vector<double>{6.0, 8.0, 0.0}));
   // Round-robin of 6 rows over 2 servers is perfectly balanced; broadcast
-  // is too (every server gets the same volume): both skews are 1.0.
-  ASSERT_EQ(snapshot.skew_samples.size(), 2u);
-  EXPECT_DOUBLE_EQ(snapshot.skew_samples[0], 1.0);
-  EXPECT_DOUBLE_EQ(snapshot.skew_samples[1], 1.0);
+  // is too (every server gets the same volume): both skews are 1.0. The
+  // empty exchange moved nothing and draws no skew sample.
+  EXPECT_EQ(ledger.Samples("exchange.fanin_skew"), (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(ledger.counters.size(), 6u);
 
-  ExchangeTelemetry::Reset();
-  EXPECT_EQ(ExchangeTelemetry::Snapshot().count, 0u);
+  Ledger::Global().Reset("exchange.");
+  EXPECT_EQ(Ledger::Global().Read("exchange."), LedgerSnapshot());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 /// MetricsRegistry coverage: counter/gauge semantics, histogram bucket
 /// boundaries and structural invariants, scoped timers, deterministic JSON
-/// serialization, and — in audit builds — proof that Observe re-verifies
-/// the histogram invariants through the auditor counter.
+/// serialization, the run ledger and its bridge into a registry, and — in
+/// audit builds — proof that Observe re-verifies the histogram invariants
+/// through the auditor counter.
 
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "telemetry/metrics.h"
 #include "util/audit.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace telemetry {
@@ -128,6 +130,88 @@ TEST(MetricsRegistryTest, ToJsonIsDeterministicAndSorted) {
   EXPECT_NE(first.find("\"gauges\""), std::string::npos);
   EXPECT_NE(first.find("\"histograms\""), std::string::npos);
   EXPECT_NE(first.find("\"timers\""), std::string::npos);
+}
+
+const std::vector<double> kBounds = {1.0, 10.0};
+
+TEST(LedgerTest, RecordsCountersMaximaAndSeriesInRecordOrder) {
+  Ledger ledger;
+  ledger.Record({Ledger::Add("a.count", 2), Ledger::Max("a.max", 7),
+                 Ledger::Sample("a.sizes", kBounds, 5.0)});
+  ledger.Record({Ledger::Add("a.count", 0), Ledger::Max("a.max", 3),
+                 Ledger::Sample("a.sizes", kBounds, 0.5), Ledger::Series("a.empty", kBounds)});
+  const LedgerSnapshot snapshot = ledger.Read();
+  EXPECT_EQ(snapshot.Counter("a.count"), 2u);
+  EXPECT_EQ(snapshot.Max("a.max"), 7u);
+  EXPECT_EQ(snapshot.Samples("a.sizes"), (std::vector<double>{5.0, 0.5}));
+  EXPECT_EQ(snapshot.series.at("a.sizes").bounds, kBounds);
+  EXPECT_TRUE(snapshot.Samples("a.empty").empty());
+  EXPECT_EQ(snapshot.series.count("a.empty"), 1u);
+  EXPECT_EQ(snapshot.Counter("a.never"), 0u);
+}
+
+TEST(LedgerTest, ResetPrefixDropsOnlyThatNamespace) {
+  Ledger ledger;
+  ledger.Record({Ledger::Add("fault.crashes", 1), Ledger::Max("fault.max", 4),
+                 Ledger::Series("fault.series", kBounds), Ledger::Add("faulty.count", 1),
+                 Ledger::Add("memory.scopes", 3),
+                 Ledger::Sample("memory.bytes", kBounds, 2.0)});
+  const LedgerSnapshot memory = ledger.Read("memory.");
+  EXPECT_EQ(memory.counters.size(), 1u);
+  EXPECT_EQ(memory.series.size(), 1u);
+
+  ledger.Reset("fault.");
+  const LedgerSnapshot rest = ledger.Read();
+  EXPECT_EQ(rest.Counter("fault.crashes"), 0u);
+  EXPECT_TRUE(rest.maxima.empty());
+  // "faulty." shares the spelling but not the namespace.
+  EXPECT_EQ(rest.Counter("faulty.count"), 1u);
+  EXPECT_EQ(ledger.Read("memory."), memory);
+
+  ledger.Reset();
+  EXPECT_EQ(ledger.Read(), LedgerSnapshot());
+}
+
+TEST(MetricsRegistryTest, AddLedgerMapsCountersGaugesAndHistograms) {
+  Ledger ledger;
+  ledger.Record({Ledger::Add("x.zero", 0), Ledger::Add("x.count", 3), Ledger::Max("x.max", 9),
+                 Ledger::Sample("x.sizes", kBounds, 4.0),
+                 Ledger::Sample("x.sizes", kBounds, 20.0), Ledger::Series("x.empty", kBounds)});
+  MetricsRegistry registry;
+  registry.AddCounter("x.count", 1);
+  registry.AddLedger(ledger.Read());
+  EXPECT_EQ(registry.CounterValue("x.count"), 4u);
+  EXPECT_DOUBLE_EQ(registry.GaugeValue("x.max"), 9.0);
+  const Histogram* sizes = registry.FindHistogram("x.sizes");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->bounds(), kBounds);
+  EXPECT_EQ(sizes->counts(), (std::vector<uint64_t>{0, 1, 1}));
+  EXPECT_DOUBLE_EQ(sizes->sum(), 24.0);
+  const Histogram* empty = registry.FindHistogram("x.empty");
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->total_count(), 0u);
+  // A key touched with a zero delta is reported, not skipped.
+  const std::string json = registry.ToJson().ToString(0);
+  EXPECT_NE(json.find("\"x.zero\":0"), std::string::npos);
+  EXPECT_EQ(registry.FindHistogram("x.never"), nullptr);
+}
+
+TEST(MetricsRegistryTest, EraseDropsANamespaceAndTheTimers) {
+  MetricsRegistry registry;
+  registry.AddCounter("fault.crashes", 2);
+  registry.SetGauge("fault.max", 1.0);
+  registry.GetHistogram("fault.sizes", kBounds).Observe(1.0);
+  registry.AddCounter("faulty.count", 1);
+  registry.RecordTimeMs("fault.wall", 3.0);
+  registry.EraseWithPrefix("fault.");
+  EXPECT_EQ(registry.CounterValue("fault.crashes"), 0u);
+  EXPECT_EQ(registry.FindHistogram("fault.sizes"), nullptr);
+  EXPECT_EQ(registry.CounterValue("faulty.count"), 1u);
+  EXPECT_NE(registry.FindTimer("fault.wall"), nullptr);
+  registry.EraseTimers();
+  EXPECT_EQ(registry.FindTimer("fault.wall"), nullptr);
+  EXPECT_EQ(registry.ToJson().ToString(0),
+            R"({"counters":{"faulty.count":1},"gauges":{},"histograms":{},"timers":{}})");
 }
 
 TEST(MetricsRegistryAuditTest, ObserveFiresAuditorChecksWhenCompiledIn) {

@@ -19,6 +19,7 @@
 #include "resilience/fault_injector.h"
 #include "resilience/fault_plan.h"
 #include "util/audit.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -30,7 +31,6 @@ using mpc::ExchangeInterposer;
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSpec;
-using resilience::ResilienceTelemetry;
 using resilience::ScopedFaultInjection;
 
 // ---- FaultPlan -------------------------------------------------------------
@@ -261,7 +261,7 @@ TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
   spec.crash_rate = 0.3;
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   ExchangeRun faulted = [&] {
     ScopedFaultInjection injection(spec);
     return RunSeededExchange(8, 0xBEEF, 1500);
@@ -273,32 +273,33 @@ TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
     EXPECT_EQ(faulted.tracker.At(0, s), clean.tracker.At(0, s));
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_EQ(ledger.exchanges_injected, 1u);
-  EXPECT_EQ(ledger.checkpoints_captured, 1u);
-  ASSERT_EQ(ledger.exchanges_faulted, 1u);  // crash_rate .3 over 8 servers
-  EXPECT_GT(ledger.retries, 0u);
-  EXPECT_GT(ledger.tuples_resent, 0u);
-  EXPECT_GT(ledger.backoff_units, 0u);
-  EXPECT_EQ(ledger.attempts_samples.size(), 1u);
-  EXPECT_GE(ledger.attempts_samples[0], 2.0);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
+  ASSERT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);  // crash_rate .3 over 8 servers
+  EXPECT_GT(ledger.Counter("recovery.retries"), 0u);
+  EXPECT_GT(ledger.Counter("recovery.tuples_resent"), 0u);
+  EXPECT_GT(ledger.Counter("recovery.backoff_units"), 0u);
+  EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
+  EXPECT_GE(ledger.Samples("recovery.attempts_per_exchange")[0], 2.0);
 }
 
 TEST(FaultInjectorTest, PerCrashResendStaysWithinBottleneckReceive) {
   FaultSpec spec;
   spec.seed = 21;
   spec.crash_rate = 0.25;
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   ExchangeRun faulted;
   {
     ScopedFaultInjection injection(spec);
     faulted = RunSeededExchange(16, 0xD00D, 4000);
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
-  ASSERT_GT(ledger.crashes, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  ASSERT_GT(ledger.Counter("fault.crashes"), 0u);
   // Each crash replays one server's round: at most the bottleneck receive.
-  EXPECT_LE(ledger.max_single_resend, faulted.stats.max_receive);
-  EXPECT_LE(ledger.tuples_resent_crash, ledger.crashes * faulted.stats.max_receive);
+  EXPECT_LE(ledger.Max("recovery.max_single_resend"), faulted.stats.max_receive);
+  EXPECT_LE(ledger.Counter("recovery.tuples_resent_crash"),
+            ledger.Counter("fault.crashes") * faulted.stats.max_receive);
 }
 
 TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
@@ -306,7 +307,7 @@ TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
   spec.seed = 8;
   spec.crash_rate = 1.0;  // every attempt crashes every receiving server
   spec.max_attempts = 3;
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   ExchangeRun clean = RunSeededExchange(4, 0xFEED, 800);
   ExchangeRun faulted;
   {
@@ -317,16 +318,17 @@ TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_EQ(ledger.full_reruns, 1u);
-  EXPECT_EQ(ledger.retries, 3u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.retries"), 3u);
   // 4 attempts total: three faulty ones plus the final clean replay.
-  ASSERT_EQ(ledger.attempts_samples.size(), 1u);
-  EXPECT_EQ(ledger.attempts_samples[0], 4.0);
+  ASSERT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
+  EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange")[0], 4.0);
   // The full rerun re-ships the entire plan on top of the per-crash resends.
-  EXPECT_EQ(ledger.tuples_resent_full_rerun, faulted.stats.planned);
-  EXPECT_EQ(ledger.tuples_resent,
-            ledger.tuples_resent_crash + ledger.tuples_resent_full_rerun);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), faulted.stats.planned);
+  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"),
+            ledger.Counter("recovery.tuples_resent_crash") +
+                ledger.Counter("recovery.tuples_resent_full_rerun"));
 }
 
 TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
@@ -342,7 +344,7 @@ TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
   std::vector<Relation> shards(4, Relation(data.attrs()));
   mpc::ExchangePlan plan =
       mpc::Exchange::Plan(4, data, [](size_t i, auto emit) { emit(i % 4); });
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   {
     ScopedFaultInjection injection(spec);
     // Null cluster = initial placement: delivered but never charged, so the
@@ -351,9 +353,9 @@ TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
         nullptr, 0, plan, [&shards](size_t, uint32_t s) { return &shards[s]; },
         "initial_placement");
   }
-  const auto ledger = ResilienceTelemetry::Snapshot();
-  EXPECT_EQ(ledger.exchanges_injected, 0u);
-  EXPECT_EQ(ledger.crashes, 0u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 0u);
+  EXPECT_EQ(ledger.Counter("fault.crashes"), 0u);
   uint64_t total = 0;
   for (const Relation& shard : shards) total += shard.size();
   EXPECT_EQ(total, 100u);
@@ -366,32 +368,29 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
   spec.drop_rate = 0.02;
   spec.duplicate_rate = 0.02;
   const unsigned saved = ThreadPool::GlobalThreads();
-  ResilienceTelemetry::Reset();
+  Ledger::Global().Reset();
   ThreadPool::SetGlobalThreads(1);
   ExchangeRun serial;
   {
     ScopedFaultInjection injection(spec);
     serial = RunSeededExchange(8, 0xFACE, 6000);
   }
-  const auto serial_ledger = ResilienceTelemetry::Snapshot();
-  ResilienceTelemetry::Reset();
+  const LedgerSnapshot serial_ledger = Ledger::Global().Read();
+  Ledger::Global().Reset();
   ThreadPool::SetGlobalThreads(4);
   ExchangeRun parallel;
   {
     ScopedFaultInjection injection(spec);
     parallel = RunSeededExchange(8, 0xFACE, 6000);
   }
-  const auto parallel_ledger = ResilienceTelemetry::Snapshot();
+  const LedgerSnapshot parallel_ledger = Ledger::Global().Read();
   ThreadPool::SetGlobalThreads(saved);
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_EQ(serial.shards[s].raw(), parallel.shards[s].raw());
   }
   // The fault schedule itself — not just the healed result — is identical.
-  EXPECT_EQ(serial_ledger.crashes, parallel_ledger.crashes);
-  EXPECT_EQ(serial_ledger.rows_dropped, parallel_ledger.rows_dropped);
-  EXPECT_EQ(serial_ledger.rows_duplicated, parallel_ledger.rows_duplicated);
-  EXPECT_EQ(serial_ledger.retries, parallel_ledger.retries);
-  EXPECT_EQ(serial_ledger.tuples_resent, parallel_ledger.tuples_resent);
+  EXPECT_GT(serial_ledger.Counter("fault.crashes"), 0u);
+  EXPECT_EQ(serial_ledger, parallel_ledger);
 }
 
 // ---- Round checkpoints -----------------------------------------------------
