@@ -94,8 +94,9 @@ int Usage(std::ostream& os, int code) {
         "                  (--filter='thm5*'), otherwise a substring\n"
         "  --out[=]PATH    where to write the JSON results\n"
         "                  (default BENCH_results.json)\n"
-        "  --threads=N     thread-pool size; results are bit-identical at\n"
-        "                  any N (default: hardware concurrency)\n"
+        "  --threads=N     thread-pool size, at most 1024; results are\n"
+        "                  bit-identical at any N (default: hardware\n"
+        "                  concurrency)\n"
         "  --compare-serial  run each experiment at --threads=1 first and\n"
         "                  record wall_ms_serial + speedup in the report\n"
         "  --seed=U        override every experiment's base seed (nonzero);\n"
@@ -160,6 +161,8 @@ bool ReadCount(const char* name, const std::string& text, uint64_t min, uint64_t
 
 constexpr const char* kRate = "a number in [0, 1]";
 constexpr uint64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+/// Upper bound of --threads: the pool starts one OS thread per unit.
+constexpr uint64_t kMaxThreads = 1024;
 
 bool Selected(const Experiment& experiment, const DriverOptions& options) {
   if (options.fast_only && !experiment.fast) return false;
@@ -285,6 +288,7 @@ int RunDriver(const DriverOptions& options) {
 
 int main(int argc, char** argv) {
   using coverpack::bench::kMaxCount;
+  using coverpack::bench::kMaxThreads;
   using coverpack::bench::kRate;
   using coverpack::bench::ReadCount;
   using coverpack::bench::ReadNumber;
@@ -326,7 +330,8 @@ int main(int argc, char** argv) {
         text = arg.substr(10);
       }
       uint64_t threads = 0;
-      if (!ReadCount("--threads", text, 1, kMaxCount, "an integer >= 1", &threads)) {
+      if (!ReadCount("--threads", text, 1, kMaxThreads, "an integer in [1, 1024]",
+                     &threads)) {
         return coverpack::bench::Usage(std::cerr, 2);
       }
       options.threads = static_cast<unsigned>(threads);

@@ -52,8 +52,7 @@ void RecordClusterEvent(const MigrationResult* migration, uint64_t checkpoint_tu
 MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
                                const std::vector<uint32_t>& from,
                                const std::vector<uint32_t>& to,
-                               const std::vector<double>& to_speeds, uint32_t round,
-                               resilience::RoundCheckpointStore* checkpoints) {
+                               const std::vector<double>& to_speeds, uint32_t round) {
   MigrationResult result;
   if (from == to) return result;
   CP_CHECK(cluster != nullptr);
@@ -96,8 +95,6 @@ MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
     if (targets[i] > current) deficits.push_back({to[i], targets[i] - current});
   }
 
-  if (checkpoints != nullptr) checkpoints->NoteCapture(round, total);
-
   struct SurplusSource {
     uint32_t slot;
     uint64_t keep;
@@ -129,8 +126,8 @@ MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
 
   if (!sources.empty()) {
     // One rebalancing Exchange: recorded routes, charged in `round`,
-    // audited at the choke point, delivered through any installed
-    // interposer. Surplus tails truncate only after the clean delivery.
+    // audited at the choke point, shown to any installed interposer.
+    // Surplus tails truncate only after the delivery.
     mpc::ExchangePlan plan(num_slots);
     for (const SurplusSource& source : sources) {
       const uint64_t keep = source.keep;
@@ -215,8 +212,7 @@ ElasticRunResult RunElasticPipeline(const ElasticRunConfig& config) {
           config.speed_aware ? profile.ActiveSpeeds(epoch)
                              : std::vector<double>(epoch.active.size(), 1.0);
       const MigrationResult migration =
-          MigrateToEpoch(&cluster, &state, current->active, epoch.active, weights, round,
-                         &result.checkpoints);
+          MigrateToEpoch(&cluster, &state, current->active, epoch.active, weights, round);
       result.tuples_migrated += migration.stats.planned;
     }
     current = &epoch;

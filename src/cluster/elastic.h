@@ -4,7 +4,7 @@
 ///
 /// Servers join and leave only at round boundaries (the granularity every
 /// bound in the paper is stated at, and the granularity the resilience
-/// layer checkpoints at). A membership change triggers one rebalancing
+/// layer prices recovery at). A membership change triggers one rebalancing
 /// Exchange:
 ///
 ///  1. Targets: the post-change state distribution is the largest-remainder
@@ -19,10 +19,10 @@
 ///
 /// The move is a regular recorded Exchange: it is charged to the tracker
 /// in its round, audited for conservation in COVERPACK_AUDIT builds, and
-/// delivered through any installed interposer — so a crash-storm FaultPlan
-/// exercises restore-and-replay on migrations exactly as it does on
-/// algorithm exchanges. The pre-migration snapshot is noted in a
-/// RoundCheckpointStore (the resilience layer's round-boundary ledger).
+/// shown to any installed interposer — so a crash-storm FaultPlan faults
+/// and prices migrations exactly as it does algorithm exchanges. The
+/// pre-migration row count is recorded as the ledger's
+/// cluster.checkpoint_tuples.
 ///
 /// RunElasticPipeline drives a synthetic multi-round partition workload
 /// over a ClusterProfile — the harness behind the cluster_elastic
@@ -38,7 +38,6 @@
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
-#include "resilience/checkpoint.h"
 
 namespace coverpack {
 namespace cluster {
@@ -55,14 +54,13 @@ struct MigrationResult {
 /// Migrates `state` from membership `from` to membership `to` (both
 /// ascending slot-id lists over the same slot space), rebalancing to
 /// shares proportional to `to_speeds` (aligned with `to`). Charged to
-/// `cluster` in `round` and audited like any other exchange. Notes the
-/// pre-migration snapshot in `checkpoints` (may be null) and records the
-/// move in the ledger's cluster.* namespace. No-op when `from == to`.
+/// `cluster` in `round` and audited like any other exchange. Records the
+/// move, and the rows it started from, in the ledger's cluster.* namespace.
+/// No-op when `from == to`.
 MigrationResult MigrateToEpoch(Cluster* cluster, DistRelation* state,
                                const std::vector<uint32_t>& from,
                                const std::vector<uint32_t>& to,
-                               const std::vector<double>& to_speeds, uint32_t round,
-                               resilience::RoundCheckpointStore* checkpoints);
+                               const std::vector<double>& to_speeds, uint32_t round);
 
 /// Configuration of one elastic pipeline run.
 struct ElasticRunConfig {
@@ -89,7 +87,6 @@ struct ElasticRunResult {
   uint64_t content_hash = 0;
   uint32_t epochs = 0;                  ///< memberships the run passed through
   uint64_t tuples_migrated = 0;
-  resilience::RoundCheckpointStore checkpoints;
 };
 
 /// Runs the synthetic elastic workload: a weighted scatter of `rows`

@@ -21,17 +21,6 @@ DistRelation RoundRobinExchange(Cluster* cluster, const Relation& data, uint32_t
 
 }  // namespace
 
-std::vector<size_t> DistRelation::ShardSizes() const {
-  std::vector<size_t> sizes(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) sizes[s] = shards_[s].size();
-  return sizes;
-}
-
-void DistRelation::TruncateShards(const std::vector<size_t>& sizes) {
-  CP_CHECK_EQ(sizes.size(), shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) shards_[s].Truncate(sizes[s]);
-}
-
 DistRelation DistRelation::Scatter(Cluster* cluster, const Relation& data, uint32_t round) {
   return RoundRobinExchange(cluster, data, round, cluster->p(), "scatter");
 }

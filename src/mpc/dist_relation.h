@@ -30,16 +30,6 @@ class DistRelation {
     return total;
   }
 
-  /// Per-shard row counts — the lightweight round-boundary checkpoint of
-  /// the resilience layer. Shards are append-only between round boundaries,
-  /// so truncating each shard back to a recorded size restores the
-  /// distributed state bit-exactly (see resilience/checkpoint.h).
-  std::vector<size_t> ShardSizes() const;
-
-  /// Restores every shard to a size recorded by ShardSizes(). Each shard
-  /// must currently hold at least as many rows as its recorded size.
-  void TruncateShards(const std::vector<size_t>& sizes);
-
   /// Collects all shards into one relation (driver-side; no load charged —
   /// use only for verification or statistics the paper computes with
   /// dedicated O(N/p) primitives).

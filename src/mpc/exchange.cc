@@ -1,5 +1,6 @@
 #include "mpc/exchange.h"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 
@@ -28,10 +29,9 @@ ExchangeInterposer* ExchangeInterposer::Installed() {
 ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink& sink,
                                    uint32_t round, const char* label, bool charged)
     : plan_(&plan), round_(round), label_(label), charged_(charged) {
-  // Resolve every destination exactly once (same sink contract as a
-  // fault-free delivery) and checkpoint its pre-exchange size. Reserve
-  // ahead for one clean attempt; faulty attempts are rolled back to the
-  // checkpoint, so capacity is reused across retries.
+  // Resolve every destination exactly once, sum the pre-exchange sizes of
+  // the distinct ones, and reserve ahead for the delivery.
+  std::vector<const Relation*> seen;
   for (size_t src = 0; src < plan.sources_.size(); ++src) {
     const ExchangePlan::Source& source = plan.sources_[src];
     if (source.relation == nullptr) continue;
@@ -47,16 +47,9 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
       if (target.counts[s] == 0) continue;
       Relation* dest = sink(src, s);
       CP_CHECK(dest != nullptr);
-      bool seen = false;
-      for (const Checkpoint& checkpoint : checkpoints_) {
-        if (checkpoint.relation == dest) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        checkpoints_.push_back(Checkpoint{dest, dest->size()});
-        checkpointed_rows_ += dest->size();
+      if (std::find(seen.begin(), seen.end(), dest) == seen.end()) {
+        seen.push_back(dest);
+        pre_exchange_rows_ += dest->size();
       }
       dest->Reserve(dest->size() + target.counts[s]);
       target.dests[s] = dest;
@@ -65,58 +58,33 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
   }
 }
 
-uint64_t ExchangeDelivery::RunAttempt(const CorruptFn* corrupt) {
+uint64_t ExchangeDelivery::Deliver() {
+  // Replay routes in ascending (shard, route) order, with runs of
+  // consecutive rows bound for the same server coalesced into one flat
+  // AppendRows copy.
   uint64_t delivered = 0;
   for (const Target& target : targets_) {
     const ExchangePlan::Source& source = plan_->sources_[target.source_index];
     const uint32_t width = source.relation->width();
     const Value* base = source.relation->raw().data();
     for (const auto& routes : source.shard_routes) {
-      if (corrupt == nullptr) {
-        // Clean path: replay routes in ascending (shard, route) order with
-        // runs of consecutive rows bound for the same server coalesced
-        // into one flat AppendRows copy.
-        const size_t n = routes.size();
-        size_t k = 0;
-        while (k < n) {
-          const uint32_t server = routes[k].server;
-          const size_t first_row = routes[k].row;
-          size_t run = 1;
-          while (k + run < n && routes[k + run].server == server &&
-                 routes[k + run].row == first_row + run) {
-            ++run;
-          }
-          target.dests[server]->AppendRows(base + first_row * width, run);
-          delivered += run;
-          k += run;
+      const size_t n = routes.size();
+      size_t k = 0;
+      while (k < n) {
+        const uint32_t server = routes[k].server;
+        const size_t first_row = routes[k].row;
+        size_t run = 1;
+        while (k + run < n && routes[k + run].server == server &&
+               routes[k + run].row == first_row + run) {
+          ++run;
         }
-      } else {
-        // Corrupted path: per-row fates, same deterministic order.
-        for (const ExchangePlan::Route& r : routes) {
-          switch ((*corrupt)(target.source_index, r.server, r.row)) {
-            case RowFate::kDrop:
-              break;
-            case RowFate::kDuplicate:
-              target.dests[r.server]->AppendRows(base + r.row * width, 1);
-              target.dests[r.server]->AppendRows(base + r.row * width, 1);
-              delivered += 2;
-              break;
-            case RowFate::kDeliver:
-              target.dests[r.server]->AppendRows(base + r.row * width, 1);
-              ++delivered;
-              break;
-          }
-        }
+        target.dests[server]->AppendRows(base + first_row * width, run);
+        delivered += run;
+        k += run;
       }
     }
   }
   return delivered;
-}
-
-void ExchangeDelivery::Restore() {
-  for (const Checkpoint& checkpoint : checkpoints_) {
-    checkpoint.relation->Truncate(checkpoint.rows);
-  }
 }
 
 ExchangeStats Exchange::Execute(Cluster* cluster, uint32_t round, const ExchangePlan& plan,
@@ -126,18 +94,15 @@ ExchangeStats Exchange::Execute(Cluster* cluster, uint32_t round, const Exchange
   stats.planned = plan.total_planned_;
   stats.max_receive = plan.MaxPlannedReceive();
 
-  // Delivery: replay each recorded source's routes in ascending
-  // (shard, route) order — the order AddSource planned them in, which is
-  // thread-count invariant. Destinations are fetched once per server and
-  // reserved ahead; runs of consecutive rows bound for the same server
-  // coalesce into one flat AppendRows copy. With an interposer installed
-  // (resilience fault injection), the interposer drives the attempts; it
-  // must hand back a clean final delivery, verified by the audit below.
+  // Delivery, in the order AddSource planned the routes, which is
+  // thread-count invariant. An installed interposer (resilience fault
+  // injection) sees the delivery first, read-only.
   {
     ExchangeDelivery delivery(plan, sink, round, label, cluster != nullptr);
-    ExchangeInterposer* interposer = ExchangeInterposer::Installed();
-    stats.delivered =
-        interposer != nullptr ? interposer->Deliver(delivery) : delivery.Attempt();
+    if (ExchangeInterposer* interposer = ExchangeInterposer::Installed()) {
+      interposer->Observe(delivery);
+    }
+    stats.delivered = delivery.Deliver();
   }
   CP_AUDIT_ONLY(audit::SimulatorAuditor::VerifyExchange(plan.recorded_planned_, stats.delivered,
                                                         label);)

@@ -174,29 +174,13 @@ class ExchangePlan {
 /// relation that server's rows of that source are delivered into.
 using ExchangeSink = std::function<Relation*(size_t, uint32_t)>;
 
-/// The delivery of one Execute call, reified so an interposer (the
-/// resilience layer's FaultInjector) can drive it: run delivery attempts —
-/// optionally corrupting them row by row — and roll the destinations back
-/// to their pre-exchange checkpoint between attempts. Destinations are
-/// resolved through the sink exactly once, at construction, so a
-/// multi-attempt delivery observes the same relations a fault-free one
-/// would; the checkpoint is each destination's row count at that moment
-/// (destinations only grow by appends, so truncation restores them
-/// bit-exactly).
+/// The delivery of one Execute call. Destinations are resolved through the
+/// sink exactly once, at construction; Execute then performs the one
+/// coalesced delivery. Before it does, an installed interposer gets the
+/// const view: the plan, the exchange's coordinates, every route in
+/// delivery order, and the destinations' pre-exchange sizes.
 class ExchangeDelivery {
  public:
-  /// Verdict for one routed row of a corrupted attempt.
-  enum class RowFate {
-    kDeliver,    ///< deliver normally
-    kDrop,       ///< lose the message (crashed or lossy receiver)
-    kDuplicate,  ///< deliver twice (retransmission race)
-  };
-
-  /// Per-row corruption oracle of one attempt: the fate of row `row` of
-  /// source `source` on its way to `server`. Called in the deterministic
-  /// (source, shard, row, emit) delivery order, from one thread.
-  using CorruptFn = std::function<RowFate(size_t source, uint32_t server, size_t row)>;
-
   uint32_t round() const { return round_; }
   const char* label() const { return label_; }
   const ExchangePlan& plan() const { return *plan_; }
@@ -205,26 +189,14 @@ class ExchangeDelivery {
   /// injection skips them.
   bool charged() const { return charged_; }
 
-  /// Rows held by all destination relations at the pre-exchange
-  /// checkpoint: the volume a round-boundary snapshot protects.
-  uint64_t CheckpointedRows() const { return checkpointed_rows_; }
-
-  /// Runs one clean delivery attempt (the fault-free fast path: coalesced
-  /// bulk appends). Returns the rows delivered.
-  uint64_t Attempt() { return RunAttempt(nullptr); }
-
-  /// Runs one attempt under the corruption oracle. Returns the rows
-  /// actually delivered (dropped rows excluded, duplicates counted twice).
-  uint64_t Attempt(const CorruptFn& corrupt) { return RunAttempt(&corrupt); }
-
-  /// Truncates every destination back to its pre-exchange checkpoint:
-  /// restore-and-replay of the failed round.
-  void Restore();
+  /// Rows the destination relations hold before this exchange, each
+  /// destination counted once however many sources or servers share it:
+  /// the volume a round-boundary snapshot of the destinations covers.
+  uint64_t PreExchangeRows() const { return pre_exchange_rows_; }
 
   /// Read-only walk over every recorded route, in the deterministic
-  /// (source, shard, row, emit) order an attempt delivers them: calls
-  /// `visit(source, server, row)` once per routed row and writes nothing,
-  /// so an interposer can decide an attempt's fate before any row lands.
+  /// (source, shard, row, emit) order Execute delivers them: calls
+  /// `visit(source, server, row)` once per routed row.
   template <typename VisitFn>
   void ForEachRoute(const VisitFn& visit) const {
     for (const Target& target : targets_) {
@@ -240,7 +212,9 @@ class ExchangeDelivery {
   ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink& sink, uint32_t round,
                    const char* label, bool charged);
 
-  uint64_t RunAttempt(const CorruptFn* corrupt);
+  /// Appends every recorded route to its destination. Returns the rows
+  /// delivered.
+  uint64_t Deliver();
 
   /// Destination state of one recorded source.
   struct Target {
@@ -249,36 +223,28 @@ class ExchangeDelivery {
     std::vector<Relation*> dests;    ///< resolved once; null where counts == 0
   };
 
-  /// Pre-exchange size of one (unique) destination relation.
-  struct Checkpoint {
-    Relation* relation;
-    size_t rows;
-  };
-
   const ExchangePlan* plan_;
   uint32_t round_;
   const char* label_;
   bool charged_;
   std::vector<Target> targets_;
-  std::vector<Checkpoint> checkpoints_;
-  uint64_t checkpointed_rows_ = 0;
+  uint64_t pre_exchange_rows_ = 0;
 };
 
-/// Interposer seam of the Exchange layer: when installed, every Execute
-/// hands its delivery to the interposer instead of performing the single
-/// clean attempt itself. The resilience layer's FaultInjector uses this to
-/// inject crashes, message drops/duplications, and round replays without
-/// any algorithm knowing. The interposer MUST leave every destination in
-/// the clean fault-free state (final attempt clean, earlier attempts rolled
-/// back via Restore) — the conservation audit and the tracker charging run
-/// after it returns, against the fault-free volumes.
+/// Read-only hook of the Exchange layer: when installed, every Execute
+/// shows its delivery to the interposer just before delivering it. The
+/// resilience layer's FaultInjector uses this to decide crashes, message
+/// drops and duplications, and to price their recovery, without any
+/// algorithm knowing. The interposer cannot write a row: Execute always
+/// performs the one clean delivery itself, so the conservation audit and
+/// the tracker charging see the fault-free volumes by construction.
 class ExchangeInterposer {
  public:
   virtual ~ExchangeInterposer() = default;
 
-  /// Drives the delivery of one exchange. Returns the rows delivered by
-  /// the final (clean) attempt — must equal plan().recorded_planned().
-  virtual uint64_t Deliver(ExchangeDelivery& delivery) = 0;
+  /// Called once per Execute, before any row of `delivery` is written.
+  /// May run concurrently for concurrent exchanges.
+  virtual void Observe(const ExchangeDelivery& delivery) = 0;
 
   /// Installs `interposer` process-wide (nullptr uninstalls) and returns
   /// the previously installed one, so scoped installers can nest. Install

@@ -100,10 +100,8 @@ class Relation {
     num_rows_ = 0;
   }
 
-  /// Drops every row past the first `rows` (rows <= size()). Mutation is
-  /// append-only everywhere else, so truncating to a recorded size restores
-  /// the relation bit-exactly — the restore primitive of the resilience
-  /// layer's round replay.
+  /// Drops every row past the first `rows` (rows <= size()): how an
+  /// elastic migration releases the surplus tail it streamed away.
   void Truncate(size_t rows) {
     CP_DCHECK_LE(rows, num_rows_);
     data_.resize(rows * size_t{width_});

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/ledger.h"
-#include "util/mutex.h"
 
 namespace coverpack {
 namespace resilience {
@@ -20,27 +19,16 @@ ResilienceTelemetrySnapshot ResilienceTelemetry::Snapshot() {
           ledger.Counter("recovery.tuples_resent")};
 }
 
-RoundCheckpointStore FaultInjector::CheckpointLedger() const {
-  MutexLock lock(mutex_);
-  return checkpoints_;
-}
-
-uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
+void FaultInjector::Observe(const mpc::ExchangeDelivery& delivery) {
   const mpc::ExchangePlan& plan = delivery.plan();
   const FaultSpec& spec = plan_.spec();
   // Uncharged exchanges (driver-side moves like the initial placement) and
-  // empty plans are outside the fault model — deliver them untouched.
-  if (!spec.active() || !delivery.charged() || plan.total_planned() == 0) {
-    return delivery.Attempt();
-  }
+  // empty plans are outside the fault model.
+  if (!spec.active() || !delivery.charged() || plan.total_planned() == 0) return;
 
   const uint64_t key =
       FaultPlan::ExchangeKey(delivery.round(), delivery.label(), plan.total_planned(),
                              plan.recorded_planned(), plan.num_servers());
-  {
-    MutexLock lock(mutex_);
-    checkpoints_.NoteCapture(delivery.round(), delivery.CheckpointedRows());
-  }
 
   // This exchange's recovery tallies: each faulty attempt is one retry,
   // and every resend is split by cause.
@@ -70,13 +58,11 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
       }
     }
     // No crash and no per-row fault stream: this attempt is provably
-    // clean, so fall through to the coalesced clean delivery below.
+    // clean, and it is the delivery Execute performs.
     if (attempt_crashes == 0 && !row_faults_possible) break;
 
     // Every routed row bound for a live receiver draws its drop and
     // duplicate dice; rows bound for a crashed one are lost wholesale.
-    // Fates are decided on a read-only walk of the routes: no row is
-    // written until an attempt is known to be clean.
     uint64_t attempt_drops = 0;
     uint64_t attempt_dups = 0;
     std::vector<uint8_t> corrupted = crashed;
@@ -97,22 +83,16 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
       });
     }
     // The dice came up clean: this attempt delivers every message exactly
-    // once, which is the coalesced clean delivery below.
+    // once, which is the delivery Execute performs.
     if (attempt_crashes == 0 && attempt_drops == 0 && attempt_dups == 0) break;
 
-    // Faulty attempt: the round rolls back to its checkpoint (nothing was
-    // written, so there is nothing to truncate), the recovery ledger is
-    // charged, and the delivery is retried with backoff.
-    {
-      MutexLock lock(mutex_);
-      checkpoints_.NoteRestore(delivery.round());
-    }
+    // Faulty attempt: the recovery ledger is charged and the delivery is
+    // retried with backoff.
     ++retries;
     crashes += attempt_crashes;
     rows_dropped += attempt_drops;
     rows_duplicated += attempt_dups;
-    const uint64_t shift = attempt < 63 ? attempt : 63;
-    backoff_units += std::min(spec.backoff_base << shift, spec.backoff_cap);
+    backoff_units += std::min(kBackoffBase << std::min<uint32_t>(attempt, 63), kBackoffCap);
     // Replaying the round re-sends each affected server its full planned
     // receive — by definition at most the round's bottleneck load each.
     for (uint32_t s = 0; s < plan.num_servers(); ++s) {
@@ -132,8 +112,6 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
   // rerun of the exchange, accounted at full plan volume.
   const bool full_rerun = faulted && attempt >= spec.max_attempts;
   if (full_rerun) resent_full_rerun = plan.total_planned();
-  // The accepted clean attempt or the full rerun: the only rows written.
-  const uint64_t delivered = delivery.Attempt();
 
   // One ledger event per injected exchange, touching every fault.* and
   // recovery.* key. Samples (delivery attempts incl. the clean one, and
@@ -156,7 +134,7 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
        Ledger::Add("recovery.tuples_resent_corruption", resent_corruption),
        Ledger::Add("recovery.tuples_resent_full_rerun", resent_full_rerun),
        Ledger::Add("recovery.checkpoints_captured", 1),
-       Ledger::Add("recovery.checkpoint_tuples", delivery.CheckpointedRows()),
+       Ledger::Add("recovery.checkpoint_tuples", delivery.PreExchangeRows()),
        Ledger::Max("recovery.max_single_resend", max_single_resend),
        faulted ? Ledger::Sample("recovery.attempts_per_exchange", kAttemptBounds,
                                 static_cast<double>(retries + 1))
@@ -164,7 +142,6 @@ uint64_t FaultInjector::Deliver(mpc::ExchangeDelivery& delivery) {
        faulted ? Ledger::Sample("recovery.resent_per_faulted_exchange", kResentBounds,
                                 static_cast<double>(tuples_resent))
                : Ledger::Series("recovery.resent_per_faulted_exchange", kResentBounds)});
-  return delivered;
 }
 
 }  // namespace resilience

@@ -66,16 +66,6 @@ bool FaultPlan::DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t
   return Decide(HashCombine(HashCombine(prefix.duplicate, source), row), spec_.duplicate_rate);
 }
 
-bool FaultPlan::DropsRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
-                         uint64_t row) const {
-  return DropsRow(RowFaultPrefix(key, attempt, server), source, row);
-}
-
-bool FaultPlan::DuplicatesRow(uint64_t key, uint32_t attempt, uint64_t source,
-                              uint32_t server, uint64_t row) const {
-  return DuplicatesRow(RowFaultPrefix(key, attempt, server), source, row);
-}
-
 double FaultPlan::SpeedOf(uint32_t round, uint32_t server) const {
   if (spec_.straggler_rate <= 0.0 || spec_.straggler_severity <= 1.0) return 1.0;
   uint64_t h = HashCombine(HashCombine(spec_.seed, kStragglerStream),

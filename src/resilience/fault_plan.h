@@ -26,7 +26,7 @@ struct FaultSpec {
 
   /// P[a receiving server crashes during one delivery attempt]. A crash
   /// loses every message bound for that server in the attempt; recovery
-  /// restores the round checkpoint and replays the round for it.
+  /// replays the round for it, re-sending its planned receive.
   double crash_rate = 0.0;
 
   /// P[(round, server) runs slow] and how slow: a straggling server
@@ -36,8 +36,8 @@ struct FaultSpec {
   double straggler_severity = 1.0;
 
   /// Per-routed-row corruption probabilities of a delivery attempt:
-  /// dropped messages and duplicated retransmissions. Both are detected by
-  /// the per-server receive accounting and repaired by round replay.
+  /// dropped messages and duplicated retransmissions. Either makes the
+  /// attempt faulty; recovery replays the round for each affected server.
   double drop_rate = 0.0;
   double duplicate_rate = 0.0;
 
@@ -46,17 +46,19 @@ struct FaultSpec {
   /// rerun of the round (accounted as replaying the whole plan volume).
   uint32_t max_attempts = 4;
 
-  /// Simulated backoff accounting: faulty attempt k (0-based) charges
-  /// min(backoff_base << k, backoff_cap) backoff units to the ledger.
-  uint64_t backoff_base = 1;
-  uint64_t backoff_cap = 64;
-
   /// True when any fault can actually occur under this spec.
   bool active() const {
     return crash_rate > 0.0 || drop_rate > 0.0 || duplicate_rate > 0.0 ||
            (straggler_rate > 0.0 && straggler_severity > 1.0);
   }
 };
+
+/// Simulated backoff accounting: faulty attempt k (0-based) of an exchange
+/// charges min(kBackoffBase << k, kBackoffCap) backoff units to the ledger.
+/// The injector clamps the shift at 63, and a base of 1 shifted that far
+/// does not wrap, so every faulty attempt from the seventh on charges the cap.
+inline constexpr uint64_t kBackoffBase = 1;
+inline constexpr uint64_t kBackoffCap = 64;
 
 /// A deterministic oracle over one FaultSpec. Copyable and cheap; all
 /// queries are const and thread-safe (pure hashing).
@@ -81,21 +83,15 @@ class FaultPlan {
   /// The part of a row decision's hash that depends only on (seed, stream,
   /// key, attempt, server): one receiver's share of one attempt. A per-row
   /// loop computes it once per receiver and decides each routed row from
-  /// it with the prefix overloads below.
+  /// it with DropsRow / DuplicatesRow.
   struct RowPrefix {
     uint64_t drop = 0;
     uint64_t duplicate = 0;
   };
   RowPrefix RowFaultPrefix(uint64_t key, uint32_t attempt, uint32_t server) const;
 
-  /// Is this routed row dropped / duplicated in attempt `attempt`? A row
-  /// is identified by its (source, server, row) delivery coordinates. Both
-  /// are the prefix overloads applied to RowFaultPrefix(key, attempt,
-  /// server), so the two forms always agree.
-  bool DropsRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
-                uint64_t row) const;
-  bool DuplicatesRow(uint64_t key, uint32_t attempt, uint64_t source, uint32_t server,
-                     uint64_t row) const;
+  /// Is routed row `row` of source `source` dropped / duplicated in the
+  /// attempt and at the receiver that `prefix` was computed for?
   bool DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
   bool DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
 

@@ -85,36 +85,6 @@ void LeaseManager::SetSpeeds(std::vector<double> speeds) {
   speeds_ = std::move(speeds);
 }
 
-void LeaseManager::Resize(uint32_t new_total) {
-  CP_CHECK(new_total > 0);
-  if (new_total > total_) {
-    // Grow: hand the new tail to Release's coalescing path by treating it
-    // as a synthetic lease of the appended range.
-    const SubClusterLease tail{total_, new_total - total_};
-    if (!speeds_.empty()) speeds_.resize(new_total, 1.0);
-    total_ = new_total;
-    leased_ += tail.size;  // balance the Release bookkeeping below
-    leased_capacity_ += CapacityOf(tail);
-    Release(tail);
-  } else if (new_total < total_) {
-    // Shrink: the removed tail must sit entirely inside one free interval
-    // that runs to the end of the pool.
-    auto it = free_.upper_bound(new_total);
-    if (it != free_.begin()) --it;
-    CP_CHECK(it != free_.end());
-    CP_CHECK_LE(it->first, new_total);
-    CP_CHECK_EQ(it->first + it->second, total_);
-    const uint32_t kept = new_total - it->first;
-    if (kept > 0) {
-      it->second = kept;
-    } else {
-      free_.erase(it);
-    }
-    if (!speeds_.empty()) speeds_.resize(new_total);
-    total_ = new_total;
-  }
-}
-
 double LeaseManager::SpeedOf(uint32_t server) const {
   CP_CHECK_LT(server, total_);
   return speeds_.empty() ? 1.0 : speeds_[server];

@@ -10,9 +10,7 @@
 ///    per-server speed vector installed, leases can be granted in
 ///    speed-capacity units (AcquireCapacity) — the minimal first-fit
 ///    prefix whose speed sum covers the request — which collapses to
-///    Acquire(ceil(capacity)) under uniform unit speeds. The pool can
-///    also be resized at quiesce points (Resize), modelling elastic
-///    membership in the service layer.
+///    Acquire(ceil(capacity)) under uniform unit speeds.
 ///  * SimEventQueue — a min-heap of (tick, sequence) events driving the
 ///    discrete-event loop. The sequence number breaks same-tick ties in
 ///    push order, which the service keeps deterministic.
@@ -59,11 +57,6 @@ class LeaseManager {
   /// > 0); an empty vector restores uniform unit speeds. Only legal while
   /// nothing is leased, so outstanding capacity accounting stays exact.
   void SetSpeeds(std::vector<double> speeds);
-
-  /// Grows or shrinks the pool at a quiesce point. Growing appends free
-  /// servers (speed 1.0 until SetSpeeds is called again); shrinking
-  /// requires the removed tail [new_total, total) to be entirely free.
-  void Resize(uint32_t new_total);
 
   /// Speed of one server (1.0 when no speed vector is installed).
   double SpeedOf(uint32_t server) const;

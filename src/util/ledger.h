@@ -6,7 +6,7 @@
 /// the experiment's own metrics:
 ///
 ///  * `exchange.*` — Exchange::Execute: volume, fan-in and skew, per label;
-///  * `fault.*`, `recovery.*` — FaultInjector::Deliver: recovery cost;
+///  * `fault.*`, `recovery.*` — FaultInjector::Observe: recovery cost;
 ///  * `cluster.*` — the elastic pipeline: runs and migrations;
 ///  * `memory.*` — ~ArenaScope: logical arena bytes per operator frame.
 ///

@@ -210,27 +210,22 @@ TEST_F(ChaosTest, ChaosScheduleAndLedgerAreThreadCountInvariant) {
 }
 
 TEST_F(ChaosTest, BackoffFollowsTheCappedExponentialSchedule) {
-  // crash_rate 1 with a deep budget: attempt a pays min(base << a, cap)
-  // backoff units, so the total is a closed-form sum we can check exactly.
+  // crash_rate 1 with a deep budget: attempt a pays min(2^a, 64) backoff
+  // units, so ten faulty attempts cross the cap and every faulted exchange
+  // pays 1 + 2 + 4 + 8 + 16 + 32 + 4 * 64 = 319 units.
+  static_assert(resilience::kBackoffBase == 1 && resilience::kBackoffCap == 64);
   FaultSpec spec;
   spec.seed = 0xB0FF;
   spec.crash_rate = 1.0;
   spec.max_attempts = 10;
-  spec.backoff_base = 2;
-  spec.backoff_cap = 8;
   {
     ScopedFaultInjection injection(spec);
     RunBoxJoin(4, 256);
   }
   const LedgerSnapshot ledger = Ledger::Global().Read();
   ASSERT_GT(ledger.Counter("fault.exchanges_faulted"), 0u);
-  uint64_t per_exchange = 0;
-  for (uint32_t attempt = 0; attempt < spec.max_attempts; ++attempt) {
-    const uint64_t raw = spec.backoff_base << attempt;
-    per_exchange += raw < spec.backoff_cap ? raw : spec.backoff_cap;
-  }
   EXPECT_EQ(ledger.Counter("recovery.backoff_units"),
-            per_exchange * ledger.Counter("fault.exchanges_faulted"));
+            319 * ledger.Counter("fault.exchanges_faulted"));
 }
 
 TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {

@@ -19,10 +19,10 @@
 #include "query/attr_set.h"
 #include "relation/relation.h"
 #include "report_compare.h"
-#include "resilience/checkpoint.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
 #include "resilience/fault_plan.h"
+#include "util/ledger.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -304,10 +304,9 @@ DistRelation MakeDistState(const std::vector<uint32_t>& members,
 TEST(MigrationTest, JoinRebalancesToSpeedProportionalShares) {
   Cluster cluster(3);
   DistRelation state = MakeDistState({0, 1}, {600, 400}, 3);
-  resilience::RoundCheckpointStore checkpoints;
+  Ledger::Global().Reset();
   const MigrationResult result =
-      MigrateToEpoch(&cluster, &state, {0, 1}, {0, 1, 2}, {2.0, 1.0, 1.0},
-                     /*round=*/1, &checkpoints);
+      MigrateToEpoch(&cluster, &state, {0, 1}, {0, 1, 2}, {2.0, 1.0, 1.0}, /*round=*/1);
   EXPECT_EQ(result.servers_joined, 1u);
   EXPECT_EQ(result.servers_left, 0u);
   EXPECT_EQ(state.shard(0).size(), 500u);
@@ -321,16 +320,17 @@ TEST(MigrationTest, JoinRebalancesToSpeedProportionalShares) {
   EXPECT_EQ(result.tuples_from_leavers, 0u);
   // The migration is charged like any exchange.
   EXPECT_EQ(cluster.tracker().At(1, 2), 250u);
-  // And checkpointed before it moves anything.
-  EXPECT_EQ(checkpoints.num_captures(), 1u);
-  EXPECT_EQ(checkpoints.total_tuples(), 1000u);
+  // And ledgered with the rows it started from.
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("cluster.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.Counter("cluster.checkpoint_tuples"), 1000u);
 }
 
 TEST(MigrationTest, LeaveDrainsDepartingServersCompletely) {
   Cluster cluster(3);
   DistRelation state = MakeDistState({0, 1, 2}, {300, 300, 400}, 3);
-  const MigrationResult result = MigrateToEpoch(&cluster, &state, {0, 1, 2}, {0, 1},
-                                                {1.0, 1.0}, /*round=*/2, nullptr);
+  const MigrationResult result =
+      MigrateToEpoch(&cluster, &state, {0, 1, 2}, {0, 1}, {1.0, 1.0}, /*round=*/2);
   EXPECT_EQ(result.servers_left, 1u);
   EXPECT_EQ(state.shard(2).size(), 0u);
   EXPECT_EQ(state.shard(0).size(), 500u);
@@ -342,15 +342,15 @@ TEST(MigrationTest, LeaveDrainsDepartingServersCompletely) {
 TEST(MigrationTest, UnchangedMembershipIsAStrictNoOp) {
   Cluster cluster(2);
   DistRelation state = MakeDistState({0, 1}, {999, 1}, 2);
-  resilience::RoundCheckpointStore checkpoints;
-  const MigrationResult result = MigrateToEpoch(&cluster, &state, {0, 1}, {0, 1},
-                                                {1.0, 1.0}, /*round=*/1, &checkpoints);
+  Ledger::Global().Reset();
+  const MigrationResult result =
+      MigrateToEpoch(&cluster, &state, {0, 1}, {0, 1}, {1.0, 1.0}, /*round=*/1);
   // Even though 999/1 is far from the 500/500 target, unchanged membership
   // must not move a row — that is what keeps no-event elastic runs
   // byte-identical to fixed-p runs.
   EXPECT_EQ(result.stats.planned, 0u);
   EXPECT_EQ(state.shard(0).size(), 999u);
-  EXPECT_EQ(checkpoints.num_captures(), 0u);
+  EXPECT_EQ(Ledger::Global().Read().Counter("cluster.checkpoints_captured"), 0u);
   EXPECT_EQ(cluster.tracker().MaxLoad(), 0u);
 }
 
@@ -367,10 +367,10 @@ TEST(MigrationTest, RecoversBitIdenticallyUnderCrashStorm) {
       spec.duplicate_rate = 0.01;
       resilience::ScopedFaultInjection injection(spec);
       result = MigrateToEpoch(&cluster, &state, {0, 1, 2, 3}, {0, 1}, {1.0, 3.0},
-                              /*round=*/1, nullptr);
+                              /*round=*/1);
     } else {
       result = MigrateToEpoch(&cluster, &state, {0, 1, 2, 3}, {0, 1}, {1.0, 3.0},
-                              /*round=*/1, nullptr);
+                              /*round=*/1);
     }
     return std::make_tuple(state.shard(0).raw(), state.shard(1).raw(),
                            cluster.tracker(), result.stats.planned);
@@ -381,6 +381,33 @@ TEST(MigrationTest, RecoversBitIdenticallyUnderCrashStorm) {
   EXPECT_EQ(std::get<1>(clean), std::get<1>(stormy));
   EXPECT_TRUE(TrackersEqual(std::get<2>(clean), std::get<2>(stormy)));
   EXPECT_EQ(std::get<3>(clean), std::get<3>(stormy));
+}
+
+TEST(MigrationTest, SharedDestinationIsCheckpointedOnce) {
+  // Three sources stream into one destination that already holds rows:
+  // {900, 900, 100, 100} on {0,1,2,3} -> {0,1,2} at unit speeds targets
+  // {667, 667, 666}, so slots 0, 1 and 3 send 233, 233 and 100 rows to
+  // slot 2, which holds 100. Its pre-exchange rows count once.
+  Cluster cluster(4);
+  DistRelation state = MakeDistState({0, 1, 2, 3}, {900, 900, 100, 100}, 4);
+  resilience::FaultSpec spec;
+  spec.seed = 0xbad;
+  spec.crash_rate = 0.5;
+  Ledger::Global().Reset();
+  MigrationResult result;
+  {
+    resilience::ScopedFaultInjection injection(spec);
+    result = MigrateToEpoch(&cluster, &state, {0, 1, 2, 3}, {0, 1, 2}, {1.0, 1.0, 1.0},
+                            /*round=*/1);
+  }
+  EXPECT_EQ(result.stats.planned, 566u);
+  EXPECT_EQ(cluster.tracker().At(1, 2), 566u);
+  EXPECT_EQ(state.shard(2).size(), 666u);
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 100u);
+  EXPECT_EQ(ledger.Counter("cluster.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.Counter("cluster.checkpoint_tuples"), 2000u);
 }
 
 // --------------------------------------------------------------- pipeline
@@ -434,11 +461,12 @@ TEST_F(ElasticPipelineTest, ConservesRowsOnEveryEpochBoundary) {
   config.speeds = *ParseSpeedSpec("seeded:11");
   config.schedule = *ParseElasticSpec("+3@1,-4@3,+1@5");
   config.rows = 3000;
+  Ledger::Global().Reset();
   const ElasticRunResult result = RunElasticPipeline(config);
   EXPECT_EQ(result.final_rows, 3000u);
   EXPECT_EQ(result.epochs, 4u);
   EXPECT_GT(result.tuples_migrated, 0u);
-  EXPECT_EQ(result.checkpoints.num_captures(), 3u);
+  EXPECT_EQ(Ledger::Global().Read().Counter("cluster.checkpoints_captured"), 3u);
   // Final membership = 8 + 3 - 4 + 1 = 8 active slots; every row on them.
   size_t occupied_rows = 0;
   for (size_t size : result.final_shard_sizes) occupied_rows += size;

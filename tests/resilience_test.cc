@@ -1,24 +1,21 @@
 /// Tests for the resilience subsystem: the deterministic FaultPlan oracle,
-/// the ExchangeDelivery/ExchangeInterposer seam, FaultInjector recovery
-/// (bounded retries, full-rerun degradation, ledger accounting), round
-/// checkpoints, and the heterogeneity cost model. Includes the negative
-/// path: a corrupting interposer that does NOT recover must trip the
-/// exchange conservation audit.
+/// the read-only ExchangeInterposer hook, FaultInjector recovery pricing
+/// (bounded retries, full-rerun degradation, ledger accounting), and the
+/// heterogeneity cost model.
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mpc/cluster.h"
-#include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
 #include "mpc/load_tracker.h"
-#include "resilience/checkpoint.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
 #include "resilience/fault_plan.h"
-#include "util/audit.h"
 #include "util/ledger.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -49,8 +46,11 @@ TEST(FaultPlanTest, DecisionsArePureFunctionsOfTheirCoordinates) {
     for (uint32_t server = 0; server < 16; ++server) {
       EXPECT_EQ(plan.CrashesDelivery(key, attempt, server),
                 plan.CrashesDelivery(key, attempt, server));
-      EXPECT_EQ(plan.DropsRow(key, attempt, 0, server, 7),
-                plan.DropsRow(key, attempt, 0, server, 7));
+      const FaultPlan::RowPrefix prefix = plan.RowFaultPrefix(key, attempt, server);
+      EXPECT_EQ(plan.DropsRow(prefix, 0, 7),
+                plan.DropsRow(plan.RowFaultPrefix(key, attempt, server), 0, 7));
+      EXPECT_EQ(plan.DuplicatesRow(prefix, 0, 7),
+                plan.DuplicatesRow(plan.RowFaultPrefix(key, attempt, server), 0, 7));
       EXPECT_EQ(plan.SpeedOf(attempt, server), plan.SpeedOf(attempt, server));
     }
   }
@@ -68,9 +68,9 @@ TEST(FaultPlanTest, RateZeroNeverFiresAndRateOneAlwaysFires) {
   const uint64_t key = FaultPlan::ExchangeKey(0, "broadcast", 64, 0, 8);
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_FALSE(quiet.CrashesDelivery(key, 0, s));
-    EXPECT_FALSE(quiet.DropsRow(key, 0, 0, s, s));
+    EXPECT_FALSE(quiet.DropsRow(quiet.RowFaultPrefix(key, 0, s), 0, s));
     EXPECT_TRUE(loud.CrashesDelivery(key, 0, s));
-    EXPECT_TRUE(loud.DropsRow(key, 0, 0, s, s));
+    EXPECT_TRUE(loud.DropsRow(loud.RowFaultPrefix(key, 0, s), 0, s));
   }
 }
 
@@ -78,16 +78,29 @@ TEST(FaultPlanTest, EmpiricalRatesTrackTheSpec) {
   FaultSpec spec;
   spec.seed = 99;
   spec.crash_rate = 0.2;
+  spec.drop_rate = 0.3;
+  spec.duplicate_rate = 0.1;
   FaultPlan plan(spec);
-  uint64_t fired = 0;
+  uint64_t crashes = 0;
+  uint64_t drops = 0;
+  uint64_t dups = 0;
   const uint64_t trials = 20000;
   for (uint64_t i = 0; i < trials; ++i) {
     const uint64_t key = FaultPlan::ExchangeKey(static_cast<uint32_t>(i), "x", i, i, 4);
-    fired += plan.CrashesDelivery(key, 0, 1) ? 1 : 0;
+    crashes += plan.CrashesDelivery(key, 0, 1) ? 1 : 0;
+    const FaultPlan::RowPrefix prefix = plan.RowFaultPrefix(key, 0, 1);
+    drops += plan.DropsRow(prefix, i % 3, i) ? 1 : 0;
+    dups += plan.DuplicatesRow(prefix, i % 3, i) ? 1 : 0;
   }
-  const double rate = static_cast<double>(fired) / static_cast<double>(trials);
-  EXPECT_GT(rate, 0.17);
-  EXPECT_LT(rate, 0.23);
+  const auto rate = [trials](uint64_t fired) {
+    return static_cast<double>(fired) / static_cast<double>(trials);
+  };
+  EXPECT_GT(rate(crashes), 0.17);
+  EXPECT_LT(rate(crashes), 0.23);
+  EXPECT_GT(rate(drops), 0.27);
+  EXPECT_LT(rate(drops), 0.33);
+  EXPECT_GT(rate(dups), 0.08);
+  EXPECT_LT(rate(dups), 0.12);
 }
 
 TEST(FaultPlanTest, SeedsAndCoordinatesDecorrelateDecisions) {
@@ -107,42 +120,6 @@ TEST(FaultPlanTest, SeedsAndCoordinatesDecorrelateDecisions) {
     differs = plan_a.CrashesDelivery(key1, 0, s) != plan_b.CrashesDelivery(key1, 0, s);
   }
   EXPECT_TRUE(differs);
-}
-
-TEST(FaultPlanTest, HoistedRowPrefixDecidesLikeThePerRowCall) {
-  // The injector hashes (seed, stream, key, attempt, server) once per
-  // receiver and decides each routed row from that prefix; every decision
-  // must equal the self-contained per-row call at the same coordinates.
-  FaultSpec spec;
-  spec.seed = 0x5EED;
-  spec.drop_rate = 0.3;
-  spec.duplicate_rate = 0.3;
-  FaultPlan plan(spec);
-  Rng rng(2024);
-  uint64_t drops = 0;
-  uint64_t dups = 0;
-  for (int trial = 0; trial < 64; ++trial) {
-    const uint64_t key = FaultPlan::ExchangeKey(static_cast<uint32_t>(rng.Uniform(8)), "hypercube",
-                                                rng.Next(), rng.Next(), 64);
-    const uint32_t attempt = static_cast<uint32_t>(rng.Uniform(6));
-    const uint32_t server = static_cast<uint32_t>(rng.Uniform(64));
-    const FaultPlan::RowPrefix prefix = plan.RowFaultPrefix(key, attempt, server);
-    for (int i = 0; i < 32; ++i) {
-      const uint64_t source = rng.Uniform(4);
-      const uint64_t row = rng.Next();
-      const bool drop = plan.DropsRow(key, attempt, source, server, row);
-      const bool dup = plan.DuplicatesRow(key, attempt, source, server, row);
-      EXPECT_EQ(plan.DropsRow(prefix, source, row), drop);
-      EXPECT_EQ(plan.DuplicatesRow(prefix, source, row), dup);
-      drops += drop ? 1 : 0;
-      dups += dup ? 1 : 0;
-    }
-  }
-  // Both streams fire at about their rate over the 2048 seeded rows.
-  EXPECT_GT(drops, 500u);
-  EXPECT_LT(drops, 730u);
-  EXPECT_GT(dups, 500u);
-  EXPECT_LT(dups, 730u);
 }
 
 TEST(FaultPlanTest, StragglerSpeedsAreSeveritiesOrUnit) {
@@ -207,48 +184,97 @@ TEST(ExchangeInterposerTest, InstallReturnsPreviousForNesting) {
   EXPECT_EQ(ExchangeInterposer::Installed(), nullptr);
 }
 
-TEST(ExchangeInterposerTest, RestoreTruncatesDestinationsToCheckpoint) {
-  /// An interposer that runs one fully-dropped attempt, checks the
-  /// destinations, restores, and hands back a clean attempt.
+TEST(ExchangeInterposerTest, SeesEveryRouteBeforeTheDelivery) {
+  // Two sources routed over four destinations that already hold rows and
+  // that both sources share; row i goes to server i % 4, and every third
+  // row is also replicated to server 0.
+  constexpr uint32_t kServers = 4;
+  Rng rng(0xAB);
+  std::vector<Relation> sources(2, Relation(AttrSet::FirstN(2)));
+  for (Relation& source : sources) {
+    for (size_t i = 0; i < 300; ++i) {
+      const Value row[2] = {rng.Next(), rng.Next()};
+      source.AppendRow(std::span<const Value>(row, 2));
+    }
+  }
+  const auto route = [](size_t i, auto emit) {
+    emit(i % kServers);
+    if (i % 3 == 0) emit(0);
+  };
+  using RouteKey = std::tuple<size_t, uint32_t, size_t>;  // (source, server, row)
+  std::vector<RouteKey> expected_routes;
+  for (size_t src = 0; src < sources.size(); ++src) {
+    for (size_t i = 0; i < sources[src].size(); ++i) {
+      route(i, [&](uint64_t server) {
+        expected_routes.emplace_back(src, static_cast<uint32_t>(server), i);
+      });
+    }
+  }
+  const auto run_exchange = [&](std::vector<Relation>* dests) {
+    dests->assign(kServers, Relation(AttrSet::FirstN(2)));
+    for (uint32_t s = 0; s < kServers; ++s) {
+      for (uint32_t k = 0; k <= s; ++k) {
+        const Value row[2] = {s, k};
+        (*dests)[s].AppendRow(std::span<const Value>(row, 2));
+      }
+    }
+    Cluster cluster(kServers);
+    mpc::ExchangePlan plan(kServers);
+    for (const Relation& source : sources) plan.AddSource(source, /*record=*/true, route);
+    return mpc::Exchange::Execute(
+        &cluster, 3, plan, [dests](size_t, uint32_t s) { return &(*dests)[s]; }, "observed");
+  };
+
+  /// Records what it is shown and what the destinations hold meanwhile.
   class Probe : public ExchangeInterposer {
    public:
-    uint64_t Deliver(ExchangeDelivery& delivery) override {
-      const uint64_t corrupted = delivery.Attempt(
-          [](size_t, uint32_t, size_t) { return ExchangeDelivery::RowFate::kDuplicate; });
-      EXPECT_EQ(corrupted, 2 * delivery.plan().recorded_planned());
-      delivery.Restore();
-      saw_exchange = true;
-      return delivery.Attempt();
+    explicit Probe(const std::vector<Relation>* dests) : dests_(dests) {}
+    void Observe(const ExchangeDelivery& delivery) override {
+      ++calls;
+      round = delivery.round();
+      label = delivery.label();
+      charged = delivery.charged();
+      pre_exchange_rows = delivery.PreExchangeRows();
+      for (const Relation& dest : *dests_) sizes_seen.push_back(dest.size());
+      delivery.ForEachRoute([&](size_t source, uint32_t server, size_t row) {
+        routes.emplace_back(source, server, row);
+      });
     }
-    bool saw_exchange = false;
-  };
-  Probe probe;
-  ExchangeInterposer::Install(&probe);
-  ExchangeRun doubled = RunSeededExchange(8, 0xAB, 500);
-  ExchangeInterposer::Install(nullptr);
-  EXPECT_TRUE(probe.saw_exchange);
-  ExchangeRun clean = RunSeededExchange(8, 0xAB, 500);
-  // After duplicate-everything + Restore + clean attempt, state matches a
-  // never-faulted run exactly.
-  EXPECT_EQ(doubled.stats.delivered, clean.stats.delivered);
-  for (uint32_t s = 0; s < 8; ++s) {
-    EXPECT_EQ(doubled.shards[s].raw(), clean.shards[s].raw());
-  }
-}
+    int calls = 0;
+    uint32_t round = 0;
+    std::string label;
+    bool charged = false;
+    uint64_t pre_exchange_rows = 0;
+    std::vector<RouteKey> routes;
+    std::vector<size_t> sizes_seen;
 
-TEST(DistRelationTest, TruncateShardsRestoresShardSizes) {
-  DistRelation dist(AttrSet::FirstN(1), 3);
-  const Value v = 7;
-  dist.shard(0).AppendRow(std::span<const Value>(&v, 1));
-  dist.shard(2).AppendRow(std::span<const Value>(&v, 1));
-  const std::vector<size_t> snapshot = dist.ShardSizes();
-  EXPECT_EQ(snapshot, (std::vector<size_t>{1, 0, 1}));
-  dist.shard(0).AppendRow(std::span<const Value>(&v, 1));
-  dist.shard(1).AppendRow(std::span<const Value>(&v, 1));
-  EXPECT_EQ(dist.TotalSize(), 4u);
-  dist.TruncateShards(snapshot);
-  EXPECT_EQ(dist.ShardSizes(), snapshot);
-  EXPECT_EQ(dist.TotalSize(), 2u);
+   private:
+    const std::vector<Relation>* dests_;
+  };
+
+  std::vector<Relation> observed;
+  Probe probe(&observed);
+  ExchangeInterposer::Install(&probe);
+  const mpc::ExchangeStats observed_stats = run_exchange(&observed);
+  ExchangeInterposer::Install(nullptr);
+  std::vector<Relation> plain;
+  const mpc::ExchangeStats plain_stats = run_exchange(&plain);
+
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_EQ(probe.round, 3u);
+  EXPECT_EQ(probe.label, "observed");
+  EXPECT_TRUE(probe.charged);
+  // Every route, in delivery order.
+  EXPECT_EQ(probe.routes, expected_routes);
+  // Destinations hold 1 + 2 + 3 + 4 rows, each counted once although both
+  // sources deliver into all four.
+  EXPECT_EQ(probe.pre_exchange_rows, 10u);
+  // When the interposer runs, no row has landed yet.
+  EXPECT_EQ(probe.sizes_seen, (std::vector<size_t>{1, 2, 3, 4}));
+  // The delivery itself is the one a run without an interposer makes.
+  EXPECT_EQ(observed_stats.delivered, plain_stats.delivered);
+  EXPECT_EQ(observed_stats.charged, plain_stats.charged);
+  for (uint32_t s = 0; s < kServers; ++s) EXPECT_EQ(observed[s].raw(), plain[s].raw());
 }
 
 // ---- FaultInjector ---------------------------------------------------------
@@ -393,53 +419,20 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_ledger, parallel_ledger);
 }
 
-// ---- Round checkpoints -----------------------------------------------------
-
-TEST(RoundCheckpointTest, CaptureAndRestoreRoundTripsDistributedState) {
-  Cluster cluster(3);
-  DistRelation dist(AttrSet::FirstN(1), 3);
-  const Value v1 = 1, v2 = 2;
-  dist.shard(0).AppendRow(std::span<const Value>(&v1, 1));
-  cluster.tracker().Add(0, 0, 10);
-  const resilience::RoundCheckpoint checkpoint =
-      resilience::RoundCheckpoint::Capture(1, dist, cluster.tracker());
-  EXPECT_EQ(checkpoint.round(), 1u);
-  EXPECT_EQ(checkpoint.snapshot_tuples(), 1u);
-
-  dist.shard(1).AppendRow(std::span<const Value>(&v2, 1));
-  cluster.tracker().Add(1, 2, 99);
-  checkpoint.Restore(&dist, &cluster.tracker());
-  EXPECT_EQ(dist.TotalSize(), 1u);
-  EXPECT_EQ(dist.shard(1).size(), 0u);
-  EXPECT_EQ(cluster.tracker().num_rounds(), 1u);
-  EXPECT_EQ(cluster.tracker().At(0, 0), 10u);
-}
-
-TEST(RoundCheckpointStoreTest, TracksCapturesAndRestoresPerRound) {
-  resilience::RoundCheckpointStore store;
-  store.NoteCapture(0, 100);
-  store.NoteCapture(0, 50);
-  store.NoteCapture(2, 10);
-  store.NoteRestore(0);
-  EXPECT_EQ(store.num_captures(), 3u);
-  EXPECT_EQ(store.num_restores(), 1u);
-  EXPECT_EQ(store.total_tuples(), 160u);
-  EXPECT_EQ(store.num_rounds(), 2u);
-  store.Clear();
-  EXPECT_EQ(store.num_captures(), 0u);
-  EXPECT_EQ(store.num_rounds(), 0u);
-}
-
-TEST(RoundCheckpointStoreTest, InjectorLedgersOneCheckpointPerChargedExchange) {
+TEST(FaultInjectorTest, LedgersOneCheckpointPerChargedExchange) {
   FaultSpec spec;
   spec.seed = 12;
   spec.crash_rate = 0.5;
-  ScopedFaultInjection injection(spec);
-  RunSeededExchange(4, 1, 300);
-  RunSeededExchange(4, 2, 300);
-  const resilience::RoundCheckpointStore store = injection.injector().CheckpointLedger();
-  EXPECT_EQ(store.num_captures(), 2u);
-  EXPECT_GE(store.num_restores(), 1u);  // crash_rate .5 over two exchanges
+  Ledger::Global().Reset();
+  {
+    ScopedFaultInjection injection(spec);
+    RunSeededExchange(4, 1, 300);
+    RunSeededExchange(4, 2, 300);
+  }
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 2u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);  // fresh destinations
+  EXPECT_GE(ledger.Counter("recovery.retries"), 1u);  // crash_rate .5 over two exchanges
 }
 
 // ---- Cost model ------------------------------------------------------------
@@ -488,51 +481,6 @@ TEST(CostModelTest, PartialStragglersBoundTheSlowdown) {
       resilience::SimulateMakespan(tracker, FaultPlan(spec));
   EXPECT_GE(breakdown.makespan, breakdown.uniform_makespan);
   EXPECT_LE(breakdown.makespan, 8.0 * breakdown.uniform_makespan);
-}
-
-// ---- Negative path: corruption without recovery must trip the audit --------
-
-/// An interposer that corrupts the delivery (one dropped row, two
-/// duplicated rows — so sent != received even in aggregate) and hands the
-/// corrupted state back WITHOUT restoring. The exchange conservation
-/// invariant must catch it.
-class NonRecoveringCorruptor : public ExchangeInterposer {
- public:
-  uint64_t Deliver(ExchangeDelivery& delivery) override {
-    size_t index = 0;
-    return delivery.Attempt([&index](size_t, uint32_t, size_t) {
-      ++index;
-      if (index == 1) return ExchangeDelivery::RowFate::kDrop;
-      if (index <= 3) return ExchangeDelivery::RowFate::kDuplicate;
-      return ExchangeDelivery::RowFate::kDeliver;
-    });
-  }
-};
-
-TEST(ResilienceAuditDeathTest, UnrecoveredCorruptionTripsExchangeConservation) {
-  EXPECT_DEATH(
-      {
-        NonRecoveringCorruptor corruptor;
-        ExchangeInterposer::Install(&corruptor);
-        Rng rng(123);
-        Relation data(AttrSet::FirstN(1));
-        for (size_t i = 0; i < 64; ++i) {
-          const Value v = rng.Next();
-          data.AppendRow(std::span<const Value>(&v, 1));
-        }
-        Cluster cluster(4);
-        std::vector<Relation> shards(4, Relation(data.attrs()));
-        mpc::ExchangePlan plan =
-            mpc::Exchange::Plan(4, data, [](size_t i, auto emit) { emit(i % 4); });
-        // In audit builds Execute's own conservation check fires; in plain
-        // builds the same named verifier is invoked on the stats directly.
-        mpc::ExchangeStats stats = mpc::Exchange::Execute(
-            &cluster, 0, plan, [&shards](size_t, uint32_t s) { return &shards[s]; },
-            "corrupted_exchange");
-        audit::SimulatorAuditor::VerifyExchange(plan.recorded_planned(), stats.delivered,
-                                                "corrupted_exchange");
-      },
-      "exchange imbalance in corrupted_exchange");
 }
 
 }  // namespace

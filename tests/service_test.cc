@@ -242,30 +242,6 @@ TEST(LeaseManagerTest, ChurnKeepsTheFreeMapCoalescedAndFirstFit) {
   EXPECT_EQ(all->first_server, 0u);
 }
 
-TEST(LeaseManagerTest, ChurnSurvivesChangingMembership) {
-  // Grow/shrink interleaved with grants: Resize only fires at points where
-  // its precondition (free tail) holds, mirroring round-boundary elasticity.
-  LeaseManager leases(16);
-  auto a = leases.Acquire(10);
-  ASSERT_TRUE(a.has_value());
-  leases.Resize(32);  // grow while leased: appended tail is free
-  auto b = leases.Acquire(20);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->first_server, 10u);
-  EXPECT_FALSE(leases.Acquire(3).has_value());  // 2 free servers left
-  leases.Release(*b);
-  leases.Resize(12);  // shrink into the freed tail, below the old total
-  EXPECT_EQ(leases.total_servers(), 12u);
-  auto c = leases.Acquire(2);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->first_server, 10u);
-  EXPECT_FALSE(leases.Acquire(1).has_value());
-  leases.Release(*c);
-  leases.Release(*a);
-  EXPECT_EQ(leases.leased(), 0u);
-  EXPECT_EQ(leases.Acquire(12)->first_server, 0u);
-}
-
 TEST(LeaseManagerTest, CapacityGrantsMatchCountGrantsUnderUniformSpeeds) {
   LeaseManager by_count(48);
   LeaseManager by_capacity(48);
@@ -331,23 +307,6 @@ TEST(LeaseManagerTest, CapacityGrantsTakeMinimalPrefixOfFastServers) {
   leases.Release(*refit);
   EXPECT_EQ(leases.leased_capacity(), 0.0);
   EXPECT_EQ(leases.peak_capacity(), 15.0);  // a + b + c held concurrently
-}
-
-TEST(LeaseManagerTest, ResizePreservesAndExtendsSpeeds) {
-  LeaseManager leases(4);
-  leases.SetSpeeds({2.0, 2.0, 2.0, 2.0});
-  leases.Resize(6);  // appended servers default to unit speed
-  EXPECT_EQ(leases.SpeedOf(3), 2.0);
-  EXPECT_EQ(leases.SpeedOf(4), 1.0);
-  EXPECT_EQ(leases.SpeedOf(5), 1.0);
-  // Capacity 5 now needs servers {0,1,2}: 2+2+2 = 6 >= 5.
-  auto lease = leases.AcquireCapacity(5.0);
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->size, 3u);
-  leases.Release(*lease);
-  leases.Resize(2);  // shrink truncates the speed vector with the pool
-  EXPECT_EQ(leases.total_servers(), 2u);
-  EXPECT_EQ(leases.CapacityOf({0, 2}), 4.0);
 }
 
 TEST(SimEventQueueTest, OrdersByTimeThenPushOrder) {
