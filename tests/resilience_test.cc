@@ -277,6 +277,70 @@ TEST(ExchangeInterposerTest, SeesEveryRouteBeforeTheDelivery) {
   for (uint32_t s = 0; s < kServers; ++s) EXPECT_EQ(observed[s].raw(), plain[s].raw());
 }
 
+/// One-column relations holding `sizes[i]` rows each.
+std::vector<Relation> FilledRelations(const std::vector<size_t>& sizes) {
+  std::vector<Relation> relations(sizes.size(), Relation(AttrSet::FirstN(1)));
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    for (size_t k = 0; k < sizes[i]; ++k) {
+      const Value v = i * 1000 + k;
+      relations[i].AppendRow(std::span<const Value>(&v, 1));
+    }
+  }
+  return relations;
+}
+
+/// Executes `plan` as charged round 0 with an interposer installed and
+/// returns the PreExchangeRows() it was shown.
+uint64_t PreExchangeRowsSeen(const mpc::ExchangePlan& plan, const mpc::ExchangeSink& sink) {
+  class Probe : public ExchangeInterposer {
+   public:
+    void Observe(const ExchangeDelivery& delivery) override {
+      rows = delivery.PreExchangeRows();
+    }
+    uint64_t rows = ~uint64_t{0};
+  };
+  Probe probe;
+  ExchangeInterposer::Install(&probe);
+  Cluster cluster(plan.num_servers());
+  mpc::Exchange::Execute(&cluster, 0, plan, sink, "pre_exchange");
+  ExchangeInterposer::Install(nullptr);
+  return probe.rows;
+}
+
+TEST(ExchangeInterposerTest, PreExchangeRowsSumEveryDistinctDestination) {
+  // Each source delivers into its own three destinations, holding
+  // 1, 2, 3 rows (source 0) and 4, 5, 6 rows (source 1).
+  constexpr uint32_t kServers = 3;
+  const std::vector<Relation> sources = FilledRelations({6, 6});
+  std::vector<Relation> dests = FilledRelations({1, 2, 3, 4, 5, 6});
+  mpc::ExchangePlan plan(kServers);
+  for (const Relation& source : sources) {
+    plan.AddSource(source, /*record=*/true, [](size_t i, auto emit) { emit(i % kServers); });
+  }
+  const uint64_t seen = PreExchangeRowsSeen(
+      plan, [&dests](size_t source, uint32_t s) { return &dests[source * kServers + s]; });
+  EXPECT_EQ(seen, 21u);
+  // Each destination then received two rows.
+  for (size_t d = 0; d < dests.size(); ++d) EXPECT_EQ(dests[d].size(), d + 3);
+}
+
+TEST(ExchangeInterposerTest, PreExchangeRowsSkipDestinationsThatReceiveNothing) {
+  // Rows go to servers 0 and 2 only, and the charge-only source routed to
+  // server 3 records no route: servers 1 and 3 are no destination of this
+  // exchange, so their rows are outside the pre-exchange sum.
+  constexpr uint32_t kServers = 4;
+  const std::vector<Relation> sources = FilledRelations({8, 8});
+  std::vector<Relation> dests = FilledRelations({5, 6, 7, 8});
+  mpc::ExchangePlan plan(kServers);
+  plan.AddSource(sources[0], /*record=*/true, [](size_t i, auto emit) { emit((i % 2) * 2); });
+  plan.AddSource(sources[1], /*record=*/false, [](size_t, auto emit) { emit(3); });
+  const uint64_t seen =
+      PreExchangeRowsSeen(plan, [&dests](size_t, uint32_t s) { return &dests[s]; });
+  EXPECT_EQ(seen, 5u + 7u);
+  EXPECT_EQ(dests[1].size(), 6u);
+  EXPECT_EQ(dests[3].size(), 8u);
+}
+
 // ---- FaultInjector ---------------------------------------------------------
 
 TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
@@ -433,6 +497,56 @@ TEST(FaultInjectorTest, LedgersOneCheckpointPerChargedExchange) {
   EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 2u);
   EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);  // fresh destinations
   EXPECT_GE(ledger.Counter("recovery.retries"), 1u);  // crash_rate .5 over two exchanges
+}
+
+TEST(FaultInjectorTest, CheckpointTuplesArePreExchangeRowsOfChargedExchanges) {
+  FaultSpec spec;
+  spec.seed = 12;
+  spec.crash_rate = 0.5;
+  const std::vector<Relation> source = FilledRelations({40});
+  const auto run = [&source](Cluster* cluster, std::vector<Relation>* dests) {
+    const uint32_t p = static_cast<uint32_t>(dests->size());
+    mpc::ExchangePlan plan =
+        mpc::Exchange::Plan(p, source[0], [p](size_t i, auto emit) { emit(i % p); });
+    mpc::Exchange::Execute(
+        cluster, 0, plan, [dests](size_t, uint32_t s) { return &(*dests)[s]; }, "checkpointed");
+  };
+  std::vector<Relation> first = FilledRelations({3, 4});
+  std::vector<Relation> second = FilledRelations({5, 0, 9});
+  std::vector<Relation> placement = FilledRelations({100, 100});
+  Ledger::Global().Reset();
+  {
+    ScopedFaultInjection injection(spec);
+    Cluster two(2);
+    Cluster three(3);
+    run(&two, &first);
+    run(&three, &second);
+    run(nullptr, &placement);  // uncharged: outside the fault model
+  }
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 2u);
+  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 3u + 4u + 5u + 9u);
+}
+
+TEST(FaultInjectorTest, BackoffStaysAtTheCapPastTheShiftClamp) {
+  // Every attempt crashes, so all 70 attempts are faulty. Attempts 0-5 pay
+  // 1, 2, ..., 32 units and attempts 6-69 pay the cap of 64. That includes
+  // attempts 63 on, where the shift is clamped at 63: 1 << 63 still exceeds
+  // the cap, where a base of 2 would wrap to 0 and charge nothing.
+  static_assert(resilience::kBackoffBase == 1 && resilience::kBackoffCap == 64);
+  FaultSpec spec;
+  spec.seed = 0xB0FF;
+  spec.crash_rate = 1.0;
+  spec.max_attempts = 70;
+  Ledger::Global().Reset();
+  {
+    ScopedFaultInjection injection(spec);
+    RunSeededExchange(4, 0xCAFE, 200);
+  }
+  const LedgerSnapshot ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.Counter("recovery.retries"), 70u);
+  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 63u + 64u * 64u);
 }
 
 // ---- Cost model ------------------------------------------------------------
