@@ -50,20 +50,10 @@ namespace {
 
 ClusterBenchOverrides g_cluster_overrides;
 
-bool TrackersEqual(const LoadTracker& a, const LoadTracker& b) {
-  if (a.num_servers() != b.num_servers() || a.num_rounds() != b.num_rounds()) return false;
-  for (uint32_t r = 0; r < a.num_rounds(); ++r) {
-    for (uint32_t s = 0; s < a.num_servers(); ++s) {
-      if (a.At(r, s) != b.At(r, s)) return false;
-    }
-  }
-  return true;
-}
-
 bool SameElasticState(const cluster::ElasticRunResult& a,
                       const cluster::ElasticRunResult& b) {
   return a.content_hash == b.content_hash && a.final_rows == b.final_rows &&
-         a.final_shard_sizes == b.final_shard_sizes && TrackersEqual(a.tracker, b.tracker);
+         a.final_shard_sizes == b.final_shard_sizes && a.tracker == b.tracker;
 }
 
 /// Equality modulo idle slots: an unfired schedule reserves extra slot ids

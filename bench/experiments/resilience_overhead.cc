@@ -46,16 +46,6 @@ struct FaultConfig {
   resilience::FaultSpec spec;
 };
 
-bool TrackersEqual(const LoadTracker& a, const LoadTracker& b) {
-  if (a.num_servers() != b.num_servers() || a.num_rounds() != b.num_rounds()) return false;
-  for (uint32_t r = 0; r < a.num_rounds(); ++r) {
-    for (uint32_t s = 0; s < a.num_servers(); ++s) {
-      if (a.At(r, s) != b.At(r, s)) return false;
-    }
-  }
-  return true;
-}
-
 /// Growth of the ledger's counter `name` since `before` was read.
 uint64_t Grown(const LedgerSnapshot& before, const char* name) {
   return Ledger::Global().Read(name).Counter(name) - before.Counter(name);
@@ -141,7 +131,7 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
       const uint64_t crashes = Grown(before, "fault.crashes");
 
       // Claim 1: recovery is invisible in every measured quantity.
-      const bool identical = TrackersEqual(baseline.load_tracker, faulted.load_tracker) &&
+      const bool identical = baseline.load_tracker == faulted.load_tracker &&
                              baseline.max_load == faulted.max_load &&
                              baseline.rounds == faulted.rounds &&
                              baseline.output_count == faulted.output_count &&
@@ -206,7 +196,7 @@ telemetry::RunReport RunResilienceOverhead(const Experiment& e) {
       const uint64_t duplicated = Grown(before, "fault.rows_duplicated");
       bool identical = base.output_count == recovered.output_count &&
                        base.max_receive_load == recovered.max_receive_load &&
-                       TrackersEqual(clean.tracker(), faulty.tracker()) &&
+                       clean.tracker() == faulty.tracker() &&
                        base.results.num_shards() == recovered.results.num_shards();
       for (uint32_t s = 0; identical && s < base.results.num_shards(); ++s) {
         identical = base.results.shard(s).raw() == recovered.results.shard(s).raw();

@@ -298,34 +298,13 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
   }
 
   // Light groups via parallel-packing on total degree, capacity |S^x| * L.
+  // Every light value has degree <= L in each relation of S^x, so its
+  // weight fits the capacity. The packing round is charged with the
+  // statistics rounds once the cluster exists.
   uint64_t capacity = std::max<uint64_t>(1, static_cast<uint64_t>(sx.size()) * load_);
-  // First-fit packing (the ParallelPack primitive, charged after the
-  // cluster exists).
-  std::vector<uint32_t> bin_of(light.size(), 0);
-  uint32_t num_groups = 0;
-  {
-    std::vector<size_t> order(light.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return weights[a] > weights[b]; });
-    std::vector<uint64_t> bin_load;
-    for (size_t i : order) {
-      bool placed = false;
-      for (size_t b = 0; b < bin_load.size(); ++b) {
-        if (bin_load[b] < capacity && bin_load[b] + weights[i] <= 2 * capacity) {
-          bin_load[b] += weights[i];
-          bin_of[i] = static_cast<uint32_t>(b);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        bin_load.push_back(weights[i]);
-        bin_of[i] = static_cast<uint32_t>(bin_load.size() - 1);
-      }
-    }
-    num_groups = static_cast<uint32_t>(bin_load.size());
-  }
+  const std::vector<uint32_t> bin_of = mpc::ParallelPack(weights, capacity);
+  const uint32_t num_groups =
+      bin_of.empty() ? 0 : *std::max_element(bin_of.begin(), bin_of.end()) + 1;
   stats_rounds += 3;  // two reduce-by-key rounds + one packing round
 
   {
@@ -359,19 +338,9 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
   pool.ParallelFor(0, heavy.size(), 1, [&](size_t hi) {
     Value a = heavy[hi];
     ChildSlot& slot = heavy_slots[hi];
-    Instance instance_a(query_x);
-    for (uint32_t e = 0; e < query_x.num_edges(); ++e) {
-      EdgeId original = *query_x.SameNamedEdgeIn(query, e);
-      const Relation& source = instance[original];
-      if (source.attrs().Contains(x)) {
-        Relation selected = Select(source, x, a);
-        if (selected.empty()) return;  // not viable
-        instance_a[e] = DropColumn(selected, x);
-      } else {
-        instance_a[e] = source;
-      }
-    }
-    slot.child = Run(query_x, std::move(instance_a), /*charge_input=*/true, depth + 1,
+    std::optional<Instance> instance_a = ResidualInstance(query, instance, query_x, x, a);
+    if (!instance_a) return;  // not viable
+    slot.child = Run(query_x, std::move(*instance_a), /*charge_input=*/true, depth + 1,
                      parent_trace != nullptr ? &slot.trace : nullptr);
     slot.viable = true;
     if (collect_ && !slot.child.results.empty()) {

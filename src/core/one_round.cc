@@ -16,6 +16,9 @@ namespace coverpack {
 
 namespace {
 
+/// A value is heavy when its degree exceeds kSkewFactor * |R| / share.
+constexpr double kSkewFactor = 2.0;
+
 /// A pending piece of work: a (residual) query, its instance, a server
 /// budget, and the constant bindings to re-attach at emission.
 struct WorkItem {
@@ -29,8 +32,7 @@ struct WorkItem {
 /// Finds the most-skewed (attribute, value) pair relative to the hypercube
 /// shares; returns false when the instance is share-level skew-free.
 bool FindWorstSkew(const Hypergraph& query, const Instance& instance,
-                   const mpc::ShareVector& shares, double factor, AttrId* attr,
-                   double* worst_ratio) {
+                   const mpc::ShareVector& shares, AttrId* attr, double* worst_ratio) {
   *worst_ratio = 0.0;
   bool found = false;
   for (AttrId v : query.AllAttrs().ToVector()) {
@@ -39,7 +41,7 @@ bool FindWorstSkew(const Hypergraph& query, const Instance& instance,
     for (uint32_t e = 0; e < query.num_edges(); ++e) {
       if (!query.edge(e).attrs.Contains(v)) continue;
       double threshold =
-          factor * static_cast<double>(instance[e].size()) / static_cast<double>(share);
+          kSkewFactor * static_cast<double>(instance[e].size()) / static_cast<double>(share);
       for (const auto& [value, degree] : DegreeHistogram(instance[e], v)) {
         double ratio = static_cast<double>(degree) / std::max(threshold, 1.0);
         if (ratio > 1.0 && ratio > *worst_ratio) {
@@ -53,16 +55,16 @@ bool FindWorstSkew(const Hypergraph& query, const Instance& instance,
   return found;
 }
 
-/// Heavy values of `attr`: degree above factor * |R| / share in some
+/// Heavy values of `attr`: degree above kSkewFactor * |R| / share in some
 /// relation containing it.
 std::vector<Value> HeavyValues(const Hypergraph& query, const Instance& instance,
-                               const mpc::ShareVector& shares, AttrId attr, double factor) {
+                               const mpc::ShareVector& shares, AttrId attr) {
   std::vector<Value> heavy;
   uint32_t share = std::max<uint32_t>(2, shares.shares[attr]);
   for (uint32_t e = 0; e < query.num_edges(); ++e) {
     if (!query.edge(e).attrs.Contains(attr)) continue;
     double threshold =
-        factor * static_cast<double>(instance[e].size()) / static_cast<double>(share);
+        kSkewFactor * static_cast<double>(instance[e].size()) / static_cast<double>(share);
     for (const auto& [value, degree] : DegreeHistogram(instance[e], attr)) {
       if (static_cast<double>(degree) > threshold) heavy.push_back(value);
     }
@@ -148,8 +150,7 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
       AttrId skew_attr = 0;
       double ratio = 0.0;
       bool skewed = item.depth < 32 && item.budget > 1 &&
-                    FindWorstSkew(item.query, item.instance, shares, options.skew_factor,
-                                  &skew_attr, &ratio);
+                    FindWorstSkew(item.query, item.instance, shares, &skew_attr, &ratio);
 
       if (!skewed) {
         Cluster cluster(std::max<uint32_t>(1, item.budget));
@@ -171,8 +172,7 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
 
       // Split dom(skew_attr) into heavy values (residual query each) and the
       // light remainder (same query, heavy values removed).
-      std::vector<Value> heavy =
-          HeavyValues(item.query, item.instance, shares, skew_attr, options.skew_factor);
+      std::vector<Value> heavy = HeavyValues(item.query, item.instance, shares, skew_attr);
       CP_CHECK(!heavy.empty());
 
       uint32_t half = std::max<uint32_t>(1, item.budget / 2);
@@ -193,30 +193,11 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
           1, half / static_cast<uint32_t>(std::max<size_t>(1, heavy.size())));
       Hypergraph residual = item.query.Residual(AttrSet::Single(skew_attr));
       for (Value a : heavy) {
-        WorkItem heavy_item{residual, Instance(residual), per_value, item.bindings,
+        std::optional<Instance> heavy_instance =
+            ResidualInstance(item.query, item.instance, residual, skew_attr, a);
+        if (!heavy_instance) continue;  // not viable
+        WorkItem heavy_item{residual, std::move(*heavy_instance), per_value, item.bindings,
                             item.depth + 1};
-        bool viable = true;
-        for (uint32_t e = 0; e < residual.num_edges(); ++e) {
-          EdgeId original = *residual.SameNamedEdgeIn(item.query, e);
-          const Relation& source = item.instance[original];
-          if (source.attrs().Contains(skew_attr)) {
-            Relation selected = Select(source, skew_attr, a);
-            if (selected.empty()) {
-              viable = false;
-              break;
-            }
-            heavy_item.instance[e] = DropColumn(selected, skew_attr);
-          } else {
-            heavy_item.instance[e] = source;
-          }
-        }
-        // Relations that consisted only of skew_attr must still be checked.
-        for (uint32_t e = 0; viable && e < item.query.num_edges(); ++e) {
-          if (item.query.edge(e).attrs == AttrSet::Single(skew_attr)) {
-            if (Select(item.instance[e], skew_attr, a).empty()) viable = false;
-          }
-        }
-        if (!viable) continue;
         heavy_item.bindings.emplace_back(skew_attr, a);
         out.spawned.push_back(std::move(heavy_item));
       }

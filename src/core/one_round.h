@@ -37,13 +37,12 @@ struct OneRoundResult {
 /// Options for the one-round algorithm.
 struct OneRoundOptions {
   bool collect = true;
-  /// A value is heavy when its degree exceeds `skew_factor * |R| / share`.
-  double skew_factor = 2.0;
 };
 
 /// Computes the join in one communication round on p servers, splitting
-/// heavy values off into residual-query hypercubes. Works for any query
-/// (acyclic or cyclic).
+/// heavy values off into residual-query hypercubes: a value is heavy when
+/// its degree exceeds 2 * |R| / share. Works for any query (acyclic or
+/// cyclic).
 OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
                                         uint32_t p, const OneRoundOptions& options);
 

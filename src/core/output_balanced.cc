@@ -1,36 +1,16 @@
 #include "core/output_balanced.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "mpc/cluster.h"
 #include "mpc/exchange.h"
 #include "mpc/primitives.h"
 #include "query/join_tree.h"
-#include "relation/join_index.h"
 #include "relation/operators.h"
 #include "relation/oracle.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/thread_pool.h"
 
 namespace coverpack {
-
-namespace {
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  if (a > std::numeric_limits<uint64_t>::max() - b) return std::numeric_limits<uint64_t>::max();
-  return a + b;
-}
-
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<uint64_t>::max() / b) return std::numeric_limits<uint64_t>::max();
-  return a * b;
-}
-
-}  // namespace
 
 OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instance& instance,
                                            uint32_t p, const OutputBalancedOptions& options) {
@@ -51,54 +31,15 @@ OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instan
   mpc::ChargeLinear(&cluster, instance.TotalSize(), round + 1);
   round += 2;
 
-  // weight[e][i] = number of extensions of row i into the subtree of e
-  // (computed like AcyclicJoinCount, kept per-row for the root ranking).
-  uint32_t m = query.num_edges();
-  std::vector<std::vector<uint64_t>> weight(m);
-  for (uint32_t e = 0; e < m; ++e) weight[e].assign(reduced[e].size(), 1);
-  std::vector<uint32_t> order;  // bottom-up
-  {
-    std::vector<uint32_t> stack{root};
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      order.push_back(u);
-      for (uint32_t c : tree->children(u)) stack.push_back(c);
-    }
-    std::reverse(order.begin(), order.end());
-  }
-  for (uint32_t node : order) {
-    for (uint32_t child : tree->children(node)) {
-      AttrSet shared = query.edge(node).attrs.Intersect(query.edge(child).attrs);
-      const Relation& parent_rel = reduced[node];
-      const Relation& child_rel = reduced[child];
-      ArenaScope scope;
-      Arena* arena = scope.arena();
-      uint32_t* pc = arena->AllocateArray<uint32_t>(shared.size());
-      uint32_t* cc = arena->AllocateArray<uint32_t>(shared.size());
-      size_t nk = 0;
-      for (AttrId a : shared.ToVector()) {
-        pc[nk] = parent_rel.ColumnOf(a);
-        cc[nk] = child_rel.ColumnOf(a);
-        ++nk;
-      }
-      // Saturating per-exact-key aggregation of the child's weights (the
-      // grouped-hash replacement for the per-edge unordered_map).
-      KeyedWeightSums sums(arena);
-      sums.Build(child_rel, cc, nk, weight[child].data());
-      const Value* pbase = parent_rel.raw().data();
-      const uint32_t pwidth = parent_rel.width();
-      for (size_t i = 0; i < parent_rel.size(); ++i) {
-        weight[node][i] = SatMul(weight[node][i], sums.Lookup(pbase + i * pwidth, pc));
-      }
-    }
-  }
+  // weight[e][i] = number of extensions of row i into the subtree of e;
+  // the root's weights rank the output for the slicing below.
+  const std::vector<std::vector<uint64_t>> weight = SubtreeWeights(query, *tree, reduced);
   mpc::ChargeLinear(&cluster, instance.TotalSize(), round);
   round += 1;
 
   OutputBalancedResult result;
   uint64_t out = 0;
-  for (uint64_t w : weight[root]) out = SatAdd(out, w);
+  for (uint64_t w : weight[root]) out = SaturatingAdd(out, w);
   result.output_count = out;
   if (out == 0) {
     result.rounds = round;
@@ -124,12 +65,12 @@ OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instan
              prefix >= static_cast<uint64_t>(server + 1) * per_server) {
         slice_begin[++server] = i;
       }
-      prefix = SatAdd(prefix, weight[root][i]);
+      prefix = SaturatingAdd(prefix, weight[root][i]);
     }
     while (server < p) slice_begin[++server] = reduced[root].size();
   }
 
-  std::vector<uint32_t> top_down(order.rbegin(), order.rend());
+  const std::vector<uint32_t> top_down = tree->TopDown();
   // Each server's slice is independent. Pool tasks fill per-server receive
   // lists and local join results; the tracker charges and result appends
   // happen serially in server order afterwards (LoadTracker::Add resizes and

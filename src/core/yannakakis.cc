@@ -1,7 +1,5 @@
 #include "core/yannakakis.h"
 
-#include <algorithm>
-
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/primitives.h"
@@ -47,17 +45,7 @@ YannakakisResult ComputeYannakakis(const Hypergraph& query, const Instance& inst
     dist.push_back(DistRelation::InitialPlacement(cluster, instance[e]));
   }
 
-  // Top-down order per component (parents before children).
-  std::vector<uint32_t> top_down;
-  for (uint32_t root : tree->Roots()) {
-    std::vector<uint32_t> stack{root};
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      top_down.push_back(u);
-      for (uint32_t c : tree->children(u)) stack.push_back(c);
-    }
-  }
+  const std::vector<uint32_t> top_down = tree->TopDown();
 
   // Phase 1: full semi-join reduction (upward then downward pass).
   for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {

@@ -30,8 +30,9 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
                                    uint32_t round, const char* label, bool charged)
     : plan_(&plan), round_(round), label_(label), charged_(charged) {
   // Resolve every destination exactly once, sum the pre-exchange sizes of
-  // the distinct ones, and reserve ahead for the delivery.
-  std::vector<const Relation*> seen;
+  // the distinct ones and the rows each receives from all sources, then
+  // reserve ahead for the delivery once per destination.
+  std::vector<std::pair<Relation*, uint64_t>> incoming;  // distinct destinations
   for (size_t src = 0; src < plan.sources_.size(); ++src) {
     const ExchangePlan::Source& source = plan.sources_[src];
     if (source.relation == nullptr) continue;
@@ -47,15 +48,19 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
       if (target.counts[s] == 0) continue;
       Relation* dest = sink(src, s);
       CP_CHECK(dest != nullptr);
-      if (std::find(seen.begin(), seen.end(), dest) == seen.end()) {
-        seen.push_back(dest);
+      auto it = std::find_if(incoming.begin(), incoming.end(),
+                             [dest](const auto& entry) { return entry.first == dest; });
+      if (it == incoming.end()) {
+        incoming.emplace_back(dest, target.counts[s]);
         pre_exchange_rows_ += dest->size();
+      } else {
+        it->second += target.counts[s];
       }
-      dest->Reserve(dest->size() + target.counts[s]);
       target.dests[s] = dest;
     }
     targets_.push_back(std::move(target));
   }
+  for (const auto& [dest, rows] : incoming) dest->Reserve(dest->size() + rows);
 }
 
 uint64_t ExchangeDelivery::Deliver() {

@@ -64,6 +64,10 @@ class LoadTracker {
   void MergeMapped(const LoadTracker& child, uint32_t round_offset,
                    const std::function<uint32_t(uint32_t)>& physical_to_child);
 
+  /// Same server count, same rounds and every cell equal. A round only one
+  /// side has differs even when all its cells are zero.
+  bool operator==(const LoadTracker& other) const = default;
+
  private:
   uint32_t num_servers_;
   std::vector<std::vector<uint64_t>> rounds_;

@@ -138,8 +138,7 @@ DistRelation SemiJoinMpc(Cluster* cluster, const DistRelation& left, const DistR
   return output;
 }
 
-std::vector<uint32_t> ParallelPack(Cluster* cluster, const std::vector<uint64_t>& weights,
-                                   uint64_t capacity, uint32_t* round) {
+std::vector<uint32_t> ParallelPack(const std::vector<uint64_t>& weights, uint64_t capacity) {
   CP_CHECK_GT(capacity, 0u);
   // First-fit over descending weights gives bins in (capacity, 2*capacity]
   // except possibly the last — the guarantee of the [15] primitive.
@@ -179,8 +178,6 @@ std::vector<uint32_t> ParallelPack(Cluster* cluster, const std::vector<uint64_t>
       CP_AUDIT_LE(under_full, 1u);
       audit::SimulatorAuditor::VerifyExchange(weight_sum, binned_sum,
                                               "ParallelPack weight conservation");)
-  ChargeLinear(cluster, weights.size(), *round);
-  *round += 1;
   return bin_of;
 }
 

@@ -9,6 +9,8 @@
 /// published implementations (sorting-network based) bound the load
 /// irrespective of skew — simulating the sorting network itself would only
 /// re-derive that constant. DESIGN.md discusses this substitution.
+/// ParallelPack charges nothing itself: its one caller, Theorem 5's Case I,
+/// charges the packing round together with its statistics rounds.
 
 #ifndef COVERPACK_MPC_PRIMITIVES_H_
 #define COVERPACK_MPC_PRIMITIVES_H_
@@ -54,9 +56,9 @@ DistRelation SemiJoinMpc(Cluster* cluster, const DistRelation& left, const DistR
 /// Parallel-packing (Section 2 / [15]): groups weights (each <= capacity)
 /// into bins of total weight <= 2 * capacity such that all but one bin is
 /// at least capacity full. Deterministic first-fit over descending weights.
-/// Returns bin index per item. Charges one O(n/p) round; advances *round.
-std::vector<uint32_t> ParallelPack(Cluster* cluster, const std::vector<uint64_t>& weights,
-                                   uint64_t capacity, uint32_t* round);
+/// Returns the bin index per item; bins are numbered in the order they
+/// open. Pure: the caller charges the primitive's one O(n/p) round.
+std::vector<uint32_t> ParallelPack(const std::vector<uint64_t>& weights, uint64_t capacity);
 
 }  // namespace mpc
 }  // namespace coverpack

@@ -15,19 +15,6 @@ namespace planner {
 
 namespace {
 
-/// Saturation bound shared with the join-order DP's cardinality cap.
-constexpr uint64_t kLoadCap = uint64_t{1} << 60;
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  return (a > kLoadCap - std::min(b, kLoadCap)) ? kLoadCap : a + b;
-}
-
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > kLoadCap / b) return kLoadCap;
-  return a * b;
-}
-
 uint64_t TickCost(uint32_t rounds, uint64_t load) {
   return uint64_t{rounds} * kRoundLatencyTicks + CeilDiv(load, kTuplesPerTick);
 }
@@ -50,9 +37,9 @@ CostEstimate EstimateOneRound(const Hypergraph& query, uint32_t p,
     const RelationStats& relation = stats.relations[e];
     uint64_t cell_divisor = 1;
     for (AttrId x : query.edge(e).attrs.ToVector()) {
-      cell_divisor = SatMul(cell_divisor, shares.shares[x]);
+      cell_divisor = SaturatingMul(cell_divisor, shares.shares[x], kEstimateCap);
     }
-    uniform = SatAdd(uniform, CeilDiv(relation.rows, cell_divisor));
+    uniform = SaturatingAdd(uniform, CeilDiv(relation.rows, cell_divisor), kEstimateCap);
     for (AttrId x : query.edge(e).attrs.ToVector()) {
       if (shares.shares[x] <= 1) continue;
       const uint64_t other_dims = std::max<uint64_t>(1, cell_divisor / shares.shares[x]);
@@ -107,12 +94,12 @@ CostEstimate EstimateOutputBalanced(const Hypergraph& query, uint32_t p,
         query.edge(tree->parent(node)).attrs);
     // Extensions per parent tuple: the child's heaviest join-key degree,
     // taking the tightest shared attribute (all must match).
-    uint64_t factor = kLoadCap;
+    uint64_t factor = kEstimateCap;
     for (AttrId x : shared.ToVector()) {
       factor = std::min(factor, stats.relations[node].ColumnFor(x).max_degree);
     }
     if (shared.empty()) factor = std::max<uint64_t>(1, stats.relations[node].rows);
-    heavy_group = SatMul(heavy_group, std::max<uint64_t>(1, factor));
+    heavy_group = SaturatingMul(heavy_group, std::max<uint64_t>(1, factor), kEstimateCap);
   }
   // One root tuple's extension group can never exceed the whole output, so
   // the degree product (wildly pessimistic under skew — every max degree
@@ -120,7 +107,7 @@ CostEstimate EstimateOutputBalanced(const Hypergraph& query, uint32_t p,
   heavy_group = std::min(heavy_group, std::max<uint64_t>(1, dp.out_estimate));
   const uint64_t input_slice = CeilDiv(stats.total_rows, uint64_t{p});
   const uint64_t out_slice = CeilDiv(dp.out_estimate, uint64_t{p});
-  est.est_load = SatAdd(input_slice, std::max(out_slice, heavy_group));
+  est.est_load = SaturatingAdd(input_slice, std::max(out_slice, heavy_group), kEstimateCap);
   est.est_rounds = 5;  // 3 semi-join reduction rounds + weights + slices
   est.est_cost_ticks = TickCost(est.est_rounds, est.est_load);
   std::ostringstream detail;
@@ -208,8 +195,8 @@ CostTable EstimateCosts(const Hypergraph& query, uint32_t p, const StatsSnapshot
   one_round.exponent_safe = !lp.acyclic || lp.psi_star == lp.rho_star;
   balanced.exponent_safe =
       balanced.applicable && acyclic.applicable &&
-      balanced.est_load <= SatMul(kOutputBalancedSlack,
-                                  std::max<uint64_t>(1, acyclic.est_load));
+      balanced.est_load <= SaturatingMul(kOutputBalancedSlack,
+                                         std::max<uint64_t>(1, acyclic.est_load), kEstimateCap);
 
   table.entries = {one_round, acyclic, balanced};
   return table;

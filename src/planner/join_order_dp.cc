@@ -6,24 +6,17 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace coverpack {
 namespace planner {
 
 namespace {
 
-/// Cardinality estimates saturate well below uint64 overflow; anything
-/// this large only needs to *lose* every cost comparison consistently.
-constexpr uint64_t kCardinalityCap = uint64_t{1} << 60;
-
 uint64_t CardToU64(long double value) {
   if (value <= 0.0L) return 0;
-  if (value >= static_cast<long double>(kCardinalityCap)) return kCardinalityCap;
+  if (value >= static_cast<long double>(kEstimateCap)) return kEstimateCap;
   return static_cast<uint64_t>(std::llroundl(value));
-}
-
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  return (a > kCardinalityCap - std::min(b, kCardinalityCap)) ? kCardinalityCap : a + b;
 }
 
 }  // namespace
@@ -86,7 +79,7 @@ JoinOrderPlan PlanJoinOrder(const Hypergraph& query, const StatsSnapshot& stats)
       if (a >= b) continue;
       const bool connected =
           query.AttrsOf(EdgeSet(a)).Intersects(query.AttrsOf(EdgeSet(b)));
-      const uint64_t split_cost = SaturatingAdd(cost[a], cost[b]);
+      const uint64_t split_cost = SaturatingAdd(cost[a], cost[b], kEstimateCap);
       // DPccp's connectedness preference: a Cartesian split survives only
       // when no attribute-sharing split exists for this subset.
       const bool better =
@@ -101,7 +94,7 @@ JoinOrderPlan PlanJoinOrder(const Hypergraph& query, const StatsSnapshot& stats)
       }
     }
     CP_CHECK(found);
-    cost[s] = SaturatingAdd(best_cost, card);  // this node's intermediate
+    cost[s] = SaturatingAdd(best_cost, card, kEstimateCap);  // this node's intermediate
     rendering[s] = "(" + rendering[best_left] + " " + rendering[s & ~best_left] + ")";
   }
 

@@ -37,6 +37,11 @@
 namespace coverpack {
 namespace planner {
 
+/// Saturation bound of the planner's cardinality, cost and load estimates,
+/// well below uint64 overflow: anything this large only needs to *lose*
+/// every cost comparison consistently.
+inline constexpr uint64_t kEstimateCap = uint64_t{1} << 60;
+
 /// The best plan the DP found.
 struct JoinOrderPlan {
   uint64_t out_estimate = 0;  ///< estimated |Q| (full-set cardinality)

@@ -130,21 +130,27 @@ std::vector<uint32_t> JoinTree::Leaves() const {
   return leaves;
 }
 
-std::vector<EdgeSet> JoinTree::Components() const {
-  std::vector<EdgeSet> components;
-  std::vector<bool> visited(num_nodes(), false);
+std::vector<uint32_t> JoinTree::TopDown() const {
+  std::vector<uint32_t> order;
+  order.reserve(num_nodes());
   for (uint32_t root : Roots()) {
-    EdgeSet component;
-    std::vector<uint32_t> queue{root};
-    while (!queue.empty()) {
-      uint32_t u = queue.back();
-      queue.pop_back();
-      if (visited[u]) continue;
-      visited[u] = true;
-      component.Insert(u);
-      for (uint32_t child : children_[u]) queue.push_back(child);
+    std::vector<uint32_t> stack{root};
+    while (!stack.empty()) {
+      const uint32_t u = stack.back();
+      stack.pop_back();
+      order.push_back(u);
+      for (uint32_t child : children_[u]) stack.push_back(child);
     }
-    components.push_back(component);
+  }
+  return order;
+}
+
+std::vector<EdgeSet> JoinTree::Components() const {
+  // TopDown() lists each component contiguously, starting at its root.
+  std::vector<EdgeSet> components;
+  for (uint32_t node : TopDown()) {
+    if (IsRoot(node)) components.emplace_back();
+    components.back().Insert(node);
   }
   return components;
 }

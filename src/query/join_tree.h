@@ -42,6 +42,11 @@ class JoinTree {
   /// All leaf nodes. A single-node tree counts as a leaf.
   std::vector<uint32_t> Leaves() const;
 
+  /// Every node, parents before children: the roots in Roots() order, each
+  /// walked depth-first by a stack that pushes a node's children in order.
+  /// Reversed, it is a bottom-up order (children before parents).
+  std::vector<uint32_t> TopDown() const;
+
   /// Nodes of each connected subtree, as edge sets.
   std::vector<EdgeSet> Components() const;
 

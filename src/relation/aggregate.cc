@@ -9,21 +9,11 @@
 #include "relation/oracle.h"
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace coverpack {
 
 namespace {
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  if (a > std::numeric_limits<uint64_t>::max() - b) return std::numeric_limits<uint64_t>::max();
-  return a + b;
-}
-
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<uint64_t>::max() / b) return std::numeric_limits<uint64_t>::max();
-  return a * b;
-}
 
 struct VectorHash {
   size_t operator()(const std::vector<Value>& v) const { return HashVector(v); }
@@ -162,14 +152,14 @@ AnnRel MessageUp(const Hypergraph& extended, const JoinTree& tree, uint32_t node
 }  // namespace
 
 Semiring CountingSemiring() {
-  return Semiring{[](uint64_t a, uint64_t b) { return SatAdd(a, b); }, 0,
-                  [](uint64_t a, uint64_t b) { return SatMul(a, b); }, 1};
+  return Semiring{[](uint64_t a, uint64_t b) { return SaturatingAdd(a, b); }, 0,
+                  [](uint64_t a, uint64_t b) { return SaturatingMul(a, b); }, 1};
 }
 
 Semiring TropicalSemiring() {
   return Semiring{[](uint64_t a, uint64_t b) { return std::min(a, b); },
                   std::numeric_limits<uint64_t>::max(),
-                  [](uint64_t a, uint64_t b) { return SatAdd(a, b); }, 0};
+                  [](uint64_t a, uint64_t b) { return SaturatingAdd(a, b); }, 0};
 }
 
 Annotations UnitAnnotations(const Instance& instance) {

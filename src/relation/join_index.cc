@@ -5,6 +5,7 @@
 
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace coverpack {
 
@@ -166,15 +167,6 @@ GroupedKeyIndex::Candidates GroupedKeyIndex::Probe(uint64_t hash) const {
   if (g == kNoGroup) return Candidates{};
   return GroupRows(g);
 }
-
-namespace {
-
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  uint64_t sum = a + b;
-  return sum < a ? ~uint64_t{0} : sum;
-}
-
-}  // namespace
 
 void KeyedWeightSums::Build(const Relation& rel, const uint32_t* key_cols,
                             size_t num_key_cols, const uint64_t* weights) {

@@ -303,6 +303,27 @@ Relation DropColumn(const Relation& input, AttrId attr) {
   return output;
 }
 
+std::optional<Instance> ResidualInstance(const Hypergraph& query, const Instance& instance,
+                                         const Hypergraph& residual, AttrId x, Value a) {
+  Instance result(residual);
+  for (uint32_t e = 0; e < residual.num_edges(); ++e) {
+    const Relation& source = instance[*residual.SameNamedEdgeIn(query, e)];
+    if (source.attrs().Contains(x)) {
+      Relation selected = Select(source, x, a);
+      if (selected.empty()) return std::nullopt;
+      result[e] = DropColumn(selected, x);
+    } else {
+      result[e] = source;
+    }
+  }
+  for (uint32_t e = 0; e < query.num_edges(); ++e) {
+    if (query.edge(e).attrs == AttrSet::Single(x) && Select(instance[e], x, a).empty()) {
+      return std::nullopt;
+    }
+  }
+  return result;
+}
+
 std::vector<std::pair<Value, uint64_t>> DegreeHistogram(const Relation& input, AttrId attr) {
   std::vector<std::pair<Value, uint64_t>> histogram;
   const size_t n = input.size();

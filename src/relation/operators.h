@@ -10,8 +10,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "query/hypergraph.h"
+#include "relation/instance.h"
 #include "relation/relation.h"
 
 namespace coverpack {
@@ -55,6 +58,15 @@ Relation AttachConstant(const Relation& input, AttrId attr, Value value);
 /// Drops one column from the schema without deduplication (rows stay
 /// distinct when the dropped attribute was constant across the relation).
 Relation DropColumn(const Relation& input, AttrId attr);
+
+/// Q_x[a], the residual instance of a heavy value x = a: the instance of
+/// `residual` (= query.Residual({x})) in which every relation holding x keeps
+/// its rows with x = a, without column x, and every other relation is copied.
+/// Returns nullopt when some relation holding x has no row with x = a, a
+/// relation on x alone (which the residual query drops) included: then no
+/// join result has x = a.
+std::optional<Instance> ResidualInstance(const Hypergraph& query, const Instance& instance,
+                                         const Hypergraph& residual, AttrId x, Value a);
 
 /// Degree of each value of `attr`: pairs (value, count) sorted by value.
 std::vector<std::pair<Value, uint64_t>> DegreeHistogram(const Relation& input, AttrId attr);

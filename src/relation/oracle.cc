@@ -1,12 +1,12 @@
 #include "relation/oracle.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "relation/join_index.h"
 #include "relation/operators.h"
 #include "util/arena.h"
 #include "util/logging.h"
+#include "util/math_util.h"
 
 namespace coverpack {
 
@@ -147,18 +147,6 @@ void Recurse(SearchState* state, size_t depth) {
   }
 }
 
-/// Saturating multiply for counts.
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<uint64_t>::max() / b) return std::numeric_limits<uint64_t>::max();
-  return a * b;
-}
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  if (a > std::numeric_limits<uint64_t>::max() - b) return std::numeric_limits<uint64_t>::max();
-  return a + b;
-}
-
 }  // namespace
 
 Relation GenericJoin(const Hypergraph& query, const Instance& instance) {
@@ -210,33 +198,17 @@ Relation GenericJoin(const Hypergraph& query, const Instance& instance) {
   return output;
 }
 
-uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
-                          const Instance& instance) {
+std::vector<std::vector<uint64_t>> SubtreeWeights(const Hypergraph& query, const JoinTree& tree,
+                                                  const Instance& instance) {
   instance.CheckAgainst(query);
-  uint32_t m = query.num_edges();
+  const uint32_t m = query.num_edges();
   CP_CHECK_EQ(tree.num_nodes(), m);
-
-  // Bottom-up order: children before parents.
-  std::vector<uint32_t> order;
-  order.reserve(m);
-  for (uint32_t root : tree.Roots()) {
-    std::vector<uint32_t> stack{root};
-    size_t begin = order.size();
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      order.push_back(u);
-      for (uint32_t c : tree.children(u)) stack.push_back(c);
-    }
-    std::reverse(order.begin() + static_cast<long>(begin), order.end());
-  }
-
-  // weight[e][i]: number of join extensions of row i of relation e into the
-  // subtree rooted at e.
   std::vector<std::vector<uint64_t>> weight(m);
   for (uint32_t e = 0; e < m; ++e) weight[e].assign(instance[e].size(), 1);
 
-  for (uint32_t node : order) {
+  const std::vector<uint32_t> top_down = tree.TopDown();
+  for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
+    const uint32_t node = *it;
     for (uint32_t child : tree.children(node)) {
       AttrSet shared = query.edge(node).attrs.Intersect(query.edge(child).attrs);
       const Relation& parent_rel = instance[node];
@@ -259,16 +231,21 @@ uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
       const uint32_t pwidth = parent_rel.width();
       for (size_t i = 0; i < parent_rel.size(); ++i) {
         uint64_t factor = sums.Lookup(pbase + i * pwidth, parent_cols);
-        weight[node][i] = SatMul(weight[node][i], factor);
+        weight[node][i] = SaturatingMul(weight[node][i], factor);
       }
     }
   }
+  return weight;
+}
 
+uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
+                          const Instance& instance) {
+  const std::vector<std::vector<uint64_t>> weight = SubtreeWeights(query, tree, instance);
   uint64_t total = 1;
   for (uint32_t root : tree.Roots()) {
     uint64_t component = 0;
-    for (uint64_t w : weight[root]) component = SatAdd(component, w);
-    total = SatMul(total, component);
+    for (uint64_t w : weight[root]) component = SaturatingAdd(component, w);
+    total = SaturatingMul(total, component);
   }
   return total;
 }
@@ -291,7 +268,7 @@ uint64_t SubjoinSize(const Hypergraph& query, const JoinTree& tree, const Instan
     for (size_t i = 0; i < members.size(); ++i) {
       sub_instance[static_cast<EdgeId>(i)] = instance[members[i]];
     }
-    total = SatMul(total, JoinCount(sub, sub_instance));
+    total = SaturatingMul(total, JoinCount(sub, sub_instance));
   }
   return total;
 }
@@ -302,16 +279,7 @@ Instance SemiJoinReduce(const Hypergraph& query, const JoinTree& tree,
   uint32_t m = query.num_edges();
 
   // Top-down order per component; reversed for the upward pass.
-  std::vector<uint32_t> top_down;
-  for (uint32_t root : tree.Roots()) {
-    std::vector<uint32_t> stack{root};
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      top_down.push_back(u);
-      for (uint32_t c : tree.children(u)) stack.push_back(c);
-    }
-  }
+  const std::vector<uint32_t> top_down = tree.TopDown();
   CP_CHECK_EQ(top_down.size(), m);
 
   // Upward: parent := parent semijoin child. SemiJoin's build side carries

@@ -6,7 +6,9 @@
 /// style of [22, 26] (NPRR / Generic Join), run leapfrog-style over each
 /// relation sorted once into trie order; AcyclicJoinCount counts join
 /// results of an acyclic query in near-linear time by message passing over
-/// a join tree — the COUNT(*) join-aggregate query of Appendix A.5.
+/// a join tree — the COUNT(*) join-aggregate query of Appendix A.5. Its
+/// per-row counts (SubtreeWeights) are also what the output-balanced
+/// baseline of [15] ranks root tuples by.
 
 #ifndef COVERPACK_RELATION_ORACLE_H_
 #define COVERPACK_RELATION_ORACLE_H_
@@ -28,9 +30,19 @@ namespace coverpack {
 /// up to log factors. The test oracle, and the per-cell join of HyperCube.
 Relation GenericJoin(const Hypergraph& query, const Instance& instance);
 
+/// Per-row subtree counts over a join forest of an alpha-acyclic query:
+/// w[e][i] is the number of results of the join of e's subtree that extend
+/// row i of relation e, saturating at UINT64_MAX. Computed bottom-up, one
+/// ArenaScope per tree edge: each child's weights are summed per shared key
+/// and multiplied into the parent rows. A root's weights sum to the join
+/// size of its component.
+std::vector<std::vector<uint64_t>> SubtreeWeights(const Hypergraph& query, const JoinTree& tree,
+                                                  const Instance& instance);
+
 /// Counts join results of the full natural join without materializing them,
-/// for *alpha-acyclic* queries, by bottom-up counting over the join tree.
-/// Runs in O(total input * log) time regardless of output size.
+/// for *alpha-acyclic* queries: the product over the roots of each root's
+/// SubtreeWeights sum, saturating at UINT64_MAX. Runs in
+/// O(total input * log) time regardless of output size.
 uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
                           const Instance& instance);
 

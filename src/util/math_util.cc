@@ -1,7 +1,6 @@
 #include "util/math_util.h"
 
 #include <cmath>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -9,12 +8,7 @@ namespace coverpack {
 
 uint64_t SaturatingPow(uint64_t base, uint32_t exp) {
   uint64_t result = 1;
-  for (uint32_t i = 0; i < exp; ++i) {
-    if (base != 0 && result > std::numeric_limits<uint64_t>::max() / base) {
-      return std::numeric_limits<uint64_t>::max();
-    }
-    result *= base;
-  }
+  for (uint32_t i = 0; i < exp && result != UINT64_MAX; ++i) result = SaturatingMul(result, base);
   return result;
 }
 

@@ -1,9 +1,11 @@
 /// \file math_util.h
-/// \brief Small numeric helpers shared by the planner and the benchmarks.
+/// \brief Small numeric helpers shared by the planner, the join counters
+/// and the benchmarks.
 
 #ifndef COVERPACK_UTIL_MATH_UTIL_H_
 #define COVERPACK_UTIL_MATH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,6 +13,17 @@ namespace coverpack {
 
 /// ceil(a / b) for positive integers.
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
+/// min(a + b, cap) without overflow, for b <= cap (a may exceed cap).
+inline uint64_t SaturatingAdd(uint64_t a, uint64_t b, uint64_t cap = UINT64_MAX) {
+  return a > cap - std::min(b, cap) ? cap : a + b;
+}
+
+/// min(a * b, cap) without overflow.
+inline uint64_t SaturatingMul(uint64_t a, uint64_t b, uint64_t cap = UINT64_MAX) {
+  if (a == 0 || b == 0) return 0;
+  return a > cap / b ? cap : a * b;
+}
 
 /// Integer power with saturation at UINT64_MAX.
 uint64_t SaturatingPow(uint64_t base, uint32_t exp);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/one_round.h"
 #include "core/yannakakis.h"
 #include "query/catalog.h"
@@ -11,7 +14,7 @@ namespace coverpack {
 namespace {
 
 class YannakakisCorrectness
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(YannakakisCorrectness, MatchesOracle) {
   auto [text, seed] = GetParam();
@@ -59,7 +62,7 @@ TEST(YannakakisTest, OutputDrivenLoad) {
 }
 
 class OneRoundCorrectness
-    : public ::testing::TestWithParam<std::tuple<const char*, double, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double, uint64_t>> {};
 
 TEST_P(OneRoundCorrectness, SkewAwareMatchesOracle) {
   auto [text, skew, seed] = GetParam();

@@ -31,7 +31,6 @@ namespace {
 using resilience::FaultSpec;
 using resilience::ScopedFaultInjection;
 using testutil::RelationsEqual;
-using testutil::TrackersEqual;
 
 class ChaosTest : public ::testing::Test {
  protected:
@@ -70,7 +69,7 @@ bool BoxRunsIdentical(const BoxRun& a, const BoxRun& b) {
   if (a.result.output_count != b.result.output_count ||
       a.result.max_receive_load != b.result.max_receive_load ||
       a.result.results.num_shards() != b.result.results.num_shards() ||
-      !TrackersEqual(a.tracker, b.tracker)) {
+      a.tracker != b.tracker) {
     return false;
   }
   for (uint32_t s = 0; s < a.result.results.num_shards(); ++s) {
@@ -159,7 +158,7 @@ TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
   EXPECT_EQ(clean.rounds, chaotic.rounds);
   EXPECT_EQ(clean.total_communication, chaotic.total_communication);
   EXPECT_TRUE(RelationsEqual(clean.results, chaotic.results));
-  EXPECT_TRUE(TrackersEqual(clean.load_tracker, chaotic.load_tracker));
+  EXPECT_TRUE(clean.load_tracker == chaotic.load_tracker);
   EXPECT_EQ(TraceToString(clean.trace), TraceToString(chaotic.trace));
 
   const LedgerSnapshot ledger = Ledger::Global().Read();
@@ -383,7 +382,7 @@ LedgerSnapshot CyclicStormLedger(const FaultSpec& spec) {
     stormed = ComputeOneRoundSkewAware(triangle, instance, 64, options);
   }
   EXPECT_TRUE(RelationsEqual(clean.results, stormed.results));
-  EXPECT_TRUE(TrackersEqual(clean.load_tracker, stormed.load_tracker));
+  EXPECT_TRUE(clean.load_tracker == stormed.load_tracker);
   return Ledger::Global().Read();
 }
 

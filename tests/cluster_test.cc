@@ -18,7 +18,6 @@
 #include "mpc/exchange.h"
 #include "query/attr_set.h"
 #include "relation/relation.h"
-#include "report_compare.h"
 #include "resilience/cost_model.h"
 #include "resilience/fault_injector.h"
 #include "resilience/fault_plan.h"
@@ -30,7 +29,6 @@ namespace coverpack {
 namespace cluster {
 namespace {
 
-using testutil::TrackersEqual;
 
 // ---------------------------------------------------------------- parsing
 
@@ -379,7 +377,7 @@ TEST(MigrationTest, RecoversBitIdenticallyUnderCrashStorm) {
   const auto stormy = run(true);
   EXPECT_EQ(std::get<0>(clean), std::get<0>(stormy));
   EXPECT_EQ(std::get<1>(clean), std::get<1>(stormy));
-  EXPECT_TRUE(TrackersEqual(std::get<2>(clean), std::get<2>(stormy)));
+  EXPECT_TRUE(std::get<2>(clean) == std::get<2>(stormy));
   EXPECT_EQ(std::get<3>(clean), std::get<3>(stormy));
 }
 
@@ -433,7 +431,7 @@ TEST_F(ElasticPipelineTest, IsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.content_hash, parallel.content_hash);
   EXPECT_EQ(serial.final_shard_sizes, parallel.final_shard_sizes);
   EXPECT_EQ(serial.tuples_migrated, parallel.tuples_migrated);
-  EXPECT_TRUE(TrackersEqual(serial.tracker, parallel.tracker));
+  EXPECT_TRUE(serial.tracker == parallel.tracker);
   EXPECT_EQ(serial.epochs, 3u);
   EXPECT_EQ(serial.final_rows, 4000u);
 }
@@ -453,7 +451,7 @@ TEST_F(ElasticPipelineTest, RecoversBitIdenticallyUnderCrashStorm) {
   const ElasticRunResult stormy = RunElasticPipeline(config);
   EXPECT_EQ(clean.content_hash, stormy.content_hash);
   EXPECT_EQ(clean.final_shard_sizes, stormy.final_shard_sizes);
-  EXPECT_TRUE(TrackersEqual(clean.tracker, stormy.tracker));
+  EXPECT_TRUE(clean.tracker == stormy.tracker);
 }
 
 TEST_F(ElasticPipelineTest, ConservesRowsOnEveryEpochBoundary) {

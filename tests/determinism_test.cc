@@ -47,7 +47,6 @@ namespace {
 
 using testutil::ComparableJson;
 using testutil::RelationsEqual;
-using testutil::TrackersEqual;
 
 class DeterminismTest : public ::testing::Test {
  protected:
@@ -133,7 +132,7 @@ TEST_F(DeterminismTest, ExchangeConservesTuplesAndDeliversBitIdentically) {
     EXPECT_EQ(shard_sum, serial.stats.delivered);
 
     // Thread-count invariance: same tracker, same shard bytes.
-    EXPECT_TRUE(TrackersEqual(serial.tracker, parallel.tracker));
+    EXPECT_TRUE(serial.tracker == parallel.tracker);
     ASSERT_EQ(serial.shards.size(), parallel.shards.size());
     for (uint32_t s = 0; s < p; ++s) {
       EXPECT_EQ(serial.shards[s].raw(), parallel.shards[s].raw());
@@ -168,7 +167,7 @@ TEST_F(DeterminismTest, AcyclicJoinIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.total_communication, parallel.total_communication);
     EXPECT_EQ(serial.load_threshold, parallel.load_threshold);
     EXPECT_TRUE(RelationsEqual(serial.results, parallel.results));
-    EXPECT_TRUE(TrackersEqual(serial.load_tracker, parallel.load_tracker));
+    EXPECT_TRUE(serial.load_tracker == parallel.load_tracker);
     EXPECT_EQ(TraceToString(serial.trace), TraceToString(parallel.trace));
   }
 }
@@ -240,7 +239,7 @@ TEST_F(DeterminismTest, AcyclicJoinRecoversBitIdenticallyUnderFaults) {
     EXPECT_EQ(clean.servers_used, faulted.servers_used);
     EXPECT_EQ(clean.total_communication, faulted.total_communication);
     EXPECT_TRUE(RelationsEqual(clean.results, faulted.results));
-    EXPECT_TRUE(TrackersEqual(clean.load_tracker, faulted.load_tracker));
+    EXPECT_TRUE(clean.load_tracker == faulted.load_tracker);
     EXPECT_EQ(TraceToString(clean.trace), TraceToString(faulted.trace));
   }
 }
@@ -265,7 +264,7 @@ TEST_F(DeterminismTest, OneRoundIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.max_load, parallel.max_load);
     EXPECT_EQ(serial.servers_used, parallel.servers_used);
     EXPECT_TRUE(RelationsEqual(serial.results, parallel.results));
-    EXPECT_TRUE(TrackersEqual(serial.load_tracker, parallel.load_tracker));
+    EXPECT_TRUE(serial.load_tracker == parallel.load_tracker);
   }
 }
 

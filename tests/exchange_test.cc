@@ -60,6 +60,24 @@ TEST(ExchangeTest, RoundRobinPlanDeliversAndCharges) {
   EXPECT_EQ(cluster.tracker().TotalCommunication(), 10u);
 }
 
+TEST(ExchangeTest, SharedDestinationIsReservedOnceForAllItsSources) {
+  // Three sources of 1000 rows each deliver into one destination, as every
+  // HashPartition does with one source per input shard. Reserving for all
+  // 3000 incoming rows up front means the delivery never regrows it.
+  const uint32_t p = 2;
+  const uint32_t width = 2;
+  std::vector<Relation> sources(3, MakeSequential(width, 1000));
+  ExchangePlan plan(p);
+  for (const Relation& source : sources) {
+    plan.AddSource(source, /*record=*/true, [](size_t, auto emit) { emit(1); });
+  }
+  Relation dest(sources[0].attrs());
+  Cluster cluster(p);
+  Exchange::Execute(&cluster, 0, plan, [&dest](size_t, uint32_t) { return &dest; }, "test");
+  EXPECT_EQ(dest.size(), 3000u);
+  EXPECT_EQ(dest.raw().capacity(), 3000u * width);
+}
+
 TEST(ExchangeTest, ReplicatedRoutesDeliverToEveryEmittedServer) {
   const uint32_t p = 3;
   Relation data = MakeSequential(1, 5);

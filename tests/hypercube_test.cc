@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "lp/covers.h"
 #include "query/catalog.h"
 #include "query/parser.h"
@@ -35,7 +38,7 @@ TEST(SharesTest, UniformSharesOverSubset) {
 }
 
 class HypercubeCorrectnessTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint32_t, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint32_t, uint64_t>> {};
 
 /// HyperCube must emit exactly the oracle's join results, for any query
 /// shape, server count, and seed.

@@ -104,6 +104,26 @@ TEST(JoinTreeTest, RerootPreservesStructure) {
   EXPECT_EQ(no_parent, 1u);
 }
 
+TEST(JoinTreeTest, TopDownWalksRootsInOrderChildrenLastFirst) {
+  // Three components. In the first, R1 is the root with children R2 and
+  // R3 (in that order), and R4 hangs below R3.
+  Hypergraph q = ParseQuery("R1(A,B), R2(B,C), R3(B,D), R4(D,E), R5(X,Y), R6(Y,Z), R7(P,Q)");
+  auto tree = JoinTree::Build(q);
+  ASSERT_TRUE(tree.has_value());
+  ASSERT_EQ(tree->Roots(), (std::vector<uint32_t>{0, 4, 6}));
+  ASSERT_EQ(tree->children(0), (std::vector<uint32_t>{1, 2}));
+  ASSERT_EQ(tree->children(2), (std::vector<uint32_t>{3}));
+  // Roots in Roots() order; the stack pops a node's last child first.
+  const std::vector<uint32_t> order = tree->TopDown();
+  EXPECT_EQ(order, (std::vector<uint32_t>{0, 2, 3, 1, 4, 5, 6}));
+  std::vector<size_t> position(order.size());
+  for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  for (uint32_t node = 0; node < tree->num_nodes(); ++node) {
+    if (tree->IsRoot(node)) continue;
+    EXPECT_LT(position[tree->parent(node)], position[node]);
+  }
+}
+
 TEST(JoinTreeTest, LeavesOfStar) {
   Hypergraph q = catalog::Star(4);
   auto tree = JoinTree::Build(q);

@@ -122,6 +122,31 @@ TEST(LoadTrackerEdgeTest, MergeEmptyChildIsNoOp) {
   EXPECT_EQ(parent.TotalCommunication(), 9u);
 }
 
+TEST(LoadTrackerEdgeTest, EqualityComparesShapeAndEveryCell) {
+  LoadTracker a(3);
+  a.Add(0, 1, 5);
+  a.Add(1, 2, 7);
+  LoadTracker b(3);
+  b.Add(1, 2, 7);
+  b.Add(0, 1, 5);
+  EXPECT_TRUE(a == b);  // equal, though charged in another order
+
+  LoadTracker differing_cell = b;
+  differing_cell.Add(1, 0, 1);
+  EXPECT_FALSE(a == differing_cell);
+
+  LoadTracker more_servers(4);
+  more_servers.Add(0, 1, 5);
+  more_servers.Add(1, 2, 7);
+  EXPECT_FALSE(a == more_servers);
+
+  LoadTracker extra_zero_round = b;
+  extra_zero_round.Add(2, 0, 0);  // materializes an all-zero round
+  ASSERT_EQ(extra_zero_round.num_rounds(), 3u);
+  EXPECT_FALSE(a == extra_zero_round);
+  EXPECT_TRUE(extra_zero_round != a);
+}
+
 TEST(LoadTrackerDeathTest, AddBeyondServerCountAborts) {
   LoadTracker tracker(2);
   EXPECT_DEATH(tracker.Add(0, 2, 1), "server < num_servers_");

@@ -125,12 +125,14 @@ TEST(PrimitivesTest, SemiJoinMpcMatchesSequential) {
 }
 
 TEST(PrimitivesTest, ParallelPackRespectsGuarantees) {
-  Cluster cluster(4);
   std::vector<uint64_t> weights{5, 3, 8, 2, 2, 7, 1, 9, 4, 6};
   uint64_t capacity = 10;
-  uint32_t round = 0;
-  std::vector<uint32_t> bin_of = mpc::ParallelPack(&cluster, weights, capacity, &round);
+  std::vector<uint32_t> bin_of = mpc::ParallelPack(weights, capacity);
   ASSERT_EQ(bin_of.size(), weights.size());
+  // First fit over 9, 8, 7, 6, 5, 4, 3, 2, 2, 1: bins {9, 8}, {7, 6},
+  // {5, 4, 3} and {2, 2, 1}, numbered in the order they open.
+  EXPECT_EQ(bin_of, (std::vector<uint32_t>{2, 2, 0, 3, 3, 1, 3, 0, 2, 1}));
+  EXPECT_TRUE(mpc::ParallelPack({}, capacity).empty());
   std::unordered_map<uint32_t, uint64_t> bin_load;
   for (size_t i = 0; i < weights.size(); ++i) bin_load[bin_of[i]] += weights[i];
   uint32_t under_full = 0;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "query/catalog.h"
 #include "query/parser.h"
 #include "relation/agm.h"
@@ -47,7 +52,7 @@ TEST(OracleTest, CartesianProductCount) {
   EXPECT_EQ(JoinCount(q, instance), 35u);
 }
 
-class CountAgreementTest : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+class CountAgreementTest : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 /// Property: AcyclicJoinCount agrees with materializing GenericJoin on
 /// random instances, across query shapes and seeds.
@@ -101,6 +106,86 @@ TEST(OracleTest, SemiJoinReducePropertyOnRandomInstances) {
       for (uint32_t e = 0; e < q.num_edges(); ++e) EXPECT_TRUE(reduced[e].empty());
     }
   }
+}
+
+/// The nodes of `node`'s subtree.
+EdgeSet SubtreeOf(const JoinTree& tree, uint32_t node) {
+  EdgeSet subtree = EdgeSet::Single(node);
+  for (uint32_t child : tree.children(node)) subtree = subtree.Union(SubtreeOf(tree, child));
+  return subtree;
+}
+
+/// SubtreeWeights against GenericJoin: w[e][i] must be the number of
+/// results of the join of e's subtree that agree with row i of e.
+void ExpectSubtreeWeightsCountExtensions(const Hypergraph& q, const Instance& instance) {
+  auto tree = JoinTree::Build(q);
+  ASSERT_TRUE(tree);
+  const std::vector<std::vector<uint64_t>> weights = SubtreeWeights(q, *tree, instance);
+  ASSERT_EQ(weights.size(), q.num_edges());
+  for (uint32_t e = 0; e < q.num_edges(); ++e) {
+    const EdgeSet subtree = SubtreeOf(*tree, e);
+    const Hypergraph sub = q.InducedByEdges(subtree);
+    Instance sub_instance(sub);
+    const std::vector<EdgeId> members = subtree.ToVector();
+    for (size_t k = 0; k < members.size(); ++k) {
+      sub_instance[static_cast<EdgeId>(k)] = instance[members[k]];
+    }
+    const Relation joined = GenericJoin(sub, sub_instance);
+    std::map<std::vector<Value>, uint64_t> extensions;  // keyed by e's columns
+    for (size_t r = 0; r < joined.size(); ++r) {
+      std::vector<Value> key;
+      for (AttrId a : q.edge(e).attrs.ToVector()) key.push_back(joined.row(r)[joined.ColumnOf(a)]);
+      ++extensions[key];
+    }
+    ASSERT_EQ(weights[e].size(), instance[e].size());
+    for (size_t i = 0; i < instance[e].size(); ++i) {
+      const auto row = instance[e].row(i);
+      const auto it = extensions.find(std::vector<Value>(row.begin(), row.end()));
+      EXPECT_EQ(weights[e][i], it == extensions.end() ? 0 : it->second)
+          << q.edge(e).name << " row " << i;
+    }
+  }
+}
+
+TEST(OracleTest, SubtreeWeightsCountGenericJoinExtensions) {
+  for (const char* text : {"R1(A,B), R2(B,C), R3(C,D), R4(D,E)", "R1(A,B), R2(A,C), R3(A,D)",
+                           "R1(A,B,C), R2(A,B,D), R3(B,E), R4(E,F)"}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      const Hypergraph q = ParseQuery(text);
+      Rng rng(seed);
+      ExpectSubtreeWeightsCountExtensions(q, workload::UniformInstance(q, 40, 6, &rng));
+    }
+  }
+}
+
+TEST(OracleTest, SubtreeWeightsOnAForest) {
+  const Hypergraph q = ParseQuery("R1(A,B), R2(B,C), R3(X,Y), R4(Y,Z), R5(P,Q)");
+  Rng rng(7);
+  const Instance instance = workload::UniformInstance(q, 30, 5, &rng);
+  ExpectSubtreeWeightsCountExtensions(q, instance);
+  // Each root's weights sum to its component's join size.
+  auto tree = JoinTree::Build(q);
+  ASSERT_TRUE(tree);
+  const std::vector<std::vector<uint64_t>> weights = SubtreeWeights(q, *tree, instance);
+  uint64_t product = 1;
+  for (uint32_t root : tree->Roots()) {
+    uint64_t sum = 0;
+    for (uint64_t w : weights[root]) sum += w;
+    product *= sum;
+  }
+  EXPECT_EQ(product, AcyclicJoinCount(q, *tree, instance));
+  EXPECT_EQ(product, GenericJoin(q, instance).size());
+}
+
+TEST(OracleTest, SubtreeWeightsWithAnEmptyRelation) {
+  const Hypergraph q = catalog::Path(3);
+  Rng rng(4);
+  Instance instance = workload::UniformInstance(q, 30, 5, &rng);
+  instance[1] = Relation(q.edge(1).attrs);
+  ExpectSubtreeWeightsCountExtensions(q, instance);
+  auto tree = JoinTree::Build(q);
+  ASSERT_TRUE(tree);
+  EXPECT_EQ(AcyclicJoinCount(q, *tree, instance), 0u);
 }
 
 TEST(OracleTest, SubjoinSizeExample32Style) {

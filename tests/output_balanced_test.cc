@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "query/catalog.h"
 #include "query/parser.h"
@@ -13,7 +15,7 @@ namespace coverpack {
 namespace {
 
 class OutputBalancedCorrectness
-    : public ::testing::TestWithParam<std::tuple<const char*, uint32_t, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint32_t, uint64_t>> {};
 
 TEST_P(OutputBalancedCorrectness, MatchesOracle) {
   auto [text, p, seed] = GetParam();

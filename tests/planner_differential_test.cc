@@ -26,7 +26,6 @@
 #include "planner/plan_chooser.h"
 #include "planner/stats.h"
 #include "query/hypergraph.h"
-#include "report_compare.h"
 #include "util/thread_pool.h"
 
 namespace coverpack {
@@ -198,7 +197,7 @@ TEST_F(PlannerDifferentialTest, ExecuteMatchesDirectComputeCalls) {
         EXPECT_EQ(got.servers_used, want.servers_used) << label;
         EXPECT_EQ(got.load_threshold, want.load_threshold) << label;
         EXPECT_EQ(got.output_count, want.output_count) << label;
-        EXPECT_TRUE(testutil::TrackersEqual(got.load_tracker, want.load_tracker)) << label;
+        EXPECT_TRUE(got.load_tracker == want.load_tracker) << label;
       }
     }
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "query/parser.h"
+#include "relation/instance.h"
 #include "relation/operators.h"
 
 namespace coverpack {
@@ -174,6 +178,51 @@ TEST(OperatorsTest, DegreeHistogram) {
   ASSERT_EQ(histogram.size(), 2u);
   EXPECT_EQ(histogram[0], (std::pair<Value, uint64_t>{1, 2}));
   EXPECT_EQ(histogram[1], (std::pair<Value, uint64_t>{2, 1}));
+}
+
+TEST(OperatorsTest, ResidualInstanceSlicesTheHeavyValue) {
+  // Q_A[1] of R1(A,B), R2(A,C), R3(C,D): R1 and R2 keep their A = 1 rows
+  // without column A; R3 is copied whole.
+  Hypergraph q = ParseQuery("R1(A,B), R2(A,C), R3(C,D)");
+  const AttrId a = *q.FindAttribute("A");
+  Instance instance(q);
+  instance[0].AppendRow({1, 10});
+  instance[0].AppendRow({2, 20});
+  instance[0].AppendRow({1, 11});
+  instance[1].AppendRow({1, 5});
+  instance[1].AppendRow({3, 6});
+  instance[2].AppendRow({5, 7});
+  instance[2].AppendRow({6, 8});
+  const Hypergraph residual = q.Residual(AttrSet::Single(a));
+  std::optional<Instance> sliced = ResidualInstance(q, instance, residual, a, 1);
+  ASSERT_TRUE(sliced.has_value());
+  sliced->CheckAgainst(residual);
+  ASSERT_EQ((*sliced)[0].size(), 2u);
+  EXPECT_EQ((*sliced)[0].row(0)[0], 10u);
+  EXPECT_EQ((*sliced)[0].row(1)[0], 11u);
+  ASSERT_EQ((*sliced)[1].size(), 1u);
+  EXPECT_EQ((*sliced)[1].row(0)[0], 5u);
+  EXPECT_TRUE((*sliced)[2].SameContentAs(instance[2]));
+  // A = 2 has no R2 row, A = 3 no R1 row: no result has either value.
+  EXPECT_FALSE(ResidualInstance(q, instance, residual, a, 2).has_value());
+  EXPECT_FALSE(ResidualInstance(q, instance, residual, a, 3).has_value());
+}
+
+TEST(OperatorsTest, ResidualInstanceChecksRelationsOnTheValueAlone) {
+  // R2(A) vanishes from the residual query Q_A but still filters A.
+  Hypergraph q = ParseQuery("R1(A,B), R2(A)");
+  const AttrId a = *q.FindAttribute("A");
+  Instance instance(q);
+  instance[0].AppendRow({1, 10});
+  instance[0].AppendRow({2, 20});
+  instance[1].AppendRow({2});
+  const Hypergraph residual = q.Residual(AttrSet::Single(a));
+  ASSERT_EQ(residual.num_edges(), 1u);
+  EXPECT_FALSE(ResidualInstance(q, instance, residual, a, 1).has_value());
+  std::optional<Instance> sliced = ResidualInstance(q, instance, residual, a, 2);
+  ASSERT_TRUE(sliced.has_value());
+  ASSERT_EQ((*sliced)[0].size(), 1u);
+  EXPECT_EQ((*sliced)[0].row(0)[0], 20u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 /// \file report_compare.h
-/// \brief Shared helpers for comparing RunReports and simulator state
-/// bit-for-bit across test binaries (determinism, chaos/resilience).
+/// \brief Shared helpers for comparing RunReports and relations bit-for-bit
+/// across test binaries (determinism, chaos/resilience). Load trackers
+/// compare with LoadTracker's own operator==.
 ///
 /// Header-only on purpose: the test binaries that need these (cp_tests,
 /// cp_determinism_tests, cp_chaos_tests) link different library sets, and
@@ -9,12 +10,10 @@
 #ifndef COVERPACK_TESTS_REPORT_COMPARE_H_
 #define COVERPACK_TESTS_REPORT_COMPARE_H_
 
-#include <cstdint>
 #include <initializer_list>
 #include <sstream>
 #include <string>
 
-#include "mpc/load_tracker.h"
 #include "relation/relation.h"
 #include "telemetry/run_report.h"
 
@@ -41,16 +40,6 @@ inline bool RelationsEqual(const Relation& a, const Relation& b) {
     auto ra = a.row(i), rb = b.row(i);
     for (size_t c = 0; c < ra.size(); ++c) {
       if (ra[c] != rb[c]) return false;
-    }
-  }
-  return true;
-}
-
-inline bool TrackersEqual(const LoadTracker& a, const LoadTracker& b) {
-  if (a.num_servers() != b.num_servers() || a.num_rounds() != b.num_rounds()) return false;
-  for (uint32_t round = 0; round < a.num_rounds(); ++round) {
-    for (uint32_t server = 0; server < a.num_servers(); ++server) {
-      if (a.At(round, server) != b.At(round, server)) return false;
     }
   }
   return true;

@@ -24,6 +24,33 @@ TEST(MathUtilTest, SaturatingPow) {
   EXPECT_EQ(SaturatingPow(UINT64_C(1) << 32, 3), UINT64_MAX);  // saturates
 }
 
+TEST(MathUtilTest, SaturatingAddAndMulAtBothCaps) {
+  // The default cap: UINT64_MAX.
+  EXPECT_EQ(SaturatingAdd(2, 3), 5u);
+  EXPECT_EQ(SaturatingAdd(UINT64_MAX - 1, 1), UINT64_MAX);
+  EXPECT_EQ(SaturatingAdd(UINT64_MAX - 1, 2), UINT64_MAX);
+  EXPECT_EQ(SaturatingAdd(UINT64_MAX, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(SaturatingMul(0, UINT64_MAX), 0u);
+  EXPECT_EQ(SaturatingMul(UINT64_MAX, 0), 0u);
+  EXPECT_EQ(SaturatingMul(uint64_t{1} << 32, uint64_t{1} << 31), uint64_t{1} << 63);
+  EXPECT_EQ(SaturatingMul(uint64_t{1} << 32, uint64_t{1} << 32), UINT64_MAX);
+  // The planner's cap, 2^60: reaching it exactly is not saturation.
+  constexpr uint64_t kCap = uint64_t{1} << 60;
+  EXPECT_EQ(SaturatingAdd(kCap - 2, 1, kCap), kCap - 1);
+  EXPECT_EQ(SaturatingAdd(kCap - 1, 1, kCap), kCap);
+  EXPECT_EQ(SaturatingAdd(kCap - 1, 2, kCap), kCap);
+  EXPECT_EQ(SaturatingMul(uint64_t{1} << 29, uint64_t{1} << 30, kCap), uint64_t{1} << 59);
+  EXPECT_EQ(SaturatingMul(uint64_t{1} << 30, uint64_t{1} << 30, kCap), kCap);
+  EXPECT_EQ(SaturatingMul(uint64_t{1} << 30, uint64_t{1} << 31, kCap), kCap);
+  EXPECT_EQ(SaturatingMul(0, kCap + 1, kCap), 0u);
+  // An input already above the cap gives the cap.
+  EXPECT_EQ(SaturatingAdd(kCap + 5, 0, kCap), kCap);
+  EXPECT_EQ(SaturatingAdd(kCap + 5, 1, kCap), kCap);
+  EXPECT_EQ(SaturatingAdd(1, kCap + 5, kCap), kCap);
+  EXPECT_EQ(SaturatingMul(kCap + 5, 1, kCap), kCap);
+  EXPECT_EQ(SaturatingMul(1, kCap + 5, kCap), kCap);
+}
+
 TEST(MathUtilTest, IntegerRoots) {
   EXPECT_EQ(FloorNthRoot(64, 3), 4u);
   EXPECT_EQ(FloorNthRoot(63, 3), 3u);
