@@ -5,12 +5,16 @@
 ///   $ ./query_analyzer "R1(A,B,C), R2(D,E,F), R3(A,D), R4(B,E), R5(C,F)"
 ///   $ ./query_analyzer                       # analyzes a default roster
 ///
+/// A malformed query prints the parser's message and exits 2.
+///
 /// This is the "paper calculator": it answers, for a query of your choice,
 /// every question Table 1 asks — what the one-round, multi-round, and
 /// lower-bound exponents are, and which theorem governs it.
 
 #include <cmath>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "lp/covers.h"
 #include "lp/packing_provable.h"
@@ -78,7 +82,13 @@ void Analyze(const Hypergraph& query) {
 
 int main(int argc, char** argv) {
   if (argc > 1) {
-    Analyze(coverpack::ParseQuery(argv[1]));
+    std::string error;
+    std::optional<coverpack::Hypergraph> query = coverpack::ParseQuery(argv[1], &error);
+    if (!query.has_value()) {
+      std::cerr << "query_analyzer: " << error << "\n";
+      return 2;
+    }
+    Analyze(*query);
     return 0;
   }
   for (const auto& entry : coverpack::catalog::StandardRoster()) {

@@ -9,14 +9,20 @@
 #ifndef COVERPACK_QUERY_PARSER_H_
 #define COVERPACK_QUERY_PARSER_H_
 
+#include <optional>
 #include <string>
 
 #include "query/hypergraph.h"
 
 namespace coverpack {
 
-/// Parses the DSL; aborts with a message on malformed input (queries are
-/// compiled-in constants in this library, so a malformed query is a bug).
+/// Parses the DSL. On malformed input — a syntax error, no relation, a
+/// relation name used twice, or more than 64 attributes or relations —
+/// returns nullopt and stores a message naming the problem in `*error`.
+std::optional<Hypergraph> ParseQuery(const std::string& text, std::string* error);
+
+/// Parses a compiled-in query; aborts with the message above on malformed
+/// input, which is a bug in the caller.
 Hypergraph ParseQuery(const std::string& text);
 
 }  // namespace coverpack

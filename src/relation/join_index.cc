@@ -1,11 +1,11 @@
 #include "relation/join_index.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace coverpack {
 
@@ -166,57 +166,6 @@ GroupedKeyIndex::Candidates GroupedKeyIndex::Probe(uint64_t hash) const {
   uint32_t g = ProbeGroup(hash);
   if (g == kNoGroup) return Candidates{};
   return GroupRows(g);
-}
-
-void KeyedWeightSums::Build(const Relation& rel, const uint32_t* key_cols,
-                            size_t num_key_cols, const uint64_t* weights) {
-  index_.Build(rel, key_cols, num_key_cols);
-  build_base_ = rel.raw().data();
-  build_width_ = rel.width();
-  key_cols_ = key_cols;
-  num_key_cols_ = num_key_cols;
-  entries_.clear();
-  const size_t n = rel.size();
-  if (n == 0) return;
-  group_head_ = arena_->AllocateArray<uint32_t>(index_.num_groups());
-  std::memset(group_head_, 0xFF, index_.num_groups() * sizeof(uint32_t));
-  const uint32_t* group_of_row = index_.group_of_row();
-  for (size_t i = 0; i < n; ++i) {
-    const Value* row = build_base_ + i * build_width_;
-    const uint64_t w = weights == nullptr ? 1 : weights[i];
-    uint32_t g = group_of_row[i];
-    uint32_t e = group_head_[g];
-    while (e != kNone &&
-           !RowKeysEqual(row, key_cols_,
-                         build_base_ + size_t{entries_[e].rep_row} * build_width_,
-                         key_cols_, num_key_cols_)) {
-      e = entries_[e].next;
-    }
-    if (e != kNone) {
-      entries_[e].sum = SaturatingAdd(entries_[e].sum, w);
-    } else {
-      entries_.push_back(Entry{static_cast<uint32_t>(i), group_head_[g], w});
-      group_head_[g] = static_cast<uint32_t>(entries_.size() - 1);
-    }
-  }
-}
-
-uint64_t KeyedWeightSums::Lookup(const Value* row, const uint32_t* cols) const {
-  if (index_.num_rows() == 0) return 0;
-  uint64_t h = HashRowKey(row, cols, num_key_cols_);
-  if (!index_.MightContain(h)) return 0;
-  uint32_t g = index_.ProbeGroup(h);
-  if (g == GroupedKeyIndex::kNoGroup) return 0;
-  uint32_t e = group_head_[g];
-  while (e != kNone) {
-    if (RowKeysEqual(row, cols,
-                     build_base_ + size_t{entries_[e].rep_row} * build_width_,
-                     key_cols_, num_key_cols_)) {
-      return entries_[e].sum;
-    }
-    e = entries_[e].next;
-  }
-  return 0;
 }
 
 }  // namespace coverpack

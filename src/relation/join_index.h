@@ -2,7 +2,7 @@
 /// \brief Radix-partitioned grouped hash index over row keys.
 ///
 /// The shared build side of the columnar join paths (HashJoin, SemiJoin,
-/// grouped aggregation). One `Build` hashes each build row's key columns
+/// the join-tree message pass). One `Build` hashes each build row's key columns
 /// once, partitions rows by the hash's top bits (counts first, then a
 /// stable scatter — no per-bucket vectors), and lays the groups out as
 /// contiguous ascending-row-id runs addressed by per-partition
@@ -24,8 +24,10 @@
 #define COVERPACK_RELATION_JOIN_INDEX_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "relation/relation.h"
+#include "relation/semiring.h"
 #include "util/arena.h"
 
 namespace coverpack {
@@ -112,32 +114,78 @@ class GroupedKeyIndex {
   uint64_t bloom_mask_ = 0;
 };
 
-/// Saturating per-key aggregation of 64-bit weights over a relation's key
-/// columns: the grouped-hash replacement for the historical
-/// `unordered_map<vector<Value>, uint64_t>` weight sums of the Yannakakis
-/// passes. Exact keys, not hashes: colliding keys within a hash group get
-/// separate entries (a short per-group chain, length 1 in practice).
+/// Per-key ⊕-sums of semiring weights over a relation's key columns: the
+/// child-to-parent message of the join-tree pass (relation/message_pass.h).
+/// Exact keys, not hashes: colliding keys within a hash group get separate
+/// entries (a short per-group chain, length 1 in practice).
+template <typename S = CountingSemiring>
 class KeyedWeightSums {
  public:
+  using Weight = typename S::Weight;
+
   explicit KeyedWeightSums(Arena* arena)
       : arena_(arena), index_(arena), entries_(arena) {}
 
-  /// Aggregates `weights[i]` (all ones when null) per exact key of `rel`'s
-  /// `key_cols` projection, with saturating addition.
+  /// ⊕-sums `weights[i]` (S::One() for every row when null) per exact key
+  /// of `rel`'s `key_cols` projection.
   void Build(const Relation& rel, const uint32_t* key_cols, size_t num_key_cols,
-             const uint64_t* weights);
+             const Weight* weights) {
+    index_.Build(rel, key_cols, num_key_cols);
+    build_base_ = rel.raw().data();
+    build_width_ = rel.width();
+    key_cols_ = key_cols;
+    num_key_cols_ = num_key_cols;
+    entries_.clear();
+    const size_t n = rel.size();
+    if (n == 0) return;
+    group_head_ = arena_->AllocateArray<uint32_t>(index_.num_groups());
+    std::memset(group_head_, 0xFF, index_.num_groups() * sizeof(uint32_t));
+    const uint32_t* group_of_row = index_.group_of_row();
+    for (size_t i = 0; i < n; ++i) {
+      const Value* row = build_base_ + i * build_width_;
+      const Weight w = weights == nullptr ? S::One() : weights[i];
+      uint32_t g = group_of_row[i];
+      uint32_t e = group_head_[g];
+      while (e != kNone && !RowKeysEqual(row, key_cols_, RepRow(entries_[e]), key_cols_,
+                                         num_key_cols_)) {
+        e = entries_[e].next;
+      }
+      if (e != kNone) {
+        entries_[e].sum = S::Add(entries_[e].sum, w);
+      } else {
+        entries_.push_back(Entry{static_cast<uint32_t>(i), group_head_[g], w});
+        group_head_[g] = static_cast<uint32_t>(entries_.size() - 1);
+      }
+    }
+  }
 
-  /// Saturated weight sum for the key of `row` projected through `cols`
-  /// (same column count as Build); 0 when the key never occurred.
-  uint64_t Lookup(const Value* row, const uint32_t* cols) const;
+  /// The sum for the key of `row` projected through `cols` (same column
+  /// count as Build); S::Zero() when the key never occurred.
+  Weight Lookup(const Value* row, const uint32_t* cols) const {
+    if (index_.num_rows() == 0) return S::Zero();
+    uint64_t h = HashRowKey(row, cols, num_key_cols_);
+    if (!index_.MightContain(h)) return S::Zero();
+    uint32_t g = index_.ProbeGroup(h);
+    if (g == GroupedKeyIndex::kNoGroup) return S::Zero();
+    for (uint32_t e = group_head_[g]; e != kNone; e = entries_[e].next) {
+      if (RowKeysEqual(row, cols, RepRow(entries_[e]), key_cols_, num_key_cols_)) {
+        return entries_[e].sum;
+      }
+    }
+    return S::Zero();
+  }
 
  private:
   struct Entry {
     uint32_t rep_row;  // a build row carrying this exact key
     uint32_t next;     // next entry in the group chain, or kNone
-    uint64_t sum;
+    Weight sum;
   };
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+  const Value* RepRow(const Entry& entry) const {
+    return build_base_ + size_t{entry.rep_row} * build_width_;
+  }
 
   Arena* arena_;
   GroupedKeyIndex index_;

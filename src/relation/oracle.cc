@@ -2,9 +2,10 @@
 
 #include <algorithm>
 
-#include "relation/join_index.h"
+#include "relation/message_pass.h"
 #include "relation/operators.h"
 #include "util/arena.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -201,53 +202,55 @@ Relation GenericJoin(const Hypergraph& query, const Instance& instance) {
 std::vector<std::vector<uint64_t>> SubtreeWeights(const Hypergraph& query, const JoinTree& tree,
                                                   const Instance& instance) {
   instance.CheckAgainst(query);
-  const uint32_t m = query.num_edges();
-  CP_CHECK_EQ(tree.num_nodes(), m);
-  std::vector<std::vector<uint64_t>> weight(m);
-  for (uint32_t e = 0; e < m; ++e) weight[e].assign(instance[e].size(), 1);
-
-  const std::vector<uint32_t> top_down = tree.TopDown();
-  for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
-    const uint32_t node = *it;
-    for (uint32_t child : tree.children(node)) {
-      AttrSet shared = query.edge(node).attrs.Intersect(query.edge(child).attrs);
-      const Relation& parent_rel = instance[node];
-      const Relation& child_rel = instance[child];
-      ArenaScope scope;
-      Arena* arena = scope.arena();
-      uint32_t* parent_cols = arena->AllocateArray<uint32_t>(shared.size());
-      uint32_t* child_cols = arena->AllocateArray<uint32_t>(shared.size());
-      size_t k = 0;
-      for (AttrId a : shared.ToVector()) {
-        parent_cols[k] = parent_rel.ColumnOf(a);
-        child_cols[k] = child_rel.ColumnOf(a);
-        ++k;
-      }
-      // Aggregate the child's weights per exact shared key, then fold the
-      // per-key factor into each parent row.
-      KeyedWeightSums sums(arena);
-      sums.Build(child_rel, child_cols, k, weight[child].data());
-      const Value* pbase = parent_rel.raw().data();
-      const uint32_t pwidth = parent_rel.width();
-      for (size_t i = 0; i < parent_rel.size(); ++i) {
-        uint64_t factor = sums.Lookup(pbase + i * pwidth, parent_cols);
-        weight[node][i] = SaturatingMul(weight[node][i], factor);
-      }
-    }
-  }
+  CP_CHECK_EQ(tree.num_nodes(), query.num_edges());
+  SemiringWeights<CountingSemiring> weight(query.num_edges());
+  for (uint32_t e = 0; e < query.num_edges(); ++e) weight[e].assign(instance[e].size(), 1);
+  MessagePass<CountingSemiring>(query, tree, instance, &weight);
   return weight;
 }
 
 uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
                           const Instance& instance) {
-  const std::vector<std::vector<uint64_t>> weight = SubtreeWeights(query, tree, instance);
-  uint64_t total = 1;
-  for (uint32_t root : tree.Roots()) {
-    uint64_t component = 0;
-    for (uint64_t w : weight[root]) component = SaturatingAdd(component, w);
-    total = SaturatingMul(total, component);
+  return RootProduct<CountingSemiring>(tree, SubtreeWeights(query, tree, instance));
+}
+
+uint64_t ValueFactor(AttrId attr, Value value) {
+  return MixHash(HashCombine(uint64_t{attr} + 1, value)) | 1;
+}
+
+uint64_t ResultDigest(const Relation& relation) {
+  const std::vector<AttrId> attrs = relation.attrs().ToVector();
+  uint64_t digest = 0;
+  for (size_t i = 0; i < relation.size(); ++i) {
+    const std::span<const Value> row = relation.row(i);
+    uint64_t product = 1;
+    for (size_t c = 0; c < attrs.size(); ++c) product *= ValueFactor(attrs[c], row[c]);
+    digest += product;
   }
-  return total;
+  return digest;
+}
+
+uint64_t AcyclicResultDigest(const Hypergraph& query, const JoinTree& tree,
+                             const Instance& instance) {
+  instance.CheckAgainst(query);
+  CP_CHECK_EQ(tree.num_nodes(), query.num_edges());
+  // Each attribute's factor enters once per result: through the topmost of
+  // its holders, the one whose parent lacks it (running intersection).
+  SemiringWeights<WrappingSemiring> weight(query.num_edges());
+  for (uint32_t e = 0; e < query.num_edges(); ++e) {
+    const Relation& relation = instance[e];
+    AttrSet owned = relation.attrs();
+    if (!tree.IsRoot(e)) owned = owned.Minus(query.edge(tree.parent(e)).attrs);
+    weight[e].assign(relation.size(), 1);
+    for (AttrId attr : owned.ToVector()) {
+      const uint32_t column = relation.ColumnOf(attr);
+      for (size_t i = 0; i < relation.size(); ++i) {
+        weight[e][i] *= ValueFactor(attr, relation.row(i)[column]);
+      }
+    }
+  }
+  MessagePass<WrappingSemiring>(query, tree, instance, &weight);
+  return RootProduct<WrappingSemiring>(tree, weight);
 }
 
 uint64_t JoinCount(const Hypergraph& query, const Instance& instance) {

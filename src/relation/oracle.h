@@ -4,11 +4,13 @@
 ///
 /// GenericJoin is an attribute-at-a-time worst-case optimal join in the
 /// style of [22, 26] (NPRR / Generic Join), run leapfrog-style over each
-/// relation sorted once into trie order; AcyclicJoinCount counts join
-/// results of an acyclic query in near-linear time by message passing over
-/// a join tree — the COUNT(*) join-aggregate query of Appendix A.5. Its
-/// per-row counts (SubtreeWeights) are also what the output-balanced
-/// baseline of [15] ranks root tuples by.
+/// relation sorted once into trie order. On acyclic queries the join-tree
+/// message pass (relation/message_pass.h, the join-aggregate of Appendix
+/// A.5) answers without materializing the join: its counting instance gives
+/// per-row subtree counts (SubtreeWeights), which the output-balanced
+/// baseline of [15] ranks root tuples by, and the join size
+/// (AcyclicJoinCount); its ℤ/2^64 instance gives AcyclicResultDigest, equal
+/// to ResultDigest of GenericJoin's output.
 
 #ifndef COVERPACK_RELATION_ORACLE_H_
 #define COVERPACK_RELATION_ORACLE_H_
@@ -32,10 +34,9 @@ Relation GenericJoin(const Hypergraph& query, const Instance& instance);
 
 /// Per-row subtree counts over a join forest of an alpha-acyclic query:
 /// w[e][i] is the number of results of the join of e's subtree that extend
-/// row i of relation e, saturating at UINT64_MAX. Computed bottom-up, one
-/// ArenaScope per tree edge: each child's weights are summed per shared key
-/// and multiplied into the parent rows. A root's weights sum to the join
-/// size of its component.
+/// row i of relation e, saturating at UINT64_MAX. The message pass over the
+/// counting semiring, starting from all-one weights. A root's weights sum to
+/// the join size of its component.
 std::vector<std::vector<uint64_t>> SubtreeWeights(const Hypergraph& query, const JoinTree& tree,
                                                   const Instance& instance);
 
@@ -45,6 +46,22 @@ std::vector<std::vector<uint64_t>> SubtreeWeights(const Hypergraph& query, const
 /// O(total input * log) time regardless of output size.
 uint64_t AcyclicJoinCount(const Hypergraph& query, const JoinTree& tree,
                           const Instance& instance);
+
+/// The result digest's hash of one attribute value: odd, so products of
+/// factors never vanish modulo 2^64.
+uint64_t ValueFactor(AttrId attr, Value value);
+
+/// Order-independent digest of a set of join results: the wrapping sum over
+/// rows of the product of the row's value factors. Bit-identical to the
+/// RowDigest that bench/perf checks its results with.
+uint64_t ResultDigest(const Relation& relation);
+
+/// ResultDigest(GenericJoin(query, instance)) for an *alpha-acyclic* query,
+/// without materializing the join: the message pass over ℤ/2^64, where each
+/// row starts as the product of the value factors of the attributes its
+/// relation is the topmost holder of in `tree`.
+uint64_t AcyclicResultDigest(const Hypergraph& query, const JoinTree& tree,
+                             const Instance& instance);
 
 /// Counts join results of an arbitrary query: uses AcyclicJoinCount when a
 /// join tree exists, otherwise falls back to GenericJoin and counts rows.

@@ -16,8 +16,13 @@
 /// harness resets the ledger before each experiment and hands it to the
 /// report with MetricsRegistry::AddLedger: counters stay counters, maxima
 /// become gauges, series become histograms with the bounds they were
-/// recorded with. Everything recorded is content-determined, and series
-/// keep record order, so reports are byte-identical at any thread count.
+/// recorded with. Everything recorded is content-determined. A series keeps
+/// record order, so it, and the report built from it, is the same at any
+/// thread count only where one task records at a time. QueryService::Run
+/// executes a batch's pipelines under ParallelFor, so their exchanges'
+/// samples interleave by schedule; a report keeps a series' bucket counts
+/// and its float sum, and that sum can in principle differ with the order
+/// (ROADMAP item 1).
 
 #ifndef COVERPACK_UTIL_LEDGER_H_
 #define COVERPACK_UTIL_LEDGER_H_

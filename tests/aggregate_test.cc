@@ -120,6 +120,55 @@ TEST(AggregateTest, EmptyComponentZeroesEverything) {
   EXPECT_TRUE(result.values.empty());
 }
 
+TEST(AggregateTest, JoiningRowWithZeroValueKeepsItsGroup) {
+  Hypergraph q = ParseQuery("R1(A,B), R2(B,C)");
+  Instance instance(q);
+  instance[0].AppendRow({1, 10});
+  instance[0].AppendRow({2, 11});  // no partner in R2
+  instance[1].AppendRow({10, 5});
+  const Annotations annotations = {{0, 3}, {4}};
+  AttrId a = *q.FindAttribute("A");
+  auto pairs = Canon(
+      JoinAggregate(q, instance, annotations, AttrSet::Single(a), CountingSemiring()));
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0], (std::pair<std::vector<Value>, uint64_t>{{1}, 0}));
+  EXPECT_EQ(pairs, Canon(JoinAggregateBruteForce(q, instance, annotations, AttrSet::Single(a),
+                                                 CountingSemiring())));
+}
+
+TEST(AggregateTest, EmptyOutputHasOneGroupIffTheJoinIsNonEmpty) {
+  Hypergraph q = ParseQuery("R1(A,B), R2(B,C)");
+  Instance instance(q);
+  instance[0].AppendRow({1, 10});
+  instance[1].AppendRow({10, 5});
+  instance[1].AppendRow({10, 6});
+  AggregateResult result = JoinAggregate(q, instance, {}, AttrSet(), CountingSemiring());
+  ASSERT_EQ(result.keys.size(), 1u);
+  ASSERT_EQ(result.values.size(), 1u);
+  EXPECT_EQ(result.values[0], 2u);
+
+  instance[1] = Relation(q.edge(1).attrs);
+  result = JoinAggregate(q, instance, {}, AttrSet(), CountingSemiring());
+  EXPECT_EQ(result.keys.size(), 0u);
+  EXPECT_TRUE(result.values.empty());
+  EXPECT_EQ(JoinAggregateScalar(q, instance, {}, CountingSemiring()), 0u);
+}
+
+TEST(AggregateDeathTest, ShortAnnotationVectorIsRejected) {
+  Hypergraph q = ParseQuery("R1(A,B), R2(B,C)");
+  Instance instance(q);
+  instance[0].AppendRow({1, 10});
+  instance[0].AppendRow({2, 10});
+  instance[1].AppendRow({10, 5});
+  const Annotations annotations = {{7}, {}};  // one entry for R1's two rows
+  const AttrSet y = AttrSet::Single(*q.FindAttribute("A"));
+  const char* message = "the annotations of R1 need one entry per row";
+  EXPECT_DEATH(JoinAggregate(q, instance, annotations, y, CountingSemiring()), message);
+  EXPECT_DEATH(JoinAggregateScalar(q, instance, annotations, TropicalSemiring()), message);
+  EXPECT_DEATH(JoinAggregateBruteForce(q, instance, annotations, y, CountingSemiring()),
+               message);
+}
+
 class AggregateFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// Property: the message-passing evaluation agrees with brute force on
@@ -137,19 +186,22 @@ TEST_P(AggregateFuzzTest, MatchesBruteForce) {
   }
   if (!IsFreeConnex(q, y)) return;
 
-  // Random annotations.
+  // Random annotations, zero included: a joining row whose value is the
+  // semiring's zero must keep its group.
   Annotations annotations(q.num_edges());
   for (uint32_t e = 0; e < q.num_edges(); ++e) {
     for (size_t i = 0; i < instance[e].size(); ++i) {
-      annotations[e].push_back(1 + rng.Uniform(5));
+      annotations[e].push_back(rng.Uniform(6));
     }
   }
 
-  for (const Semiring& semiring : {CountingSemiring(), TropicalSemiring()}) {
+  const auto expect_match = [&](auto semiring) {
     AggregateResult fast = JoinAggregate(q, instance, annotations, y, semiring);
     AggregateResult slow = JoinAggregateBruteForce(q, instance, annotations, y, semiring);
     EXPECT_EQ(Canon(fast), Canon(slow)) << q.ToString() << " y=" << y.bits();
-  }
+  };
+  expect_match(CountingSemiring());
+  expect_match(TropicalSemiring());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregateFuzzTest, ::testing::Range<uint64_t>(1, 61));

@@ -251,6 +251,27 @@ TEST(HashCollisionTest, KeyedWeightSumsKeepsCollidingKeysSeparate) {
   EXPECT_EQ(sums.Lookup(absent, cols), 0u);
 }
 
+TEST(HashCollisionTest, KeyedWeightSumsAddInTheirSemiring) {
+  Value a[2], b[2];
+  CraftCollidingKeys(a, b);
+  Relation rel(AttrSet::FromIds({0, 1}));
+  rel.AppendRow({a[0], a[1]});
+  rel.AppendRow({b[0], b[1]});
+  rel.AppendRow({a[0], a[1]});
+  const uint64_t weights[3] = {5, 7, 11};
+
+  Arena arena;
+  KeyedWeightSums<TropicalSemiring> sums(&arena);
+  const uint32_t cols[2] = {0, 1};
+  sums.Build(rel, cols, 2, weights);
+  EXPECT_EQ(sums.Lookup(a, cols), 5u);  // min(5, 11), never the colliding 7
+  EXPECT_EQ(sums.Lookup(b, cols), 7u);
+  const Value absent[2] = {a[0], a[1] + 1};
+  EXPECT_EQ(sums.Lookup(absent, cols), TropicalSemiring::Zero());
+  sums.Build(rel, cols, 2, nullptr);  // null weights: One() = 0 for every row
+  EXPECT_EQ(sums.Lookup(a, cols), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Overflow guards on Relation growth.
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "query/catalog.h"
 #include "query/parser.h"
 
@@ -56,6 +59,62 @@ TEST(ParserTest, ParsesBoxJoin) {
   EXPECT_EQ(q.edge(0).attrs.size(), 3u);
   ASSERT_TRUE(q.FindAttribute("D").has_value());
   EXPECT_TRUE(q.edge(2).attrs.Contains(*q.FindAttribute("D")));
+}
+
+/// "R1(X0,X1), ..., Rn(X{n-1},Xn)": n relations over n + 1 attributes.
+std::string PathText(int n) {
+  std::string text;
+  for (int i = 1; i <= n; ++i) {
+    const std::string k = std::to_string(i);
+    text += (i > 1 ? ", R" : "R") + k + "(X" + std::to_string(i - 1) + ",X" + k + ")";
+  }
+  return text;
+}
+
+/// "R1(A), ..., Rn(A)": n relations over one attribute.
+std::string SameAttributeText(int n) {
+  std::string text;
+  for (int i = 1; i <= n; ++i) text += (i > 1 ? ", R" : "R") + std::to_string(i) + "(A)";
+  return text;
+}
+
+TEST(ParserTest, RejectsMalformedQueriesWithAMessage) {
+  const struct {
+    std::string text;
+    std::string message;
+  } cases[] = {
+      {"R1(A,B), R2(B", "expected ')' at position 13 in \"R1(A,B), R2(B\""},
+      {"R1()", "expected a name at position 3"},
+      {"", "empty query"},
+      {" \t ", "empty query"},
+      {"R1(A,B), R1(B,C)", "duplicate relation name R1"},
+      {"R1(A,B) R2(B,C)", "expected ',' at position 8"},
+      {"R1(A,B),", "expected a name at position 8"},
+      {"R1 A,B)", "expected '(' at position 3"},
+      {"R1(A;B)", "expected ')' at position 4"},
+      {PathText(64), "at most 64 attributes supported"},
+      {SameAttributeText(65), "at most 64 relations supported"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::string error;
+    EXPECT_FALSE(ParseQuery(c.text, &error).has_value());
+    EXPECT_NE(error.find(c.message), std::string::npos) << error;
+  }
+}
+
+TEST(ParserTest, AcceptsSixtyFourAttributesAndSixtyFourRelations) {
+  std::string error;
+  std::optional<Hypergraph> path = ParseQuery(PathText(63), &error);
+  ASSERT_TRUE(path.has_value()) << error;
+  EXPECT_EQ(path->num_attrs(), 64u);
+  std::optional<Hypergraph> star = ParseQuery(SameAttributeText(64), &error);
+  ASSERT_TRUE(star.has_value()) << error;
+  EXPECT_EQ(star->num_edges(), 64u);
+}
+
+TEST(ParserDeathTest, CompiledInFormAbortsWithTheMessage) {
+  EXPECT_DEATH(ParseQuery("R1(A,B), R1(B,C)"), "duplicate relation name R1");
 }
 
 TEST(HypergraphTest, EdgesContainingAndDegree) {

@@ -11,6 +11,7 @@
 #include "query/parser.h"
 #include "relation/agm.h"
 #include "workload/generators.h"
+#include "workload/random_queries.h"
 
 namespace coverpack {
 namespace {
@@ -186,6 +187,65 @@ TEST(OracleTest, SubtreeWeightsWithAnEmptyRelation) {
   auto tree = JoinTree::Build(q);
   ASSERT_TRUE(tree);
   EXPECT_EQ(AcyclicJoinCount(q, *tree, instance), 0u);
+}
+
+/// AcyclicResultDigest against the digest of the materialized join.
+/// Returns whether the join is non-empty.
+bool ExpectDigestMatchesGenericJoin(const Hypergraph& q, const Instance& instance) {
+  auto tree = JoinTree::Build(q);
+  EXPECT_TRUE(tree) << q.ToString();
+  if (!tree) return false;
+  const Relation joined = GenericJoin(q, instance);
+  EXPECT_EQ(AcyclicResultDigest(q, *tree, instance), ResultDigest(joined)) << q.ToString();
+  return !joined.empty();
+}
+
+TEST(OracleTest, AcyclicResultDigestMatchesGenericJoinOnTheRoster) {
+  size_t nonempty = 0;
+  for (const auto& entry : catalog::StandardRoster()) {
+    if (!JoinTree::Build(entry.query)) continue;
+    Rng rng(11);
+    nonempty += ExpectDigestMatchesGenericJoin(
+        entry.query, workload::UniformInstance(entry.query, 30, 5, &rng));
+  }
+  EXPECT_GE(nonempty, 8u);
+}
+
+TEST(OracleTest, AcyclicResultDigestMatchesGenericJoinOnRandomAcyclicInstances) {
+  size_t nonempty = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const Hypergraph q = workload::RandomAcyclicQuery(&rng);
+    nonempty += ExpectDigestMatchesGenericJoin(q, workload::UniformInstance(q, 40, 6, &rng));
+  }
+  EXPECT_GE(nonempty, 20u);
+}
+
+TEST(OracleTest, AcyclicResultDigestOnAForest) {
+  const Hypergraph q = ParseQuery("R1(A,B), R2(B,C), R3(X,Y), R4(Y,Z), R5(P,Q)");
+  Rng rng(7);
+  EXPECT_TRUE(ExpectDigestMatchesGenericJoin(q, workload::UniformInstance(q, 30, 5, &rng)));
+}
+
+TEST(OracleTest, AcyclicResultDigestWithAnEmptyRelation) {
+  const Hypergraph q = catalog::Path(3);
+  Rng rng(4);
+  Instance instance = workload::UniformInstance(q, 30, 5, &rng);
+  instance[1] = Relation(q.edge(1).attrs);
+  EXPECT_FALSE(ExpectDigestMatchesGenericJoin(q, instance));
+  EXPECT_EQ(AcyclicResultDigest(q, *JoinTree::Build(q), instance), 0u);
+}
+
+TEST(OracleTest, ResultDigestIsPinned) {
+  // bench/perf's RowDigest gives these values, so its expected digests
+  // hold when the benchmark switches to ResultDigest.
+  Relation relation(AttrSet::FromIds({0, 2, 5}));
+  relation.AppendRow({1, 10, 100});
+  relation.AppendRow({2, 20, 100});
+  relation.AppendRow({7, 10, 0});
+  EXPECT_EQ(ResultDigest(relation), 0x1ce79c0ce99603e7u);
+  EXPECT_EQ(ValueFactor(2, 20), 0xef375bf0bf830701u);
+  EXPECT_EQ(ResultDigest(Relation(AttrSet::FromIds({0}))), 0u);
 }
 
 TEST(OracleTest, SubjoinSizeExample32Style) {
