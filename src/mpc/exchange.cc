@@ -30,31 +30,29 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
                                    uint32_t round, const char* label, bool charged)
     : plan_(&plan), round_(round), label_(label), charged_(charged) {
   // Resolve every destination exactly once, sum the pre-exchange sizes of
-  // the distinct ones and the rows each receives from all sources, then
-  // reserve ahead for the delivery once per destination.
+  // the distinct ones and the rows each receives from all sources (the
+  // per-server counts AddSource kept), then reserve ahead for the delivery
+  // once per destination.
   std::vector<std::pair<Relation*, uint64_t>> incoming;  // distinct destinations
   for (size_t src = 0; src < plan.sources_.size(); ++src) {
     const ExchangePlan::Source& source = plan.sources_[src];
     if (source.relation == nullptr) continue;
     CP_CHECK(sink != nullptr);
+    for (const auto& routes : source.shard_routes) shards_.push_back({src, &routes});
     Target target;
     target.source_index = src;
-    target.counts.assign(plan.num_servers_, 0);
-    for (const auto& routes : source.shard_routes) {
-      for (const ExchangePlan::Route& r : routes) ++target.counts[r.server];
-    }
     target.dests.assign(plan.num_servers_, nullptr);
     for (uint32_t s = 0; s < plan.num_servers_; ++s) {
-      if (target.counts[s] == 0) continue;
+      if (source.counts[s] == 0) continue;
       Relation* dest = sink(src, s);
       CP_CHECK(dest != nullptr);
       auto it = std::find_if(incoming.begin(), incoming.end(),
                              [dest](const auto& entry) { return entry.first == dest; });
       if (it == incoming.end()) {
-        incoming.emplace_back(dest, target.counts[s]);
+        incoming.emplace_back(dest, source.counts[s]);
         pre_exchange_rows_ += dest->size();
       } else {
-        it->second += target.counts[s];
+        it->second += source.counts[s];
       }
       target.dests[s] = dest;
     }

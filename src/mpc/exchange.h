@@ -156,6 +156,7 @@ class ExchangePlan {
   struct Source {
     const Relation* relation = nullptr;
     std::vector<std::vector<Route>> shard_routes;  // ascending shard order
+    std::vector<uint64_t> counts;  ///< recorded routes per server; empty when charge-only
   };
 
   void EnsureReceives() {
@@ -178,7 +179,8 @@ using ExchangeSink = std::function<Relation*(size_t, uint32_t)>;
 /// sink exactly once, at construction; Execute then performs the one
 /// coalesced delivery. Before it does, an installed interposer gets the
 /// const view: the plan, the exchange's coordinates, every route in
-/// delivery order, and the destinations' pre-exchange sizes.
+/// delivery order (whole, or shard by shard for a parallel walk), and the
+/// destinations' pre-exchange sizes.
 class ExchangeDelivery {
  public:
   uint32_t round() const { return round_; }
@@ -194,16 +196,29 @@ class ExchangeDelivery {
   /// the volume a round-boundary snapshot of the destinations covers.
   uint64_t PreExchangeRows() const { return pre_exchange_rows_; }
 
+  /// The recorded routes as a sequence of route shards: every recorded
+  /// source's fixed kExchangeRouteGrain routing shards, source by source, in
+  /// delivery order. The decomposition depends only on the plan, never on
+  /// the thread count, so a walk that tallies each shard on its own (e.g.
+  /// in a ParallelFor) and merges the tallies in shard order gets the
+  /// serial walk's result at any parallelism level.
+  size_t NumRouteShards() const { return shards_.size(); }
+
+  /// Read-only walk over route shard `k` < NumRouteShards(), in delivery
+  /// order: calls `visit(source, server, row)` once per routed row. Every
+  /// route of a shard comes from the same source.
+  template <typename VisitFn>
+  void ForEachRouteInShard(size_t k, const VisitFn& visit) const {
+    const RouteShard& shard = shards_[k];
+    for (const ExchangePlan::Route& r : *shard.routes) visit(shard.source_index, r.server, r.row);
+  }
+
   /// Read-only walk over every recorded route, in the deterministic
-  /// (source, shard, row, emit) order Execute delivers them: calls
-  /// `visit(source, server, row)` once per routed row.
+  /// (source, shard, row, emit) order Execute delivers them: the route
+  /// shards in order, each walked with ForEachRouteInShard.
   template <typename VisitFn>
   void ForEachRoute(const VisitFn& visit) const {
-    for (const Target& target : targets_) {
-      for (const auto& routes : plan_->sources_[target.source_index].shard_routes) {
-        for (const ExchangePlan::Route& r : routes) visit(target.source_index, r.server, r.row);
-      }
-    }
+    for (size_t k = 0; k < shards_.size(); ++k) ForEachRouteInShard(k, visit);
   }
 
  private:
@@ -219,8 +234,13 @@ class ExchangeDelivery {
   /// Destination state of one recorded source.
   struct Target {
     size_t source_index;
-    std::vector<uint64_t> counts;    ///< planned rows per server
-    std::vector<Relation*> dests;    ///< resolved once; null where counts == 0
+    std::vector<Relation*> dests;  ///< resolved once; null where the source routes no row
+  };
+
+  /// One routing shard of a recorded source.
+  struct RouteShard {
+    size_t source_index;
+    const std::vector<ExchangePlan::Route>* routes;
   };
 
   const ExchangePlan* plan_;
@@ -228,6 +248,7 @@ class ExchangeDelivery {
   const char* label_;
   bool charged_;
   std::vector<Target> targets_;
+  std::vector<RouteShard> shards_;  ///< the route shard view, in delivery order
   uint64_t pre_exchange_rows_ = 0;
 };
 
@@ -305,7 +326,10 @@ size_t ExchangePlan::AddSource(const Relation& source, bool record, const RouteF
                                size_t emits_per_row_hint) {
   const size_t rows = source.size();
   Source entry;
-  if (record) entry.relation = &source;
+  if (record) {
+    entry.relation = &source;
+    entry.counts.assign(num_servers_, 0);
+  }
   if (rows > 0) {
     const size_t num_shards = ThreadPool::NumShards(0, rows, kExchangeRouteGrain);
     ThreadPool& pool = ThreadPool::Global();
@@ -322,15 +346,16 @@ size_t ExchangePlan::AddSource(const Relation& source, bool record, const RouteF
                                  });
                                }
                              });
-      EnsureReceives();
       for (const auto& routes : entry.shard_routes) {
         for (const Route& r : routes) {
           CP_DCHECK(r.server < num_servers_);
-          ++receives_[r.server];
+          ++entry.counts[r.server];
         }
         total_planned_ += routes.size();
         recorded_planned_ += routes.size();
       }
+      EnsureReceives();
+      for (uint32_t s = 0; s < num_servers_; ++s) receives_[s] += entry.counts[s];
     } else {
       // Charge-only routing: per-shard receive-count arrays, merged in
       // ascending shard order (sums are order-independent, but the fixed

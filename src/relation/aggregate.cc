@@ -76,8 +76,8 @@ Annotations UnitAnnotations(const Instance& instance) {
 
 bool IsFreeConnex(const Hypergraph& query, AttrSet output_attrs) {
   CP_CHECK(output_attrs.IsSubsetOf(query.AllAttrs()));
-  if (output_attrs.empty()) return IsAlphaAcyclic(query);
-  return IsAlphaAcyclic(ExtendWithVirtualEdge(query, output_attrs));
+  if (!IsAlphaAcyclic(query)) return false;
+  return output_attrs.empty() || IsAlphaAcyclic(ExtendWithVirtualEdge(query, output_attrs));
 }
 
 template <typename S>

@@ -10,8 +10,8 @@
 ///
 /// Free-connex queries (the class evaluable in O(N) + output time) are
 /// recognized with the classical criterion: Q with output y is free-connex
-/// iff the hypergraph Q plus a virtual hyperedge covering exactly y is
-/// alpha-acyclic. Evaluation runs the join-tree message pass
+/// iff Q is alpha-acyclic and so is Q plus a virtual hyperedge covering
+/// exactly y. Evaluation runs the join-tree message pass
 /// (relation/message_pass.h), the same one behind SubtreeWeights and
 /// AcyclicResultDigest, on a join tree of the extended query rooted at the
 /// virtual edge, and groups at that root. The templates are instantiated
@@ -47,8 +47,10 @@ struct AggregateResult {
 };
 
 /// True iff the query with output attributes y is free-connex acyclic:
-/// Q plus a virtual edge over y is alpha-acyclic. (For y = all attributes
-/// this reduces to plain alpha-acyclicity; for y = empty, too.)
+/// Q is alpha-acyclic, and so is Q plus a virtual edge over y. (An edge
+/// over all attributes makes any hypergraph alpha-acyclic, so the first
+/// condition is what rejects a cyclic Q with y = all attributes. For that
+/// y, and for y = empty, the test is plain alpha-acyclicity of Q.)
 bool IsFreeConnex(const Hypergraph& query, AttrSet output_attrs);
 
 /// Evaluates the join-aggregate query by message passing over a join tree

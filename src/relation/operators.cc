@@ -259,7 +259,12 @@ Relation MultiwayJoin(const std::vector<const Relation*>& inputs) {
   Relation result = *ordered[0];
   for (size_t i = 1; i < ordered.size(); ++i) {
     result = HashJoin(result, *ordered[i]);
-    if (result.empty()) break;
+    if (result.empty()) {
+      // Stop early, but over the schema the whole join has.
+      AttrSet attrs;
+      for (const Relation* input : inputs) attrs = attrs.Union(input->attrs());
+      return Relation(attrs);
+    }
   }
   return result;
 }

@@ -48,6 +48,8 @@ Relation HashJoin(const Relation& left, const Relation& right);
 /// Natural join of any number of co-located relations, evaluated as a
 /// left-deep sequence of hash joins in ascending size order. Intended for
 /// emission-time combination of small fragments; not worst-case optimal.
+/// The result's schema is the union of the inputs' schemas, also when the
+/// join is empty.
 Relation MultiwayJoin(const std::vector<const Relation*>& inputs);
 
 /// Adds a constant column `attr = value` to every row (attr must not be in

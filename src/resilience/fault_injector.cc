@@ -4,9 +4,77 @@
 #include <vector>
 
 #include "util/ledger.h"
+#include "util/thread_pool.h"
 
 namespace coverpack {
 namespace resilience {
+
+namespace {
+
+/// The row dice of one delivery attempt: how many rows were dropped and
+/// how many duplicated.
+struct RowFaultCounts {
+  uint64_t drops = 0;
+  uint64_t duplicates = 0;
+};
+
+/// Draws attempt `attempt`'s drop and duplicate dice for every route bound
+/// for a live (not crashed) receiver and marks each receiver that lost or
+/// gained a row in `corrupted`. The dice are pure functions of their
+/// coordinates, so the walk runs shard-parallel over the delivery's route
+/// shards: each shard tallies its drops, duplicates and a bitmap of the
+/// receivers it corrupted, and the tallies (sums and ORs) merge in shard
+/// order. Rows draw from per-(source, server) prefixes computed once here.
+RowFaultCounts DrawRowFaults(const FaultPlan& faults, const mpc::ExchangeDelivery& delivery,
+                             uint64_t key, uint32_t attempt, const std::vector<uint8_t>& crashed,
+                             std::vector<uint8_t>* corrupted) {
+  const mpc::ExchangePlan& plan = delivery.plan();
+  const uint32_t p = plan.num_servers();
+  std::vector<FaultPlan::SourcePrefix> prefixes(plan.num_sources() * p);
+  for (uint32_t s = 0; s < p; ++s) {
+    if (crashed[s] != 0) continue;
+    const FaultPlan::RowPrefix prefix = faults.RowFaultPrefix(key, attempt, s);
+    for (size_t source = 0; source < plan.num_sources(); ++source) {
+      prefixes[source * p + s] = FaultPlan::ForSource(prefix, source);
+    }
+  }
+
+  const size_t num_shards = delivery.NumRouteShards();
+  const size_t words = (p + 63) / 64;
+  std::vector<RowFaultCounts> tallies(num_shards);
+  std::vector<uint64_t> corrupted_bits(num_shards * words, 0);
+  ThreadPool::Global().ParallelFor(0, num_shards, 1, [&](size_t k) {
+    RowFaultCounts tally;
+    uint64_t* bits = corrupted_bits.data() + k * words;
+    delivery.ForEachRouteInShard(k, [&](size_t source, uint32_t server, size_t row) {
+      if (crashed[server] != 0) return;
+      const FaultPlan::SourcePrefix& prefix = prefixes[source * p + server];
+      if (faults.DropsRow(prefix, row)) {
+        ++tally.drops;
+      } else if (faults.DuplicatesRow(prefix, row)) {
+        ++tally.duplicates;
+      } else {
+        return;
+      }
+      bits[server / 64] |= uint64_t{1} << (server % 64);
+    });
+    tallies[k] = tally;
+  });
+
+  RowFaultCounts total;
+  std::vector<uint64_t> merged(words, 0);
+  for (size_t k = 0; k < num_shards; ++k) {
+    total.drops += tallies[k].drops;
+    total.duplicates += tallies[k].duplicates;
+    for (size_t w = 0; w < words; ++w) merged[w] |= corrupted_bits[k * words + w];
+  }
+  for (uint32_t s = 0; s < p; ++s) {
+    if ((merged[s / 64] >> (s % 64)) & 1) (*corrupted)[s] = 1;
+  }
+  return total;
+}
+
+}  // namespace
 
 void ResilienceTelemetry::Reset() {
   Ledger::Global().Reset("fault.");
@@ -63,35 +131,21 @@ void FaultInjector::Observe(const mpc::ExchangeDelivery& delivery) {
 
     // Every routed row bound for a live receiver draws its drop and
     // duplicate dice; rows bound for a crashed one are lost wholesale.
-    uint64_t attempt_drops = 0;
-    uint64_t attempt_dups = 0;
     std::vector<uint8_t> corrupted = crashed;
-    if (row_faults_possible) {
-      std::vector<FaultPlan::RowPrefix> prefixes(plan.num_servers());
-      for (uint32_t s = 0; s < plan.num_servers(); ++s) {
-        if (crashed[s] == 0) prefixes[s] = plan_.RowFaultPrefix(key, attempt, s);
-      }
-      delivery.ForEachRoute([&](size_t source, uint32_t server, size_t row) {
-        if (crashed[server] != 0) return;
-        if (plan_.DropsRow(prefixes[server], source, row)) {
-          ++attempt_drops;
-          corrupted[server] = 1;
-        } else if (plan_.DuplicatesRow(prefixes[server], source, row)) {
-          ++attempt_dups;
-          corrupted[server] = 1;
-        }
-      });
-    }
+    const RowFaultCounts row_faults =
+        row_faults_possible
+            ? DrawRowFaults(plan_, delivery, key, attempt, crashed, &corrupted)
+            : RowFaultCounts{};
     // The dice came up clean: this attempt delivers every message exactly
     // once, which is the delivery Execute performs.
-    if (attempt_crashes == 0 && attempt_drops == 0 && attempt_dups == 0) break;
+    if (attempt_crashes == 0 && row_faults.drops == 0 && row_faults.duplicates == 0) break;
 
     // Faulty attempt: the recovery ledger is charged and the delivery is
     // retried with backoff.
     ++retries;
     crashes += attempt_crashes;
-    rows_dropped += attempt_drops;
-    rows_duplicated += attempt_dups;
+    rows_dropped += row_faults.drops;
+    rows_duplicated += row_faults.duplicates;
     backoff_units += std::min(kBackoffBase << std::min<uint32_t>(attempt, 63), kBackoffCap);
     // Replaying the round re-sends each affected server its full planned
     // receive — by definition at most the round's bottleneck load each.

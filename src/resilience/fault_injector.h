@@ -10,11 +10,20 @@
 /// bounded retry budget is exhausted; past the budget it degrades
 /// gracefully to a full deterministic rerun of the exchange (accounted at
 /// full plan volume). The injector is a read-only hook: it decides each
-/// attempt's fate on a walk of the routes (ExchangeDelivery::ForEachRoute)
-/// and writes nothing, and Exchange::Execute then performs the one clean
-/// delivery and the untouched load charging. So a run under any FaultPlan
-/// produces bit-identical results, loads, and traces to the fault-free run
-/// — only the fault.* / recovery.* ledger differs.
+/// attempt's fate on a walk of the routes and writes nothing, and
+/// Exchange::Execute then performs the one clean delivery and the
+/// untouched load charging. So a run under any FaultPlan produces
+/// bit-identical results, loads, and traces to the fault-free run — only
+/// the fault.* / recovery.* ledger differs.
+///
+/// The walk decides crashes per receiving server, then draws every live
+/// routed row's drop and duplicate dice shard-parallel on the global pool,
+/// over the delivery's route shards (ExchangeDelivery::NumRouteShards and
+/// ForEachRouteInShard). Each shard tallies its drops, duplicates and
+/// corrupted receivers; the tallies are sums and ORs merged in shard order,
+/// so every counter equals a serial walk's at any thread count. Each row
+/// hashes only itself, from a per-(attempt, server, source) prefix computed
+/// once per attempt (FaultPlan::RowFaultPrefix, then FaultPlan::ForSource).
 ///
 /// All recovery cost lands in the run ledger's fault.* / recovery.*
 /// namespaces (util/ledger.h), never in the LoadTracker: the tracker must

@@ -16,18 +16,6 @@ enum StreamTag : uint64_t {
   kStragglerStream = 0x53545247u,  // "STRG"
 };
 
-/// Maps a mixed hash to a uniform double in [0, 1).
-double ToUnit(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-/// True with probability `rate` for the decision stream `h`.
-bool Decide(uint64_t h, double rate) {
-  if (rate <= 0.0) return false;
-  if (rate >= 1.0) return true;
-  return ToUnit(MixHash(h)) < rate;
-}
-
 }  // namespace
 
 uint64_t FaultPlan::ExchangeKey(uint32_t round, const char* label, uint64_t planned,
@@ -56,14 +44,6 @@ FaultPlan::RowPrefix FaultPlan::RowFaultPrefix(uint64_t key, uint32_t attempt,
   prefix.duplicate =
       HashCombine(HashCombine(HashCombine(spec_.seed, kDuplicateStream), key), coordinates);
   return prefix;
-}
-
-bool FaultPlan::DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
-  return Decide(HashCombine(HashCombine(prefix.drop, source), row), spec_.drop_rate);
-}
-
-bool FaultPlan::DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
-  return Decide(HashCombine(HashCombine(prefix.duplicate, source), row), spec_.duplicate_rate);
 }
 
 double FaultPlan::SpeedOf(uint32_t round, uint32_t server) const {

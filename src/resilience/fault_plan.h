@@ -17,6 +17,8 @@
 
 #include <cstdint>
 
+#include "util/hash.h"
+
 namespace coverpack {
 namespace resilience {
 
@@ -80,26 +82,59 @@ class FaultPlan {
   /// Does `server` crash during attempt `attempt` of the exchange `key`?
   bool CrashesDelivery(uint64_t key, uint32_t attempt, uint32_t server) const;
 
-  /// The part of a row decision's hash that depends only on (seed, stream,
-  /// key, attempt, server): one receiver's share of one attempt. A per-row
-  /// loop computes it once per receiver and decides each routed row from
-  /// it with DropsRow / DuplicatesRow.
+  /// A row decision hashes (seed, stream, key, attempt, server), then the
+  /// source, then the row. A RowPrefix holds the part that depends only on
+  /// (seed, stream, key, attempt, server): one receiver's share of one
+  /// attempt. ForSource then combines one source into it, so a walk over
+  /// the routes computes a SourcePrefix once per (attempt, server, source)
+  /// and hashes only the row per routed row. The two steps compute the
+  /// hash a three-argument decision computes, so the decisions are the same.
   struct RowPrefix {
     uint64_t drop = 0;
     uint64_t duplicate = 0;
   };
   RowPrefix RowFaultPrefix(uint64_t key, uint32_t attempt, uint32_t server) const;
 
-  /// Is routed row `row` of source `source` dropped / duplicated in the
-  /// attempt and at the receiver that `prefix` was computed for?
-  bool DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
-  bool DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const;
+  /// `prefix` narrowed to the routes of source `source`.
+  struct SourcePrefix {
+    uint64_t drop = 0;
+    uint64_t duplicate = 0;
+  };
+  static SourcePrefix ForSource(const RowPrefix& prefix, uint64_t source) {
+    return {HashCombine(prefix.drop, source), HashCombine(prefix.duplicate, source)};
+  }
+
+  /// Is routed row `row` dropped / duplicated in the attempt, at the
+  /// receiver and from the source that `prefix` was computed for?
+  bool DropsRow(const SourcePrefix& prefix, uint64_t row) const {
+    return Decide(HashCombine(prefix.drop, row), spec_.drop_rate);
+  }
+  bool DuplicatesRow(const SourcePrefix& prefix, uint64_t row) const {
+    return Decide(HashCombine(prefix.duplicate, row), spec_.duplicate_rate);
+  }
+
+  /// The same decisions for row `row` of source `source`, from the
+  /// receiver's RowPrefix.
+  bool DropsRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
+    return DropsRow(ForSource(prefix, source), row);
+  }
+  bool DuplicatesRow(const RowPrefix& prefix, uint64_t source, uint64_t row) const {
+    return DuplicatesRow(ForSource(prefix, source), row);
+  }
 
   /// Relative speed of `server` in `round`: 1.0, or 1/straggler_severity
   /// when the (round, server) pair straggles. Always > 0.
   double SpeedOf(uint32_t round, uint32_t server) const;
 
  private:
+  /// True with probability `rate` for the decision stream `h`: the top 53
+  /// bits of MixHash(h) as a uniform double in [0, 1), compared to `rate`.
+  static bool Decide(uint64_t h, double rate) {
+    if (rate <= 0.0) return false;
+    if (rate >= 1.0) return true;
+    return static_cast<double>(MixHash(h) >> 11) * 0x1.0p-53 < rate;
+  }
+
   FaultSpec spec_;
 };
 

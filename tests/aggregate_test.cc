@@ -40,6 +40,14 @@ TEST(FreeConnexTest, Recognition) {
   EXPECT_FALSE(IsFreeConnex(catalog::Triangle(), AttrSet()));
 }
 
+TEST(FreeConnexTest, CyclicQueryIsNeverFreeConnex) {
+  // Q plus an edge over all attributes is alpha-acyclic even for the
+  // triangle; Q itself is not, so no output set makes it free-connex.
+  const Hypergraph triangle = catalog::Triangle();
+  EXPECT_FALSE(IsFreeConnex(triangle, triangle.AllAttrs()));
+  EXPECT_FALSE(IsFreeConnex(triangle, AttrSet::Single(*triangle.FindAttribute("A"))));
+}
+
 TEST(AggregateTest, CountGroupByOnLine3) {
   Hypergraph q = catalog::Line3();
   Instance instance(q);
@@ -167,6 +175,14 @@ TEST(AggregateDeathTest, ShortAnnotationVectorIsRejected) {
   EXPECT_DEATH(JoinAggregateScalar(q, instance, annotations, TropicalSemiring()), message);
   EXPECT_DEATH(JoinAggregateBruteForce(q, instance, annotations, y, CountingSemiring()),
                message);
+}
+
+TEST(AggregateDeathTest, CyclicQueryIsRejected) {
+  const Hypergraph triangle = catalog::Triangle();
+  Instance instance(triangle);
+  for (EdgeId e = 0; e < triangle.num_edges(); ++e) instance[e].AppendRow({1, 1});
+  EXPECT_DEATH(JoinAggregate(triangle, instance, {}, triangle.AllAttrs(), CountingSemiring()),
+               "JoinAggregate requires a free-connex query");
 }
 
 class AggregateFuzzTest : public ::testing::TestWithParam<uint64_t> {};

@@ -172,6 +172,23 @@ TEST(OperatorsTest, MultiwayJoinTriangleShape) {
   EXPECT_EQ(result.row(0)[2], 3u);
 }
 
+TEST(OperatorsTest, EmptyMultiwayJoinKeepsTheUnionSchema) {
+  // R(A) is empty, so the join is empty after its first step; its schema is
+  // still A, B, C.
+  Relation r(AttrSet::Single(0));
+  Relation s(AttrSet::Single(1));
+  s.AppendRow({1});
+  s.AppendRow({2});
+  Relation t(AttrSet::Single(2));
+  t.AppendRow({3});
+  t.AppendRow({4});
+  t.AppendRow({5});
+  const Relation result = MultiwayJoin({&r, &s, &t});
+  EXPECT_EQ(result.width(), 3u);
+  EXPECT_EQ(result.attrs(), AttrSet::FromIds({0, 1, 2}));
+  EXPECT_EQ(result.size(), 0u);
+}
+
 TEST(OperatorsTest, DegreeHistogram) {
   Relation r = MakeAB();
   auto histogram = DegreeHistogram(r, 0);

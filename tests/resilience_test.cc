@@ -483,6 +483,117 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_ledger, parallel_ledger);
 }
 
+TEST(FaultInjectorTest, ShardParallelWalkMatchesPerRowDice) {
+  // Three sources of more than two routing shards each, with about a third
+  // of the rows replicated, over 200 receivers (four bitmap words, the last
+  // one partial). Every attempt is faulty, and some receivers stay clean.
+  constexpr uint32_t kServers = 200;
+  constexpr size_t kRows = 2 * mpc::kExchangeRouteGrain + 900;
+  FaultSpec spec;
+  spec.seed = 0x5EED;
+  spec.crash_rate = 0.05;
+  spec.drop_rate = 0.01;
+  spec.duplicate_rate = 0.01;
+  spec.max_attempts = 3;
+  std::vector<Relation> sources = FilledRelations({kRows, kRows, kRows});
+  const auto route_of = [](uint64_t salt) {
+    return [salt](size_t i, auto emit) {
+      const uint64_t h = SplitSeed(salt, i);
+      emit(h % kServers);
+      if ((h >> 32) % 3 == 0) emit((h >> 16) % kServers);
+    };
+  };
+
+  /// Shows each delivery to the injector, then prices it again from the
+  /// per-row dice: a serial ForEachRoute walk that decides every route
+  /// with the three-argument DropsRow / DuplicatesRow.
+  class Reference : public ExchangeInterposer {
+   public:
+    explicit Reference(const FaultSpec& spec) : injector_(spec) {}
+    void Observe(const ExchangeDelivery& delivery) override {
+      injector_.Observe(delivery);
+      const FaultPlan& faults = injector_.plan();
+      const mpc::ExchangePlan& plan = delivery.plan();
+      const uint64_t key =
+          FaultPlan::ExchangeKey(delivery.round(), delivery.label(), plan.total_planned(),
+                                 plan.recorded_planned(), plan.num_servers());
+      for (uint32_t attempt = 0; attempt < faults.spec().max_attempts; ++attempt) {
+        std::vector<uint8_t> crashed(plan.num_servers(), 0);
+        uint64_t attempt_crashes = 0;
+        for (uint32_t s = 0; s < plan.num_servers(); ++s) {
+          if (plan.PlannedReceive(s) > 0 && faults.CrashesDelivery(key, attempt, s)) {
+            crashed[s] = 1;
+            ++attempt_crashes;
+          }
+        }
+        std::vector<uint8_t> corrupted = crashed;
+        uint64_t drops = 0;
+        uint64_t dups = 0;
+        delivery.ForEachRoute([&](size_t source, uint32_t server, size_t row) {
+          if (crashed[server] != 0) return;
+          const FaultPlan::RowPrefix prefix = faults.RowFaultPrefix(key, attempt, server);
+          if (faults.DropsRow(prefix, source, row)) {
+            ++drops;
+            corrupted[server] = 1;
+          } else if (faults.DuplicatesRow(prefix, source, row)) {
+            ++dups;
+            corrupted[server] = 1;
+          }
+        });
+        if (attempt_crashes == 0 && drops == 0 && dups == 0) break;
+        crashes += attempt_crashes;
+        rows_dropped += drops;
+        rows_duplicated += dups;
+        for (uint32_t s = 0; s < plan.num_servers(); ++s) {
+          if (corrupted[s] == 0) continue;
+          (crashed[s] != 0 ? resent_crash : resent_corruption) += plan.PlannedReceive(s);
+        }
+      }
+    }
+    uint64_t crashes = 0;
+    uint64_t rows_dropped = 0;
+    uint64_t rows_duplicated = 0;
+    uint64_t resent_crash = 0;
+    uint64_t resent_corruption = 0;
+
+   private:
+    FaultInjector injector_;
+  };
+
+  const unsigned saved = ThreadPool::GlobalThreads();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::SetGlobalThreads(threads);
+    Ledger::Global().Reset();
+    Reference reference(spec);
+    ExchangeInterposer::Install(&reference);
+    Cluster cluster(kServers);
+    std::vector<Relation> dests(kServers, Relation(AttrSet::FirstN(1)));
+    mpc::ExchangePlan plan(kServers);
+    for (size_t src = 0; src < sources.size(); ++src) {
+      plan.AddSource(sources[src], /*record=*/true, route_of(0xD1CE + src), 2);
+    }
+    const mpc::ExchangeStats stats = mpc::Exchange::Execute(
+        &cluster, 1, plan, [&dests](size_t, uint32_t s) { return &dests[s]; }, "dice");
+    ExchangeInterposer::Install(nullptr);
+    const LedgerSnapshot ledger = Ledger::Global().Read();
+
+    EXPECT_GT(reference.crashes, 0u);
+    EXPECT_GT(reference.rows_dropped, 0u);
+    EXPECT_GT(reference.rows_duplicated, 0u);
+    // Not every receiver is resent on every attempt.
+    EXPECT_LT(reference.resent_crash + reference.resent_corruption,
+              spec.max_attempts * stats.planned);
+    EXPECT_EQ(ledger.Counter("recovery.retries"), spec.max_attempts);
+    EXPECT_EQ(ledger.Counter("fault.crashes"), reference.crashes);
+    EXPECT_EQ(ledger.Counter("fault.rows_dropped"), reference.rows_dropped);
+    EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), reference.rows_duplicated);
+    EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), reference.resent_crash);
+    EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), reference.resent_corruption);
+  }
+  ThreadPool::SetGlobalThreads(saved);
+}
+
 TEST(FaultInjectorTest, LedgersOneCheckpointPerChargedExchange) {
   FaultSpec spec;
   spec.seed = 12;

@@ -5,8 +5,10 @@
 
 Wall time is the only thing two runs of the same experiments may differ
 in, so both files are canonicalized before comparing: `wall_ms`,
-`wall_ms_serial`, `speedup` and every metrics `timers` section are
-zeroed, and the run-level `faults` and `base_seed` stamps are dropped.
+`wall_ms_serial`, `speedup`, the `threads` stamp and every metrics
+`timers` section are zeroed, and the run-level `faults`, `base_seed` and
+`threads` stamps are dropped. (Results are bit-identical at any thread
+count, so two runs at different --threads values compare equal.)
 Each --strip-prefix also drops every counter, gauge and histogram whose
 key starts with P (e.g. `fault.` and `recovery.` when one side ran under
 fault injection). Exits 1 naming the first experiment that differs, or
@@ -23,10 +25,10 @@ def canonical(path, strip_prefixes):
         doc = json.load(handle)
     if doc.get("count", 0) == 0:
         sys.exit(f"{path}: no experiments selected (count == 0)")
-    doc.pop("faults", None)
-    doc.pop("base_seed", None)
+    for key in ("faults", "base_seed", "threads"):
+        doc.pop(key, None)
     for result in doc["results"]:
-        for key in ("wall_ms", "wall_ms_serial", "speedup"):
+        for key in ("wall_ms", "wall_ms_serial", "speedup", "threads"):
             if key in result:
                 result[key] = 0
         metrics = result.get("metrics", {})
