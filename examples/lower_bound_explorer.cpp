@@ -57,9 +57,16 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  double total_emittable = static_cast<double>(p) * cap.predicted_cap;
-  std::cout << "\ncounting argument: p * J(L) = " << FormatDouble(total_emittable, 0)
-            << " < OUT = " << n * r2 << " -> L must exceed " << load << ".\n";
+  // p servers at load L emit at most p * J(L) results; only when that falls
+  // short of OUT must the load exceed L.
+  const double total_emittable = static_cast<double>(p) * static_cast<double>(cap.measured);
+  const double out = static_cast<double>(n * r2);
+  std::cout << "\ncounting argument: p * J(L) = " << FormatDouble(total_emittable, 0);
+  if (total_emittable < out) {
+    std::cout << " < OUT = " << n * r2 << " -> L must exceed " << load << ".\n";
+  } else {
+    std::cout << " >= OUT = " << n * r2 << " -> no bound follows at L = " << load << ".\n";
+  }
 
   TablePrinter table({"p", "new bound N/(2p)^(1/3)", "AGM bound N/p^(1/2)", "factor"});
   for (uint32_t pp : {64u, 512u, 4096u, 32768u}) {

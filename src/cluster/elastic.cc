@@ -243,7 +243,8 @@ ElasticRunResult RunElasticPipeline(const ElasticRunConfig& config) {
     // hashes identical to a fixed-p run.
     if (state.shard(slot).size() == 0) continue;
     content = HashCombine(content, slot);
-    content = HashCombine(content, HashVector(state.shard(slot).raw()));
+    const Relation& shard = state.shard(slot);
+    content = HashCombine(content, HashSpan(shard.raw().data(), shard.raw().size()));
   }
   result.content_hash = content;
   for (const Epoch& epoch : profile.epochs()) {

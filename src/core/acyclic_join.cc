@@ -70,13 +70,38 @@ class Engine {
 };
 
 /// One parallel subquery's outcome: filled in by a pool task, consumed by
-/// the parent in child index order.
+/// the parent in child index order. In collect mode a slot also keeps its
+/// share of the parent's results unwritten, with its row count: a heavy
+/// value keeps the child's rows and x = a, and a light group keeps its
+/// pending last join and the broadcast parts that join borrows.
 struct ChildSlot {
   bool viable = false;
   SubRun child;
-  Relation result;  // collect-mode contribution (already re-joined/attached)
-  bool has_result = false;
   std::vector<TraceEvent> trace;
+  size_t rows = 0;
+  Value heavy_value = 0;
+  std::vector<Relation> broadcast;
+  std::optional<PendingJoin> pending;
+
+  /// Keeps a light group's broadcast parts and counts their join with
+  /// `child_results` (null when the group has no child), which must be over
+  /// `attrs`.
+  void PendJoin(std::vector<Relation> parts, const Relation* child_results, AttrSet attrs) {
+    broadcast = std::move(parts);
+    std::vector<const Relation*> inputs;
+    if (child_results != nullptr) inputs.push_back(child_results);
+    for (const Relation& part : broadcast) inputs.push_back(&part);
+    pending.emplace(inputs);
+    CP_CHECK(pending->attrs() == attrs);
+    rows = pending->size();
+  }
+
+  /// Writes the slot's rows to `dst` and returns how many it wrote.
+  size_t WriteInto(AttrId x, Value* dst) const {
+    if (pending.has_value()) return pending->WriteInto(dst);
+    AttachConstantInto(child.results, x, heavy_value, dst);
+    return child.results.size();
+  }
 };
 
 /// Applies the reduce step: full semi-join reduction plus removal of
@@ -344,8 +369,9 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
                      parent_trace != nullptr ? &slot.trace : nullptr);
     slot.viable = true;
     if (collect_ && !slot.child.results.empty()) {
-      slot.result = AttachConstant(slot.child.results, x, a);
-      slot.has_result = true;
+      CP_CHECK(slot.child.results.attrs().Union(AttrSet::Single(x)) == query.AllAttrs());
+      slot.heavy_value = a;
+      slot.rows = slot.child.results.size();
     }
   });
 
@@ -378,15 +404,7 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
       mpc::ChargeBroadcast(slot.child.cluster.get(), broadcast_size, 0);
       slot.child.rounds = 1;
       slot.viable = true;
-      if (collect_) {
-        std::vector<const Relation*> parts;
-        for (const Relation& b : broadcast) parts.push_back(&b);
-        Relation joined = MultiwayJoin(parts);
-        if (!joined.empty()) {
-          slot.result = std::move(joined);
-          slot.has_result = true;
-        }
-      }
+      if (collect_) slot.PendJoin(std::move(broadcast), nullptr, query.AllAttrs());
       return;
     }
 
@@ -406,27 +424,43 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
     mpc::ChargeBroadcast(slot.child.cluster.get(), broadcast_size, 0);
     slot.viable = true;
     if (collect_ && !slot.child.results.empty()) {
-      std::vector<const Relation*> parts{&slot.child.results};
-      for (const Relation& b : broadcast) parts.push_back(&b);
-      Relation joined = MultiwayJoin(parts);
-      if (!joined.empty()) {
-        slot.result = std::move(joined);
-        slot.has_result = true;
-      }
+      slot.PendJoin(std::move(broadcast), &slot.child.results, query.AllAttrs());
     }
   });
+
+  // Collect mode: size the results once, then write every slot straight
+  // into its own slice, in slot order (heavy values first, then light
+  // groups), before the children move out of the slots.
+  Relation results;
+  if (collect_) {
+    std::vector<const ChildSlot*> writers;
+    std::vector<size_t> offsets;
+    size_t rows = 0;
+    for (const std::vector<ChildSlot>* slots : {&heavy_slots, &light_slots}) {
+      for (const ChildSlot& slot : *slots) {
+        if (!slot.viable || slot.rows == 0) continue;
+        writers.push_back(&slot);
+        offsets.push_back(rows);
+        rows += slot.rows;
+      }
+    }
+    results = Relation(query.AllAttrs());
+    Value* const base = results.AppendUninitialized(rows);
+    const size_t width = results.width();
+    pool.ParallelFor(0, writers.size(), 1, [&](size_t i) {
+      CP_CHECK_EQ(writers[i]->WriteInto(x, base + offsets[i] * width), writers[i]->rows);
+    });
+  }
 
   // Harvest in index order (heavy values first, then light groups), which
   // is exactly the serial iteration order.
   std::vector<SubRun> children;
-  std::vector<Relation> child_results;
   auto harvest = [&](std::vector<ChildSlot>& slots) {
     for (ChildSlot& slot : slots) {
       if (!slot.viable) continue;
       if (parent_trace != nullptr) {
         for (TraceEvent& event : slot.trace) parent_trace->push_back(std::move(event));
       }
-      if (slot.has_result) child_results.push_back(std::move(slot.result));
       children.push_back(std::move(slot.child));
     }
   };
@@ -454,17 +488,7 @@ SubRun Engine::CaseOne(const Hypergraph& query, const Instance& instance, const 
     max_child_rounds = std::max(max_child_rounds, child.rounds);
   }
   run.rounds = stats_rounds + max_child_rounds;
-
-  if (collect_) {
-    run.results = Relation(query.AllAttrs());
-    size_t rows = 0;
-    for (const Relation& part : child_results) rows += part.size();
-    run.results.Reserve(rows);
-    for (const Relation& part : child_results) {
-      CP_CHECK(part.attrs() == run.results.attrs());
-      run.results.AppendAll(part);
-    }
-  }
+  run.results = std::move(results);
   return run;
 }
 

@@ -87,7 +87,11 @@ std::string TraceToString(const std::vector<TraceEvent>& trace);
 
 /// Computes Q(R) with the generic multi-round algorithm. The query must be
 /// alpha-acyclic. Results are verified against the sequential oracle in
-/// tests; benches run with collect = false and read the load statistics.
+/// tests. The paper experiments run with collect = false and read the load
+/// statistics; bench/perf's acyclic_skew workload collects and checks the
+/// results. In collect mode each Case I level counts its subqueries' rows,
+/// allocates its results once and writes every row once, straight into
+/// its slice.
 AcyclicRunResult ComputeAcyclicJoin(const Hypergraph& query, const Instance& instance,
                                     const AcyclicRunOptions& options);
 

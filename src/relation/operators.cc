@@ -12,14 +12,6 @@ namespace coverpack {
 
 namespace {
 
-bool KeysEqual(const Value* a, const uint32_t* a_cols, const Value* b,
-               const uint32_t* b_cols, size_t num_cols) {
-  for (size_t i = 0; i < num_cols; ++i) {
-    if (a[a_cols[i]] != b[b_cols[i]]) return false;
-  }
-  return true;
-}
-
 uint32_t* ColumnsOf(const Relation& relation, AttrSet attrs, Arena* arena) {
   uint32_t* cols = arena->AllocateArray<uint32_t>(attrs.size());
   size_t k = 0;
@@ -71,6 +63,90 @@ Relation SelectByMembership(const Relation& input, uint32_t col,
   GatherKeptRows(input, keep, matches, &output);
   return output;
 }
+
+/// The probe side of one hash join over an index of `right` built in the
+/// caller's arena. Count and Write walk the same matches in the same
+/// order, HashJoin's: ascending left row, then ascending right row within
+/// a key group. Both inputs must be nonempty.
+class JoinProbe {
+ public:
+  JoinProbe(const Relation& left, const Relation& right, Arena* arena)
+      : left_(left), right_(right), index_(arena) {
+    const AttrSet shared = left.attrs().Intersect(right.attrs());
+    left_cols_ = ColumnsOf(left, shared, arena);
+    right_cols_ = ColumnsOf(right, shared, arena);
+    num_keys_ = shared.size();
+    index_.Build(right, right_cols_, num_keys_);
+
+    // Output column plan: for each output attribute, where to read it from.
+    const AttrSet out_attrs = left.attrs().Union(right.attrs());
+    out_width_ = out_attrs.size();
+    plan_ = arena->AllocateArray<Source>(out_width_);
+    size_t k = 0;
+    for (AttrId attr : out_attrs.ToVector()) {
+      if (left.attrs().Contains(attr)) {
+        plan_[k++] = {1, left.ColumnOf(attr)};
+      } else {
+        plan_[k++] = {0, right.ColumnOf(attr)};
+      }
+    }
+  }
+
+  /// Number of matching (left, right) row pairs.
+  size_t Count() const {
+    size_t rows = 0;
+    ForEachMatch([&rows](const Value*, const Value*) { ++rows; });
+    return rows;
+  }
+
+  /// Writes the joined rows to `dst` (Count() rows of the union schema's
+  /// width) and returns how many it wrote.
+  size_t Write(Value* dst) const {
+    size_t rows = 0;
+    ForEachMatch([&](const Value* lrow, const Value* rrow) {
+      for (uint32_t k = 0; k < out_width_; ++k) {
+        dst[k] = plan_[k].from_left ? lrow[plan_[k].col] : rrow[plan_[k].col];
+      }
+      dst += out_width_;
+      ++rows;
+    });
+    return rows;
+  }
+
+ private:
+  struct Source {
+    uint8_t from_left;
+    uint32_t col;
+  };
+
+  template <typename Visit>
+  void ForEachMatch(const Visit& visit) const {
+    const Value* lbase = left_.raw().data();
+    const Value* rbase = right_.raw().data();
+    const uint32_t lwidth = left_.width();
+    const uint32_t rwidth = right_.width();
+    const size_t n = left_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Value* lrow = lbase + i * lwidth;
+      const uint64_t h = HashRowKey(lrow, left_cols_, num_keys_);
+      if (!index_.MightContain(h)) continue;
+      const GroupedKeyIndex::Candidates candidates = index_.Probe(h);
+      for (const uint32_t* j = candidates.begin; j != candidates.end; ++j) {
+        const Value* rrow = rbase + size_t{*j} * rwidth;
+        if (RowKeysEqual(lrow, left_cols_, rrow, right_cols_, num_keys_)) visit(lrow, rrow);
+      }
+    }
+  }
+
+  const Relation& left_;
+  const Relation& right_;
+  GroupedKeyIndex index_;
+  uint32_t* left_cols_ = nullptr;
+  uint32_t* right_cols_ = nullptr;
+  size_t num_keys_ = 0;
+  uint32_t out_width_ = 0;
+  Source* plan_ = nullptr;
+};
 
 }  // namespace
 
@@ -167,8 +243,8 @@ Relation SemiJoin(const Relation& left, const Relation& right) {
     if (index.MightContain(h)) {
       auto candidates = index.Probe(h);
       for (const uint32_t* j = candidates.begin; j != candidates.end; ++j) {
-        if (KeysEqual(lrow, left_cols, rbase + size_t{*j} * rwidth, right_cols,
-                      num_keys)) {
+        if (RowKeysEqual(lrow, left_cols, rbase + size_t{*j} * rwidth, right_cols,
+                         num_keys)) {
           hit = 1;
           break;
         }
@@ -183,109 +259,71 @@ Relation SemiJoin(const Relation& left, const Relation& right) {
 }
 
 Relation HashJoin(const Relation& left, const Relation& right) {
-  AttrSet shared = left.attrs().Intersect(right.attrs());
-  AttrSet out_attrs = left.attrs().Union(right.attrs());
-  Relation output(out_attrs);
+  Relation output(left.attrs().Union(right.attrs()));
   if (left.empty() || right.empty()) return output;
-
   ArenaScope scope;
-  Arena* arena = scope.arena();
-  uint32_t* left_cols = ColumnsOf(left, shared, arena);
-  uint32_t* right_cols = ColumnsOf(right, shared, arena);
-  const size_t num_keys = shared.size();
-
-  GroupedKeyIndex index(arena);
-  index.Build(right, right_cols, num_keys);
-
-  const Value* lbase = left.raw().data();
-  const Value* rbase = right.raw().data();
-  const uint32_t lwidth = left.width();
-  const uint32_t rwidth = right.width();
-  const size_t n = left.size();
-  CP_CHECK(n <= 0xFFFFFFFFu);
-
-  // Probe pass: verified (left, right) row-id pairs in output order —
-  // ascending left row, then ascending right row within a key group.
-  ArenaVector<uint64_t> pairs(arena);
-  for (size_t i = 0; i < n; ++i) {
-    const Value* lrow = lbase + i * lwidth;
-    uint64_t h = HashRowKey(lrow, left_cols, num_keys);
-    if (!index.MightContain(h)) continue;
-    auto candidates = index.Probe(h);
-    for (const uint32_t* j = candidates.begin; j != candidates.end; ++j) {
-      if (KeysEqual(lrow, left_cols, rbase + size_t{*j} * rwidth, right_cols,
-                    num_keys)) {
-        pairs.push_back((uint64_t{i} << 32) | *j);
-      }
-    }
-  }
-
-  // Output column plan: for each output attribute, where to read it from.
-  const uint32_t out_width = output.width();
-  struct Source {
-    uint8_t from_left;
-    uint32_t col;
-  };
-  Source* plan = arena->AllocateArray<Source>(out_width);
-  {
-    size_t k = 0;
-    for (AttrId attr : out_attrs.ToVector()) {
-      if (left.attrs().Contains(attr)) {
-        plan[k++] = {1, left.ColumnOf(attr)};
-      } else {
-        plan[k++] = {0, right.ColumnOf(attr)};
-      }
-    }
-  }
-
-  // Emit pass: one bulk append, columns gathered pair by pair.
-  Value* dst = output.AppendUninitialized(pairs.size());
-  for (uint64_t pair : pairs) {
-    const Value* lrow = lbase + (pair >> 32) * lwidth;
-    const Value* rrow = rbase + (pair & 0xFFFFFFFFu) * rwidth;
-    for (uint32_t k = 0; k < out_width; ++k) {
-      dst[k] = plan[k].from_left ? lrow[plan[k].col] : rrow[plan[k].col];
-    }
-    dst += out_width;
-  }
+  const JoinProbe probe(left, right, scope.arena());
+  const size_t rows = probe.Count();
+  CP_CHECK_EQ(probe.Write(output.AppendUninitialized(rows)), rows);
   return output;
 }
 
-Relation MultiwayJoin(const std::vector<const Relation*>& inputs) {
+PendingJoin::PendingJoin(const std::vector<const Relation*>& inputs) {
   CP_CHECK(!inputs.empty());
+  for (const Relation* input : inputs) attrs_ = attrs_.Union(input->attrs());
   std::vector<const Relation*> ordered = inputs;
   std::sort(ordered.begin(), ordered.end(),
             [](const Relation* a, const Relation* b) { return a->size() < b->size(); });
-  Relation result = *ordered[0];
-  for (size_t i = 1; i < ordered.size(); ++i) {
-    result = HashJoin(result, *ordered[i]);
-    if (result.empty()) {
-      // Stop early, but over the schema the whole join has.
-      AttrSet attrs;
-      for (const Relation* input : inputs) attrs = attrs.Union(input->attrs());
-      return Relation(attrs);
-    }
+  first_ = ordered.front();
+  if (ordered.size() == 1) {
+    rows_ = first_->size();
+    return;
   }
-  return result;
+  last_ = ordered.back();
+  for (size_t i = 1; i + 1 < ordered.size(); ++i) {
+    folded_ = HashJoin(left(), *ordered[i]);
+    fold_ = true;
+    if (folded_.empty()) return;  // an empty join, over the union schema
+  }
+  if (left().empty() || last_->empty()) return;
+  ArenaScope scope;
+  rows_ = JoinProbe(left(), *last_, scope.arena()).Count();
 }
 
-Relation AttachConstant(const Relation& input, AttrId attr, Value value) {
+size_t PendingJoin::WriteInto(Value* dst) const {
+  if (last_ == nullptr) {
+    std::copy(first_->raw().begin(), first_->raw().end(), dst);
+    return rows_;
+  }
+  if (rows_ == 0) return 0;
+  ArenaScope scope;
+  return JoinProbe(left(), *last_, scope.arena()).Write(dst);
+}
+
+Relation MultiwayJoin(const std::vector<const Relation*>& inputs) {
+  const PendingJoin join(inputs);
+  Relation output(join.attrs());
+  CP_CHECK_EQ(join.WriteInto(output.AppendUninitialized(join.size())), join.size());
+  return output;
+}
+
+void AttachConstantInto(const Relation& input, AttrId attr, Value value, Value* dst) {
   CP_CHECK(!input.attrs().Contains(attr));
-  AttrSet out_attrs = input.attrs().Union(AttrSet::Single(attr));
-  Relation output(out_attrs);
-  const size_t n = input.size();
-  if (n == 0) return output;
-  const uint32_t insert_at = output.ColumnOf(attr);
+  const uint32_t insert_at = input.attrs().Intersect(AttrSet::FirstN(attr)).size();
   const uint32_t in_width = input.width();
   const Value* src = input.raw().data();
-  Value* dst = output.AppendUninitialized(n);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < input.size(); ++i) {
     const Value* row = src + i * in_width;
     for (uint32_t c = 0; c < insert_at; ++c) dst[c] = row[c];
     dst[insert_at] = value;
     for (uint32_t c = insert_at; c < in_width; ++c) dst[c + 1] = row[c];
     dst += in_width + 1;
   }
+}
+
+Relation AttachConstant(const Relation& input, AttrId attr, Value value) {
+  Relation output(input.attrs().Union(AttrSet::Single(attr)));
+  AttachConstantInto(input, attr, value, output.AppendUninitialized(input.size()));
   return output;
 }
 

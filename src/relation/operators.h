@@ -42,20 +42,60 @@ std::vector<Value> DistinctValues(const Relation& input, AttrId attr);
 /// returns `left` when `right` is nonempty and empty otherwise.
 Relation SemiJoin(const Relation& left, const Relation& right);
 
-/// Natural (hash) join of two relations.
+/// Natural (hash) join of two relations. Counts the matches by probing an
+/// index of `right`, appends that many rows once, and probes again to write
+/// them: ascending left row, then ascending right row within a key group.
 Relation HashJoin(const Relation& left, const Relation& right);
 
-/// Natural join of any number of co-located relations, evaluated as a
-/// left-deep sequence of hash joins in ascending size order. Intended for
-/// emission-time combination of small fragments; not worst-case optimal.
-/// The result's schema is the union of the inputs' schemas, also when the
-/// join is empty.
+/// The match step of a multiway join, which lets a caller size one output
+/// for many joins and write each straight into its slice. Construction
+/// folds every join but the last, a left-deep sequence of HashJoins in
+/// ascending input size order, and counts the last join's matches by
+/// probing, without storing them. WriteInto probes again and writes the
+/// rows in HashJoin's order. Count and write each open their own arena
+/// scope, so they may run on different threads. Borrows the inputs: they
+/// must outlive the step and stay unchanged.
+class PendingJoin {
+ public:
+  explicit PendingJoin(const std::vector<const Relation*>& inputs);
+
+  /// The union of the inputs' schemas, also when the join is empty.
+  AttrSet attrs() const { return attrs_; }
+
+  /// Rows of the join.
+  size_t size() const { return rows_; }
+
+  /// Writes the join's size() * attrs().size() values to `dst` and returns
+  /// the number of rows written.
+  size_t WriteInto(Value* dst) const;
+
+ private:
+  /// Left side of the last join: the fold, or the smallest input when
+  /// there are only two.
+  const Relation& left() const { return fold_ ? folded_ : *first_; }
+
+  AttrSet attrs_;
+  const Relation* first_ = nullptr;  // the smallest input
+  const Relation* last_ = nullptr;   // the largest input; null for one input
+  Relation folded_;                  // every join but the last (3+ inputs)
+  bool fold_ = false;
+  size_t rows_ = 0;
+};
+
+/// Natural join of any number of co-located relations: a PendingJoin
+/// written into one fresh relation. Intended for emission-time combination
+/// of small fragments; not worst-case optimal. The result's schema is the
+/// union of the inputs' schemas, also when the join is empty.
 Relation MultiwayJoin(const std::vector<const Relation*>& inputs);
 
 /// Adds a constant column `attr = value` to every row (attr must not be in
 /// the schema). Used to re-attach a heavy assignment x = a to the results
 /// of the residual query Q_x.
 Relation AttachConstant(const Relation& input, AttrId attr, Value value);
+
+/// AttachConstant written to `dst`: input.size() rows of input.width() + 1
+/// values.
+void AttachConstantInto(const Relation& input, AttrId attr, Value value, Value* dst);
 
 /// Drops one column from the schema without deduplication (rows stay
 /// distinct when the dropped attribute was constant across the relation).

@@ -14,7 +14,7 @@ namespace {
 struct SortScratch {
   std::vector<size_t> order;        // row permutation being sorted
   std::vector<size_t> other_order;  // second permutation for comparisons
-  std::vector<Value> gather;        // sorted flat rows, swapped into place
+  ValueVector gather;               // sorted flat rows, swapped into place
 };
 
 SortScratch& LocalScratch() {
@@ -24,7 +24,7 @@ SortScratch& LocalScratch() {
 
 /// Fills `*order` with the identity permutation of `rows` indices and sorts
 /// it by lexicographic row order over the flat storage.
-void SortedOrder(const std::vector<Value>& data, uint32_t width, size_t rows,
+void SortedOrder(const ValueVector& data, uint32_t width, size_t rows,
                  std::vector<size_t>* order) {
   order->resize(rows);
   for (size_t i = 0; i < rows; ++i) (*order)[i] = i;
@@ -38,7 +38,7 @@ void SortedOrder(const std::vector<Value>& data, uint32_t width, size_t rows,
 
 /// Sorts the flat row storage lexicographically, gathering through the
 /// thread-local scratch buffer (its capacity is reused across calls).
-void SortFlatRows(std::vector<Value>* data, uint32_t width, size_t rows) {
+void SortFlatRows(ValueVector* data, uint32_t width, size_t rows) {
   if (width == 0 || rows == 0) return;
   SortScratch& scratch = LocalScratch();
   SortedOrder(*data, width, rows, &scratch.order);

@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "query/attr_set.h"
@@ -21,6 +23,30 @@ namespace coverpack {
 
 /// Attribute values. Domains are dense integer ranges per attribute.
 using Value = uint64_t;
+
+/// An allocator whose value-less construct default-initializes, so that
+/// resize() leaves new trivially constructible elements unwritten instead
+/// of zero-filling them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  /// Only the value-less form: constructions with arguments (copies) go
+  /// to std::construct_at through std::allocator_traits.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Flat row storage: rows of values, consecutive.
+using ValueVector = std::vector<Value, DefaultInitAllocator<Value>>;
 
 /// A set of tuples over a fixed schema.
 class Relation {
@@ -63,9 +89,10 @@ class Relation {
   }
 
   /// Appends `count` rows of uninitialized storage and returns the write
-  /// cursor (count * width() values, row-major). The columnar operators
-  /// count their output first, append once, and fill in place — no per-row
-  /// growth checks. Callers must write every value before reading back.
+  /// cursor (count * width() values, row-major). The storage is not zeroed:
+  /// the columnar operators count their output first, append once, and
+  /// write each value once, with no per-row growth checks. Callers must
+  /// write every value before reading back.
   Value* AppendUninitialized(size_t count) {
     CP_DCHECK(RowCountFits(count));
     size_t offset = data_.size();
@@ -119,7 +146,7 @@ class Relation {
 
   /// Flat row storage: size() * width() values, rows consecutive. Mutation
   /// goes through AppendRow/AppendRows so the row count stays in sync.
-  const std::vector<Value>& raw() const { return data_; }
+  const ValueVector& raw() const { return data_; }
 
  private:
   /// Guards the `rows * width_` products of Reserve/Append against size_t
@@ -133,7 +160,7 @@ class Relation {
   AttrSet attrs_;
   uint32_t width_ = 0;
   size_t num_rows_ = 0;
-  std::vector<Value> data_;
+  ValueVector data_;
 };
 
 }  // namespace coverpack

@@ -17,8 +17,11 @@
 ///    block (the abandoned prefix is reclaimed at the next Reset/scope pop).
 ///  * `ScratchArena::Local()` — the per-thread scratch arena the operators
 ///    share. Every operator call opens an `ArenaScope`, which remembers the
-///    cursor and rewinds it on destruction — nesting (HashJoin inside
-///    MultiwayJoin inside a pool task) works like a stack of frames. A scope
+///    cursor and rewinds it on destruction. Scopes nest like a stack of
+///    frames: HypercubeJoin's routing frame stays open while the calling
+///    thread runs per-cell GenericJoins, each in a frame of its own. No
+///    frame outlives its call: a `PendingJoin`'s count and write each open
+///    their own, so the write may run on another thread. A scope
 ///    that leaves its arena empty frees every page past the first
 ///    `kRetainedBytes`, so a thread keeps only small pages between calls.
 ///    Were the large pages kept too, the memory of a multi-threaded run would

@@ -21,30 +21,57 @@ void AppendShardBuffers(Relation* relation, uint32_t width,
                         const std::vector<std::vector<Value>>& shard_rows) {
   if (width == 0) return;
   for (const std::vector<Value>& buffer : shard_rows) {
-    for (size_t i = 0; i + width <= buffer.size(); i += width) {
-      relation->AppendRow(std::span<const Value>(buffer.data() + i, width));
-    }
+    relation->AppendRows(buffer.data(), buffer.size() / width);
   }
 }
 
-}  // namespace
+/// The sorted, distinct union of two sorted, distinct relations over one
+/// schema: what Dedup of their concatenation gives, in one linear merge.
+Relation MergeDistinct(const Relation& a, const Relation& b) {
+  const uint32_t width = a.width();
+  const auto row_less = [width](const Value* x, const Value* y) {
+    return std::lexicographical_compare(x, x + width, y, y + width);
+  };
+  Relation merged(a.attrs());
+  Value* out = merged.AppendUninitialized(a.size() + b.size());
+  size_t rows = 0;
+  const auto emit = [&](const Value* row) {
+    out = std::copy(row, row + width, out);
+    ++rows;
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (row_less(b.row(j).data(), a.row(i).data())) {
+      emit(b.row(j++).data());
+      continue;
+    }
+    if (!row_less(a.row(i).data(), b.row(j).data())) ++j;  // in both: keep one
+    emit(a.row(i++).data());
+  }
+  for (; i < a.size(); ++i) emit(a.row(i).data());
+  for (; j < b.size(); ++j) emit(b.row(j).data());
+  merged.Truncate(rows);
+  return merged;
+}
 
-Relation UniformRandom(AttrSet attrs, size_t n, uint64_t domain, Rng* rng) {
-  CP_CHECK_GT(domain, 0u);
+/// Draws rows until `n` distinct ones exist or `max_attempts` rows were
+/// drawn; `draw` gives one value from a shard's stream. Each refill round
+/// consumes exactly one base draw from the caller's rng; shards split
+/// private streams off that base, so the output depends only on the
+/// caller's rng state and the deficit, never on the thread count. The kept
+/// rows stay sorted and distinct: a round sorts and dedups only its fresh
+/// draws and merges them in.
+template <typename Draw>
+Relation DrawDistinct(AttrSet attrs, size_t n, size_t max_attempts, Rng* rng,
+                      const Draw& draw) {
   Relation relation(attrs);
-  relation.Reserve(n);
-  uint32_t width = attrs.size();
-  // Draw until n distinct tuples exist (or the domain is exhausted). Each
-  // refill round consumes exactly one base draw from the caller's rng;
-  // shards split private streams off that base, so the output depends only
-  // on the caller's rng state and the deficit — never on the thread count.
+  const uint32_t width = attrs.size();
   size_t attempts = 0;
-  size_t max_attempts = n * 20 + 1000;
   while (relation.size() < n && attempts < max_attempts) {
-    size_t deficit = n - relation.size();
-    uint64_t round_base = rng->Next();
-    size_t num_shards = ThreadPool::NumShards(0, deficit, kGenGrain);
-    std::vector<std::vector<Value>> shard_rows(num_shards);
+    const size_t deficit = n - relation.size();
+    const uint64_t round_base = rng->Next();
+    std::vector<std::vector<Value>> shard_rows(ThreadPool::NumShards(0, deficit, kGenGrain));
     ThreadPool::Global().ParallelForShards(
         0, deficit, kGenGrain, [&](size_t shard_begin, size_t shard_end, size_t shard) {
           shard_end = std::min(shard_end, deficit);
@@ -52,14 +79,24 @@ Relation UniformRandom(AttrSet attrs, size_t n, uint64_t domain, Rng* rng) {
           std::vector<Value>& buffer = shard_rows[shard];
           buffer.reserve((shard_end - shard_begin) * width);
           for (size_t i = shard_begin; i < shard_end; ++i) {
-            for (uint32_t c = 0; c < width; ++c) buffer.push_back(shard_rng.Uniform(domain));
+            for (uint32_t c = 0; c < width; ++c) buffer.push_back(draw(&shard_rng));
           }
         });
-    AppendShardBuffers(&relation, width, shard_rows);
-    relation.Dedup();
+    Relation fresh(attrs);
+    AppendShardBuffers(&fresh, width, shard_rows);
+    fresh.Dedup();
+    relation = MergeDistinct(relation, fresh);
     attempts += deficit;
   }
   return relation;
+}
+
+}  // namespace
+
+Relation UniformRandom(AttrSet attrs, size_t n, uint64_t domain, Rng* rng) {
+  CP_CHECK_GT(domain, 0u);
+  return DrawDistinct(attrs, n, n * 20 + 1000, rng,
+                      [domain](Rng* shard_rng) { return shard_rng->Uniform(domain); });
 }
 
 Relation Matching(AttrSet attrs, size_t n) {
@@ -107,34 +144,9 @@ Relation Cartesian(AttrSet attrs, const std::vector<uint64_t>& dims) {
 }
 
 Relation Zipf(AttrSet attrs, size_t n, uint64_t domain, double skew, Rng* rng) {
-  ZipfSampler sampler(domain, skew);  // const after construction; shared by shards
-  Relation relation(attrs);
-  relation.Reserve(n);
-  uint32_t width = attrs.size();
-  // Same refill scheme as UniformRandom: one base draw per round, private
-  // per-shard streams, shard-ordered merge.
-  size_t attempts = 0;
-  size_t max_attempts = n * 50 + 1000;
-  while (relation.size() < n && attempts < max_attempts) {
-    size_t deficit = n - relation.size();
-    uint64_t round_base = rng->Next();
-    size_t num_shards = ThreadPool::NumShards(0, deficit, kGenGrain);
-    std::vector<std::vector<Value>> shard_rows(num_shards);
-    ThreadPool::Global().ParallelForShards(
-        0, deficit, kGenGrain, [&](size_t shard_begin, size_t shard_end, size_t shard) {
-          shard_end = std::min(shard_end, deficit);
-          Rng shard_rng(SplitSeed(round_base, shard));
-          std::vector<Value>& buffer = shard_rows[shard];
-          buffer.reserve((shard_end - shard_begin) * width);
-          for (size_t i = shard_begin; i < shard_end; ++i) {
-            for (uint32_t c = 0; c < width; ++c) buffer.push_back(sampler.Sample(&shard_rng));
-          }
-        });
-    AppendShardBuffers(&relation, width, shard_rows);
-    relation.Dedup();
-    attempts += deficit;
-  }
-  return relation;
+  const ZipfSampler sampler(domain, skew);  // const after construction; shared by shards
+  return DrawDistinct(attrs, n, n * 50 + 1000, rng,
+                      [&sampler](Rng* shard_rng) { return sampler.Sample(shard_rng); });
 }
 
 Relation OneToOne(AttrSet attrs, AttrId a, AttrId b, size_t n) {

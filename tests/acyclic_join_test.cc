@@ -1,11 +1,18 @@
 #include "core/acyclic_join.h"
 
+#include <algorithm>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "core/load_planner.h"
+#include "planner/differential.h"
 #include "query/catalog.h"
+#include "query/join_tree.h"
 #include "query/parser.h"
 #include "relation/oracle.h"
+#include "util/hash.h"
+#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace coverpack {
@@ -171,6 +178,104 @@ TEST(AcyclicJoinTest, LoadOnlyModeTracksSameLoads) {
   EXPECT_EQ(with_results.max_load, load_only.max_load);
   EXPECT_EQ(with_results.rounds, load_only.rounds);
   EXPECT_EQ(with_results.servers_used, load_only.servers_used);
+}
+
+/// Order-sensitive hash of a relation: schema, row count and every value
+/// in storage order.
+uint64_t RowsHash(const Relation& r) {
+  const uint64_t h = HashCombine(HashCombine(0, r.attrs().bits()), r.size());
+  return HashCombine(h, HashSpan(r.raw().data(), r.raw().size()));
+}
+
+bool HasHeavyValues(const std::vector<TraceEvent>& trace) {
+  return std::any_of(trace.begin(), trace.end(),
+                     [](const TraceEvent& event) { return event.heavy_values > 0; });
+}
+
+bool HasCaseTwo(const std::vector<TraceEvent>& trace) {
+  return std::any_of(trace.begin(), trace.end(), [](const TraceEvent& event) {
+    return event.kind == TraceEvent::kCaseTwo;
+  });
+}
+
+// The collected rows in their emitted order, pinned at 1 and 4 threads, on
+// each way a subquery's rows reach the output: light groups with nothing
+// left to recurse on (the star), light groups over a recursing rest at two
+// levels (the path), and heavy values whose residual is a Cartesian product
+// of its components, re-attached to their constant (the skewed star, at an
+// explicit small L).
+TEST(AcyclicJoinTest, CollectedRowsArePinned) {
+  struct Pinned {
+    const char* name;
+    Hypergraph query;
+    Instance instance;
+    uint64_t load_threshold;
+    uint64_t rows;
+    uint64_t hash;
+  };
+  Rng rng(0xC011EC7);
+  Instance star = workload::UniformInstance(catalog::Star(3), 1200, 300, &rng);
+  Instance path = workload::UniformInstance(catalog::Path(5), 800, 300, &rng);
+  Instance skewed = workload::ZipfInstance(catalog::Star(3), 300, 300, 1.1, &rng);
+  const std::vector<Pinned> cases = {
+      {"star3", catalog::Star(3), std::move(star), 0, 18948, 0xe8ca5651b5dd1589ull},
+      {"path5", catalog::Path(5), std::move(path), 0, 43601, 0xe3b4c28a7731ed51ull},
+      {"star3_skewed", catalog::Star(3), std::move(skewed), 12, 101786, 0x05c32334d602bbdfull},
+  };
+
+  const unsigned saved_threads = ThreadPool::GlobalThreads();
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const Pinned& c : cases) {
+      AcyclicRunOptions options;
+      options.collect = true;
+      options.trace = true;
+      options.load_threshold = c.load_threshold;
+      const AcyclicRunResult run = ComputeAcyclicJoin(c.query, c.instance, options);
+      EXPECT_EQ(run.output_count, c.rows) << c.name << " at " << threads << " threads";
+      EXPECT_EQ(RowsHash(run.results), c.hash) << c.name << " at " << threads << " threads";
+      if (c.load_threshold != 0) {
+        EXPECT_TRUE(HasHeavyValues(run.trace)) << TraceToString(run.trace);
+        EXPECT_TRUE(HasCaseTwo(run.trace)) << TraceToString(run.trace);
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
+}
+
+// Collection on over the planner's differential corpus: every alpha-acyclic
+// case whose join fits in memory, both policies at p = 64, must emit the
+// message pass's row count and result digest. The corpus seed and size are
+// the planner differential test's.
+TEST(AcyclicJoinDifferentialTest, CollectedResultsMatchTheMessagePass) {
+  constexpr uint64_t kCorpusSeed = 0x0D1FFE7E;
+  constexpr uint32_t kRandomCases = 50;
+  constexpr uint64_t kMaxRows = uint64_t{1} << 21;
+  uint32_t runs = 0;
+  uint32_t runs_with_heavy_values = 0;
+  for (const planner::DifferentialCase& c :
+       planner::BuildDifferentialCorpus(kCorpusSeed, kRandomCases)) {
+    const std::optional<JoinTree> tree = JoinTree::Build(c.query);
+    if (!tree.has_value()) continue;  // cyclic
+    const uint64_t count = AcyclicJoinCount(c.query, *tree, c.instance);
+    if (count > kMaxRows) continue;
+    const uint64_t digest = AcyclicResultDigest(c.query, *tree, c.instance);
+    for (RunPolicy policy : {RunPolicy::kConservative, RunPolicy::kOptimal}) {
+      AcyclicRunOptions options;
+      options.policy = policy;
+      options.p = 64;
+      options.collect = true;
+      options.trace = true;
+      const AcyclicRunResult run = ComputeAcyclicJoin(c.query, c.instance, options);
+      const char* policy_name = policy == RunPolicy::kOptimal ? "optimal" : "conservative";
+      EXPECT_EQ(run.output_count, count) << c.name << " " << policy_name;
+      EXPECT_EQ(ResultDigest(run.results), digest) << c.name << " " << policy_name;
+      ++runs;
+      runs_with_heavy_values += HasHeavyValues(run.trace) ? 1 : 0;
+    }
+  }
+  EXPECT_GE(runs, 80u);
+  EXPECT_GT(runs_with_heavy_values, 0u);
 }
 
 TEST(LoadPlannerTest, UniformClosedFormMatchesTheorem5) {
