@@ -79,7 +79,7 @@ telemetry::RunReport RunIntroGap(const Experiment& e) {
     for (uint32_t p : ps) {
       OneRoundOptions or_options;
       or_options.collect = false;
-      OneRoundResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
+      RunResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
       AcyclicRunOptions mr_options;
       mr_options.collect = false;
       mr_options.p = p;
@@ -130,7 +130,7 @@ telemetry::RunReport RunIntroGap(const Experiment& e) {
     for (uint32_t p : ps) {
       OneRoundOptions or_options;
       or_options.collect = false;
-      OneRoundResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
+      RunResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
       AcyclicRunOptions mr_options;
       mr_options.collect = false;
       mr_options.p = p;

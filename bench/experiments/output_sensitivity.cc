@@ -66,7 +66,7 @@ telemetry::RunReport RunOutputSensitivity(const Experiment& e) {
     uint64_t out = JoinCount(q, instance);
 
     OutputBalancedOptions ob_options;
-    OutputBalancedResult ob = ComputeOutputBalanced(q, instance, p, ob_options);
+    RunResult ob = ComputeOutputBalanced(q, instance, p, ob_options);
 
     AcyclicRunOptions mr_options;
     mr_options.collect = false;

@@ -86,7 +86,7 @@ telemetry::RunReport RunPlannerAblation(const Experiment& e) {
         outcome.decision.algorithm = *forced_algorithm;
         outcome.decision.est_load =
             outcome.decision.table.ForAlgorithm(*forced_algorithm).est_load;
-        outcome.chosen_actual_load = run.actual_load;
+        outcome.chosen_actual_load = run.max_load;
         outcome.chosen_actual_ticks = run.actual_ticks;
       }
     }

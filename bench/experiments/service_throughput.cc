@@ -81,8 +81,6 @@ void RegisterCatalog(service::QueryService* svc) {
 /// ExecuteRegistered, so claim 4 really compares two independent paths.
 service::LoadFingerprint StandaloneFingerprint(const service::RegisteredQuery& entry,
                                                uint32_t p) {
-  service::LoadFingerprint fp;
-  fp.executed = true;
   const planner::StatsSnapshot stats =
       planner::BuildStatsSnapshot(entry.query, entry.instance);
   const planner::PlanDecision decision = planner::PlanChooser::Choose(entry.query, p, stats);
@@ -91,40 +89,18 @@ service::LoadFingerprint StandaloneFingerprint(const service::RegisteredQuery& e
     options.policy = RunPolicy::kOptimal;
     options.collect = false;
     options.p = p;
-    const AcyclicRunResult run = ComputeAcyclicJoin(entry.query, entry.instance, options);
-    fp.max_load = run.max_load;
-    fp.rounds = run.rounds;
-    fp.total_communication = run.total_communication;
-    fp.servers_used = run.servers_used;
-    fp.load_threshold = run.load_threshold;
-    fp.output_count = run.output_count;
-    fp.tracker_hash = service::FingerprintTrackerHash(run.load_tracker);
-  } else if (decision.algorithm == planner::Algorithm::kOutputBalanced) {
+    return service::FingerprintOf(ComputeAcyclicJoin(entry.query, entry.instance, options));
+  }
+  if (decision.algorithm == planner::Algorithm::kOutputBalanced) {
     OutputBalancedOptions options;
     options.collect = false;
-    const OutputBalancedResult run =
-        ComputeOutputBalanced(entry.query, entry.instance, p, options);
-    fp.max_load = run.max_load;
-    fp.rounds = run.rounds;
-    fp.total_communication = run.total_communication;
-    fp.servers_used = run.load_tracker.num_servers();
-    fp.load_threshold = 0;
-    fp.output_count = run.output_count;
-    fp.tracker_hash = service::FingerprintTrackerHash(run.load_tracker);
-  } else {
-    OneRoundOptions options;
-    options.collect = false;
-    const OneRoundResult run =
-        ComputeOneRoundSkewAware(entry.query, entry.instance, p, options);
-    fp.max_load = run.max_load;
-    fp.rounds = run.rounds;
-    fp.total_communication = run.load_tracker.TotalCommunication();
-    fp.servers_used = run.servers_used;
-    fp.load_threshold = 0;
-    fp.output_count = run.output_count;
-    fp.tracker_hash = service::FingerprintTrackerHash(run.load_tracker);
+    return service::FingerprintOf(
+        ComputeOutputBalanced(entry.query, entry.instance, p, options));
   }
-  return fp;
+  OneRoundOptions options;
+  options.collect = false;
+  return service::FingerprintOf(
+      ComputeOneRoundSkewAware(entry.query, entry.instance, p, options));
 }
 
 /// One (client count, arrival mode) point of the sweep.

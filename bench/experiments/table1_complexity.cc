@@ -53,7 +53,7 @@ telemetry::RunReport RunTable1Complexity(const Experiment& e) {
 
     OneRoundOptions or_options;
     or_options.collect = false;
-    OneRoundResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
+    RunResult one = ComputeOneRoundSkewAware(q, instance, p, or_options);
     ProfileRun(report, entry.name + "/one_round", one.load_tracker);
     double psi_theory =
         static_cast<double>(n) / std::pow(static_cast<double>(p), 1.0 / psi.ToDouble());

@@ -56,17 +56,17 @@ int main() {
 
   TablePrinter table({"engine", "rounds", "max load", "notes"});
 
-  OneRoundResult vanilla = ComputeOneRoundVanilla(query, instance, p, /*collect=*/false);
+  RunResult vanilla = ComputeOneRoundVanilla(query, instance, p, /*collect=*/false);
   table.AddRow({"hypercube (vanilla)", "1", std::to_string(vanilla.max_load),
                 "celebrity user lands on one grid slice"});
 
   OneRoundOptions or_options;
   or_options.collect = false;
-  OneRoundResult aware = ComputeOneRoundSkewAware(query, instance, p, or_options);
+  RunResult aware = ComputeOneRoundSkewAware(query, instance, p, or_options);
   table.AddRow({"one-round skew-aware", "1", std::to_string(aware.max_load),
                 "heavy users split into residual hypercubes"});
 
-  YannakakisResult yan = ComputeYannakakis(query, instance, p);
+  RunResult yan = ComputeYannakakis(query, instance, p, /*collect=*/false);
   table.AddRow({"parallel yannakakis", std::to_string(yan.rounds),
                 std::to_string(yan.max_load), "communicates intermediate results"});
 

@@ -567,12 +567,10 @@ AcyclicRunResult ComputeAcyclicJoin(const Hypergraph& query, const Instance& ins
   SubRun run = engine.Run(query, instance, /*charge_input=*/false, 0,
                           options.trace ? &result.trace : nullptr);
 
-  result.max_load = run.cluster->tracker().MaxLoad();
   result.rounds = run.rounds;
   result.servers_used = run.cluster->p();
-  result.total_communication = run.cluster->tracker().TotalCommunication();
   result.load_threshold = load;
-  result.load_tracker = run.cluster->tracker();
+  result.SetLoadTracker(std::move(run.cluster->tracker()));
   if (options.collect) {
     result.results = std::move(run.results);
     result.output_count = result.results.size();

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "mpc/load_tracker.h"
+#include "core/run_result.h"
 #include "query/hypergraph.h"
 #include "relation/instance.h"
 
@@ -66,20 +66,10 @@ struct TraceEvent {
   uint64_t input_tuples = 0;  ///< total input of this subquery
 };
 
-/// Outcome of a run: the measured MPC complexity plus (optionally) results.
-struct AcyclicRunResult {
-  Relation results;            ///< join results (collect mode)
-  uint64_t output_count = 0;   ///< rows of `results` (collect mode)
-  uint64_t max_load = 0;       ///< max tuples received by a server in a round
-  uint32_t rounds = 0;         ///< communication rounds used
-  uint64_t servers_used = 0;   ///< servers the run actually allocated
-  uint64_t total_communication = 0;
-  uint64_t load_threshold = 0; ///< the L the run was executed with
+/// Outcome of a run: the common RunResult (load_threshold is the L the run
+/// was executed with; servers_used is its cluster's p) plus the trace.
+struct AcyclicRunResult : RunResult {
   std::vector<TraceEvent> trace;  ///< populated when options.trace is set
-  /// The run's full (round, server) load matrix — max_load/rounds/
-  /// total_communication above are summaries of it. The telemetry layer
-  /// derives per-round skew profiles from this tracker.
-  LoadTracker load_tracker{1};
 };
 
 /// Renders a trace as an indented decomposition tree.

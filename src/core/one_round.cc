@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "mpc/cluster.h"
 #include "mpc/hypercube.h"
@@ -88,30 +89,28 @@ std::vector<uint64_t> SizesOf(const Instance& instance) {
 
 }  // namespace
 
-OneRoundResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instance,
-                                      uint32_t p, bool collect) {
+RunResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instance, uint32_t p,
+                                 bool collect) {
   Cluster cluster(p);
   mpc::ShareVector shares = mpc::OptimizeSharesForSizes(query, SizesOf(instance), p);
   mpc::HypercubeResult hc = mpc::HypercubeJoin(&cluster, query, instance, shares, 0, collect);
-  OneRoundResult result;
-  result.max_load = hc.max_receive_load;
+  RunResult result;
   result.output_count = hc.output_count;
+  result.rounds = 1;
   result.servers_used = shares.grid_size;
-  result.load_tracker = cluster.tracker();
+  result.SetLoadTracker(std::move(cluster.tracker()));
   if (collect) result.results = hc.results.Gather();
   return result;
 }
 
-OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
-                                        uint32_t p, const OneRoundOptions& options) {
+RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
+                                   uint32_t p, const OneRoundOptions& options) {
   instance.CheckAgainst(query);
-  OneRoundResult result;
+  RunResult result;
   result.results = Relation(query.AllAttrs());
-  result.servers_used = 0;
 
   // Every leaf work item becomes one hypercube; all fire at round 0 on
   // disjoint server ranges, so the whole computation is one round.
-  uint64_t max_load = 0;
   uint64_t servers = 0;
   // Leaf trackers, concatenated into result.load_tracker at the end so the
   // telemetry layer sees the round-0 load distribution across the whole
@@ -124,7 +123,6 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
   /// on the input, never on the thread count.
   struct Outcome {
     bool is_leaf = false;
-    uint64_t leaf_max_load = 0;
     uint64_t leaf_servers = 0;
     std::optional<LoadTracker> tracker;
     Relation local;  // collect-mode leaf output, bindings re-attached
@@ -157,7 +155,6 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
         mpc::HypercubeResult hc = mpc::HypercubeJoin(&cluster, item.query, item.instance,
                                                      shares, 0, options.collect);
         out.is_leaf = true;
-        out.leaf_max_load = hc.max_receive_load;
         out.leaf_servers = shares.grid_size;
         out.tracker = cluster.tracker();
         if (options.collect) {
@@ -208,7 +205,6 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
     std::vector<WorkItem> next_frontier;
     for (Outcome& out : outcomes) {
       if (out.is_leaf) {
-        max_load = std::max(max_load, out.leaf_max_load);
         servers += out.leaf_servers;
         leaf_trackers.push_back(std::move(*out.tracker));
         if (options.collect) {
@@ -228,18 +224,17 @@ OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance&
     frontier = std::move(next_frontier);
   }
 
-  result.max_load = max_load;
   result.servers_used = servers;
   result.rounds = 1;
   uint64_t tracker_servers = 0;
   for (const LoadTracker& leaf : leaf_trackers) tracker_servers += leaf.num_servers();
-  result.load_tracker = LoadTracker(
-      static_cast<uint32_t>(std::max<uint64_t>(1, tracker_servers)));
+  LoadTracker tracker(static_cast<uint32_t>(std::max<uint64_t>(1, tracker_servers)));
   uint32_t offset = 0;
   for (const LoadTracker& leaf : leaf_trackers) {
-    result.load_tracker.Merge(leaf, offset, /*round_offset=*/0);
+    tracker.Merge(leaf, offset, /*round_offset=*/0);
     offset += leaf.num_servers();
   }
+  result.SetLoadTracker(std::move(tracker));
   return result;
 }
 

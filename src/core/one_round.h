@@ -15,24 +15,14 @@
 
 #include <cstdint>
 
-#include "mpc/load_tracker.h"
+#include "core/run_result.h"
 #include "query/hypergraph.h"
 #include "relation/instance.h"
 
 namespace coverpack {
 
-/// Outcome of a one-round run.
-struct OneRoundResult {
-  Relation results;          ///< join results (collect mode)
-  uint64_t output_count = 0;
-  uint64_t max_load = 0;     ///< max tuples received by one server
-  uint64_t servers_used = 0;
-  uint32_t rounds = 1;
-  /// Concatenated per-server loads of every sub-hypercube the run fired
-  /// (all in round 0; disjoint server ranges). Source for the telemetry
-  /// layer's skew profiles.
-  LoadTracker load_tracker{1};
-};
+/// The one-round runs' old result name, kept for bench/perf.
+using OneRoundResult = RunResult;
 
 /// Options for the one-round algorithm.
 struct OneRoundOptions {
@@ -42,13 +32,16 @@ struct OneRoundOptions {
 /// Computes the join in one communication round on p servers, splitting
 /// heavy values off into residual-query hypercubes: a value is heavy when
 /// its degree exceeds 2 * |R| / share. Works for any query (acyclic or
-/// cyclic).
-OneRoundResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
-                                        uint32_t p, const OneRoundOptions& options);
+/// cyclic). Every sub-hypercube fires in round 0 on its own server range;
+/// the load tracker concatenates their per-server loads, and servers_used
+/// sums their grid sizes.
+RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
+                                   uint32_t p, const OneRoundOptions& options);
 
 /// Vanilla one-round HyperCube (no skew handling) for comparison.
-OneRoundResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instance,
-                                      uint32_t p, bool collect);
+/// servers_used is its grid size.
+RunResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instance, uint32_t p,
+                                 bool collect);
 
 }  // namespace coverpack
 

@@ -1,5 +1,7 @@
 #include "core/output_balanced.h"
 
+#include <utility>
+
 #include "mpc/cluster.h"
 #include "mpc/exchange.h"
 #include "mpc/primitives.h"
@@ -12,8 +14,8 @@
 
 namespace coverpack {
 
-OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instance& instance,
-                                           uint32_t p, const OutputBalancedOptions& options) {
+RunResult ComputeOutputBalanced(const Hypergraph& query, const Instance& instance, uint32_t p,
+                                const OutputBalancedOptions& options) {
   instance.CheckAgainst(query);
   auto tree = JoinTree::Build(query);
   CP_CHECK(tree.has_value()) << "output-balanced Yannakakis requires an acyclic query";
@@ -37,15 +39,14 @@ OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instan
   mpc::ChargeLinear(&cluster, instance.TotalSize(), round);
   round += 1;
 
-  OutputBalancedResult result;
+  RunResult result;
+  result.servers_used = p;
   uint64_t out = 0;
   for (uint64_t w : weight[root]) out = SaturatingAdd(out, w);
   result.output_count = out;
   if (out == 0) {
     result.rounds = round;
-    result.max_load = cluster.tracker().MaxLoad();
-    result.total_communication = cluster.tracker().TotalCommunication();
-    result.load_tracker = cluster.tracker();
+    result.SetLoadTracker(std::move(cluster.tracker()));
     if (options.collect) result.results = Relation(query.AllAttrs());
     return result;
   }
@@ -122,9 +123,7 @@ OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instan
     result.output_count = result.results.size();
   }
   result.rounds = round;
-  result.max_load = cluster.tracker().MaxLoad();
-  result.total_communication = cluster.tracker().TotalCommunication();
-  result.load_tracker = cluster.tracker();
+  result.SetLoadTracker(std::move(cluster.tracker()));
   return result;
 }
 

@@ -16,22 +16,11 @@
 
 #include <cstdint>
 
-#include "mpc/load_tracker.h"
+#include "core/run_result.h"
 #include "query/hypergraph.h"
 #include "relation/instance.h"
 
 namespace coverpack {
-
-/// Outcome of an output-balanced run.
-struct OutputBalancedResult {
-  uint64_t output_count = 0;
-  uint64_t max_load = 0;   ///< max input tuples received by one server
-  uint32_t rounds = 0;
-  uint64_t total_communication = 0;
-  Relation results;        ///< materialized when collect (small instances)
-  /// Full (round, server) load matrix for telemetry skew profiling.
-  LoadTracker load_tracker{1};
-};
 
 /// Options for ComputeOutputBalanced.
 struct OutputBalancedOptions {
@@ -41,14 +30,16 @@ struct OutputBalancedOptions {
 /// Runs the output-balanced algorithm on p servers. The query must be
 /// alpha-acyclic and *connected* (a single join-tree component; Cartesian
 /// products across components are delegated to the Case II machinery of
-/// the main algorithm and are out of scope for this baseline).
+/// the main algorithm and are out of scope for this baseline). servers_used
+/// is p. output_count comes from the root's bottom-up weights, so it is
+/// the join size in charge-only mode too.
 ///
 /// Simplification vs [15]: a root tuple's extensions are not split across
 /// servers, so a single root tuple heavier than OUT/p skews one server's
 /// range (a constant factor on balanced instances; the benches use
 /// balanced weights).
-OutputBalancedResult ComputeOutputBalanced(const Hypergraph& query, const Instance& instance,
-                                           uint32_t p, const OutputBalancedOptions& options);
+RunResult ComputeOutputBalanced(const Hypergraph& query, const Instance& instance, uint32_t p,
+                                const OutputBalancedOptions& options);
 
 }  // namespace coverpack
 

@@ -1,5 +1,8 @@
 #include "core/yannakakis.h"
 
+#include <utility>
+#include <vector>
+
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/primitives.h"
@@ -27,10 +30,21 @@ DistRelation JoinExchange(Cluster* cluster, const DistRelation& left, const Dist
   return output;
 }
 
+/// Charges exactly what JoinExchange charges, building nothing: for a join
+/// whose rows nobody reads.
+void ChargeJoinExchange(Cluster* cluster, const DistRelation& left, const DistRelation& right,
+                        uint32_t* round) {
+  AttrSet shared = left.attrs().Intersect(right.attrs());
+  CP_CHECK(!shared.empty()) << "join tree edge without shared attributes";
+  mpc::ChargeHashPartition(cluster, left, shared, *round);
+  mpc::ChargeHashPartition(cluster, right, shared, *round);
+  *round += 1;
+}
+
 }  // namespace
 
-YannakakisResult ComputeYannakakis(const Hypergraph& query, const Instance& instance,
-                                   uint32_t p) {
+RunResult ComputeYannakakis(const Hypergraph& query, const Instance& instance, uint32_t p,
+                            bool collect) {
   instance.CheckAgainst(query);
   auto tree = JoinTree::Build(query);
   CP_CHECK(tree.has_value()) << "Yannakakis requires an alpha-acyclic query";
@@ -62,18 +76,29 @@ YannakakisResult ComputeYannakakis(const Hypergraph& query, const Instance& inst
   }
 
   // Phase 2: bottom-up joins. subtree[n] accumulates the join of the
-  // subtree rooted at n.
-  std::vector<DistRelation> subtree = dist;
+  // subtree rooted at n. A root's join with its last child builds the
+  // component's output, which only collect mode reads.
+  std::vector<DistRelation> subtree = std::move(dist);
   for (auto it = top_down.rbegin(); it != top_down.rend(); ++it) {
     uint32_t node = *it;
-    for (uint32_t child : tree->children(node)) {
-      subtree[node] = JoinExchange(&cluster, subtree[node], subtree[child], &round);
+    const std::vector<uint32_t>& children = tree->children(node);
+    for (size_t i = 0; i < children.size(); ++i) {
+      if (!collect && tree->IsRoot(node) && i + 1 == children.size()) {
+        ChargeJoinExchange(&cluster, subtree[node], subtree[children[i]], &round);
+      } else {
+        subtree[node] = JoinExchange(&cluster, subtree[node], subtree[children[i]], &round);
+      }
     }
   }
 
+  RunResult result;
+  result.rounds = round;
+  result.servers_used = p;
+  result.SetLoadTracker(std::move(cluster.tracker()));
+  if (!collect) return result;
+
   // Cartesian product across components happens at emission (zero-cost in
   // the model); we combine the gathered per-component results.
-  YannakakisResult result;
   Relation combined;
   bool first = true;
   for (uint32_t root : tree->Roots()) {
@@ -87,9 +112,6 @@ YannakakisResult ComputeYannakakis(const Hypergraph& query, const Instance& inst
   }
   result.results = std::move(combined);
   result.output_count = result.results.size();
-  result.max_load = cluster.tracker().MaxLoad();
-  result.rounds = round;
-  result.total_communication = cluster.tracker().TotalCommunication();
   return result;
 }
 

@@ -13,24 +13,20 @@
 
 #include <cstdint>
 
+#include "core/run_result.h"
 #include "query/hypergraph.h"
 #include "relation/instance.h"
 
 namespace coverpack {
 
-/// Outcome of a parallel Yannakakis run.
-struct YannakakisResult {
-  Relation results;        ///< full join results (always materialized:
-                           ///< intermediates drive the communication)
-  uint64_t output_count = 0;
-  uint64_t max_load = 0;
-  uint32_t rounds = 0;
-  uint64_t total_communication = 0;
-};
-
 /// Runs parallel Yannakakis on p servers. The query must be alpha-acyclic.
-YannakakisResult ComputeYannakakis(const Hypergraph& query, const Instance& instance,
-                                   uint32_t p);
+/// Intermediate joins drive the communication, so they are built in both
+/// modes. With `collect` unset, the last join of each join-tree component
+/// is routed charge-only: it is charged like the collecting run's, but its
+/// rows are never built or gathered, and output_count is 0. servers_used
+/// is p.
+RunResult ComputeYannakakis(const Hypergraph& query, const Instance& instance, uint32_t p,
+                            bool collect);
 
 }  // namespace coverpack
 

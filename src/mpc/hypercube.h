@@ -39,7 +39,9 @@ struct ShareVector {
 ShareVector OptimizeShares(const Hypergraph& query, uint32_t p);
 
 /// Uniform shares p^(1/k) over a chosen subset of attributes; others 1.
-/// Used by the Cartesian-product step and by tests.
+/// Only tests call it: the Cartesian-product step (Case II) lays its
+/// components on a grid of their own clusters and merges their trackers
+/// with LoadTracker::MergeMapped.
 ShareVector UniformShares(const Hypergraph& query, AttrSet attrs, uint32_t p);
 
 /// Size-aware integer share optimization: greedily grows shares to

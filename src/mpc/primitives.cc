@@ -23,13 +23,12 @@ uint64_t KeyHashOfRow(const Relation& relation, size_t row, const std::vector<ui
   return h;
 }
 
-}  // namespace
-
-DistRelation HashPartition(Cluster* cluster, const DistRelation& input, AttrSet key,
-                           uint32_t round) {
+/// Plans the key-hash routing of `input` onto p servers: one routed source
+/// per input shard, its routes recorded for delivery when `record` is set
+/// and only counted otherwise.
+ExchangePlan PlanHashPartition(const DistRelation& input, AttrSet key, uint32_t p,
+                               bool record) {
   CP_CHECK(key.IsSubsetOf(input.attrs()));
-  uint32_t p = cluster->p();
-  DistRelation output(input.attrs(), p);
   // Column ranks are schema-wide, identical across shards.
   const Relation schema(input.attrs());
   std::vector<uint32_t> cols;
@@ -37,19 +36,28 @@ DistRelation HashPartition(Cluster* cluster, const DistRelation& input, AttrSet 
   for (AttrId attr : key.ToVector()) {
     cols.push_back(schema.ColumnOf(attr));
   }
+  ExchangePlan plan(p);
+  for (uint32_t s = 0; s < input.num_shards(); ++s) {
+    const Relation& shard = input.shard(s);
+    plan.AddSource(shard, record, [&shard, &cols, p](size_t i, auto emit) {
+      emit(KeyHashOfRow(shard, i, cols) % p);
+    });
+  }
+  return plan;
+}
+
+}  // namespace
+
+DistRelation HashPartition(Cluster* cluster, const DistRelation& input, AttrSet key,
+                           uint32_t round) {
+  DistRelation output(input.attrs(), cluster->p());
   // One Exchange with one routed source per input shard: the route hashing
   // runs shard-parallel inside the plan phase; Execute delivers in
   // ascending (input shard, row) order, so each output shard's row order
   // is byte-identical to the serial path. Charging and the conservation
   // audit (tuples planned == delivered == charged) happen at the Exchange
   // choke point.
-  ExchangePlan plan(p);
-  for (uint32_t s = 0; s < input.num_shards(); ++s) {
-    const Relation& shard = input.shard(s);
-    plan.AddSource(shard, /*record=*/true, [&shard, &cols, p](size_t i, auto emit) {
-      emit(KeyHashOfRow(shard, i, cols) % p);
-    });
-  }
+  const ExchangePlan plan = PlanHashPartition(input, key, cluster->p(), /*record=*/true);
   const ExchangeStats stats = Exchange::Execute(
       cluster, round, plan,
       [&output](size_t, uint32_t server) { return &output.shard(server); }, "hash_partition");
@@ -58,6 +66,13 @@ DistRelation HashPartition(Cluster* cluster, const DistRelation& input, AttrSet 
                                                         "HashPartition");)
   (void)stats;
   return output;
+}
+
+void ChargeHashPartition(Cluster* cluster, const DistRelation& input, AttrSet key,
+                         uint32_t round) {
+  Exchange::Execute(cluster, round,
+                    PlanHashPartition(input, key, cluster->p(), /*record=*/false),
+                    "hash_partition");
 }
 
 void ChargeBroadcast(Cluster* cluster, size_t data_size, uint32_t round) {

@@ -31,6 +31,12 @@ namespace mpc {
 DistRelation HashPartition(Cluster* cluster, const DistRelation& input, AttrSet key,
                            uint32_t round);
 
+/// Charges exactly what HashPartition(cluster, input, key, round) charges,
+/// but delivers no row: charge-only routing for a repartition whose output
+/// nobody reads.
+void ChargeHashPartition(Cluster* cluster, const DistRelation& input, AttrSet key,
+                         uint32_t round);
+
 /// Broadcasts `data` to every server of the cluster: charges |data| to each
 /// server in `round`. Returns nothing — broadcast data is globally visible
 /// to subsequent local computation by construction.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "planner/execute.h"
 #include "query/catalog.h"
@@ -30,7 +31,7 @@ std::string DifferentialOutcome::Repro(const std::string& case_name,
       << "decision: " << decision.Digest() << "\n"
       << "rationale: " << decision.rationale << "\n";
   for (const AlgorithmRun& run : runs) {
-    out << "actual " << AlgorithmName(run.algorithm) << ": load=" << run.actual_load
+    out << "actual " << AlgorithmName(run.algorithm) << ": load=" << run.max_load
         << " rounds=" << run.rounds << " ticks=" << run.actual_ticks
         << " out=" << run.output_count << "\n";
   }
@@ -48,22 +49,23 @@ DifferentialOutcome EvaluateCase(const Hypergraph& query, const Instance& instan
 
   for (const CostEstimate& entry : outcome.decision.table.entries) {
     if (!entry.applicable) continue;
-    const ExecutedRun run = Execute(entry.algorithm, query, instance, p, /*collect=*/false);
-    outcome.runs.push_back({entry.algorithm, run.max_load, run.rounds,
-                            ExecutionTicks(run.load_tracker), run.output_count});
+    AlgorithmRun run{Execute(entry.algorithm, query, instance, p, /*collect=*/false)};
+    run.algorithm = entry.algorithm;
+    run.actual_ticks = ExecutionTicks(run.load_tracker);
+    outcome.runs.push_back(std::move(run));
   }
 
   bool found_best = false;
   bool found_chosen = false;
   for (const AlgorithmRun& run : outcome.runs) {
-    if (!found_best || run.actual_load < outcome.best_actual_load) {
+    if (!found_best || run.max_load < outcome.best_actual_load) {
       found_best = true;
-      outcome.best_actual_load = run.actual_load;
+      outcome.best_actual_load = run.max_load;
       outcome.best_algorithm = run.algorithm;
     }
     if (run.algorithm == outcome.decision.algorithm) {
       found_chosen = true;
-      outcome.chosen_actual_load = run.actual_load;
+      outcome.chosen_actual_load = run.max_load;
       outcome.chosen_actual_ticks = run.actual_ticks;
     }
   }

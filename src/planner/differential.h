@@ -8,7 +8,7 @@
 /// statistics, asks the chooser, then *executes the whole menu*: every
 /// cost-table entry marked applicable runs through planner::Execute —
 /// the same path the query service executes its plans on — and its
-/// actual max load and ExecutionTicks are recorded. The outcome knows the
+/// RunResult is kept with its ExecutionTicks. The outcome knows the
 /// best actual load, whether the chooser's pick landed within a given
 /// slack of it, and how to print a full (query, stats, cost table, actual
 /// runs) repro when it did not.
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_result.h"
 #include "planner/plan_chooser.h"
 #include "planner/stats.h"
 #include "query/hypergraph.h"
@@ -34,13 +35,11 @@
 namespace coverpack {
 namespace planner {
 
-/// One algorithm's measured run on one case.
-struct AlgorithmRun {
+/// One algorithm's measured (charge-only) run on one case; its max_load
+/// is the actual bottleneck load the chooser's pick is judged by.
+struct AlgorithmRun : RunResult {
   Algorithm algorithm = Algorithm::kOneRound;
-  uint64_t actual_load = 0;   ///< measured bottleneck load (tuples)
-  uint32_t rounds = 0;
-  uint64_t actual_ticks = 0;  ///< ExecutionTicks of the real run
-  uint64_t output_count = 0;
+  uint64_t actual_ticks = 0;  ///< ExecutionTicks of the run
 };
 
 /// One corpus entry. The name encodes generator + seed index, so a failing

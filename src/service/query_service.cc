@@ -25,6 +25,19 @@ uint64_t FingerprintTrackerHash(const LoadTracker& tracker) {
   return h;
 }
 
+LoadFingerprint FingerprintOf(const RunResult& run) {
+  LoadFingerprint fingerprint;
+  fingerprint.executed = true;
+  fingerprint.max_load = run.max_load;
+  fingerprint.rounds = run.rounds;
+  fingerprint.total_communication = run.total_communication;
+  fingerprint.servers_used = run.servers_used;
+  fingerprint.load_threshold = run.load_threshold;
+  fingerprint.output_count = run.output_count;
+  fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
+  return fingerprint;
+}
+
 namespace {
 
 /// Nearest-rank percentile of an ascending-sorted vector (0 when empty).
@@ -64,19 +77,9 @@ CachedPlan ComputePlan(const Hypergraph& query, uint32_t p, const ShapeCanon& ca
 
 ExecutionResult ExecuteRegistered(const Hypergraph& query, const Instance& instance,
                                   const CachedPlan& plan, uint32_t p, bool collect) {
-  const planner::ExecutedRun run =
+  const RunResult run =
       planner::Execute(plan.strategy, query, instance, p, collect, plan.load_threshold);
-  ExecutionResult result;
-  result.fingerprint.executed = true;
-  result.fingerprint.max_load = run.max_load;
-  result.fingerprint.rounds = run.rounds;
-  result.fingerprint.total_communication = run.total_communication;
-  result.fingerprint.servers_used = run.servers_used;
-  result.fingerprint.load_threshold = run.load_threshold;
-  result.fingerprint.output_count = run.output_count;
-  result.fingerprint.tracker_hash = FingerprintTrackerHash(run.load_tracker);
-  result.exec_ticks = planner::ExecutionTicks(run.load_tracker);
-  return result;
+  return {FingerprintOf(run), planner::ExecutionTicks(run.load_tracker)};
 }
 
 std::string ServiceRunStats::Digest() const {
@@ -109,7 +112,7 @@ std::string ServiceRunStats::Digest() const {
 }
 
 QueryService::QueryService(ServiceConfig config)
-    : config_(std::move(config)), cache_(config_.cache_capacity) {
+    : config_(std::move(config)), cache_(kPlanCacheCapacity) {
   CP_CHECK(config_.servers_per_query > 0);
   CP_CHECK_LE(config_.servers_per_query, config_.total_servers);
 }
@@ -183,10 +186,6 @@ ServiceRunStats QueryService::Run() {
   std::deque<Pending> wait_queue;
   std::map<uint64_t, Running> running;  // query_id -> in-flight record
   LeaseManager leases(config_.total_servers);
-  leases.SetSpeeds(config_.server_speeds);
-  // Heterogeneous pools lease in speed-capacity units (servers_per_query
-  // units of aggregate speed); uniform pools keep count-based grants.
-  const bool capacity_mode = !config_.server_speeds.empty();
   stats.entry_fingerprints.assign(catalog_.size(), LoadFingerprint{});
   std::vector<uint64_t> queue_waits;
 
@@ -226,10 +225,7 @@ ServiceRunStats QueryService::Run() {
     // pipelines then execute concurrently on the thread pool.
     std::vector<Dispatched> batch;
     while (!wait_queue.empty()) {
-      auto lease = capacity_mode
-                       ? leases.AcquireCapacity(
-                             static_cast<double>(config_.servers_per_query))
-                       : leases.Acquire(config_.servers_per_query);
+      auto lease = leases.Acquire(config_.servers_per_query);
       if (!lease.has_value()) break;
       const Pending pending = wait_queue.front();
       wait_queue.pop_front();
@@ -275,13 +271,8 @@ ServiceRunStats QueryService::Run() {
     std::vector<ExecutionResult> results(batch.size());
     const auto run_one = [&](size_t i) {
       const RegisteredQuery& entry = catalog_[batch[i].catalog_index];
-      // Plans are keyed and computed at p = servers_per_query; a capacity
-      // lease may hold fewer physical servers (its aggregate speed covers
-      // the same p speed-units), so execution uses the plan's p, not the
-      // lease footprint. Identical in count mode where the two agree.
       results[i] = ExecuteRegistered(entry.query, entry.instance, batch[i].plan,
-                                     config_.servers_per_query,
-                                     config_.collect_results);
+                                     config_.servers_per_query, /*collect=*/false);
     };
     if (batch.size() == 1) {
       run_one(0);

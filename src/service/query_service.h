@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_result.h"
 #include "mpc/load_tracker.h"
 #include "planner/plan_chooser.h"
 #include "query/hypergraph.h"
@@ -62,22 +63,15 @@ inline constexpr uint64_t kPlanBaseTicks = 96;
 inline constexpr uint64_t kLpSubsetTicks = 6;
 inline constexpr uint64_t kTreeTicks = 12;
 
-/// Service-wide configuration.
+/// Plans a service's PlanCache holds before it evicts.
+inline constexpr size_t kPlanCacheCapacity = 64;
+
+/// Service-wide configuration. Pipelines always run charge-only: the
+/// service reads loads, never rows.
 struct ServiceConfig {
   uint32_t total_servers = 256;     ///< the simulated p-server pool
   uint32_t servers_per_query = 64;  ///< sub-cluster lease size
-  /// Per-server speeds (size total_servers, all > 0) for a heterogeneous
-  /// pool. When non-empty, leases are granted in speed-capacity units:
-  /// each query asks for `servers_per_query` units of aggregate speed and
-  /// receives the first-fit minimal range covering them (LeaseManager::
-  /// AcquireCapacity), so fast servers shrink the footprint. Empty keeps
-  /// the historical count-based Acquire, and a vector of all 1.0 grants
-  /// bit-identical leases to empty — the cluster_elastic experiment and
-  /// the service tests verify the run digests match.
-  std::vector<double> server_speeds;
   bool cache_enabled = true;
-  size_t cache_capacity = 64;
-  bool collect_results = false;  ///< pipelines run charge-only by default
   WorkloadConfig workload;
 };
 
@@ -190,11 +184,13 @@ class QueryService {
 };
 
 /// Hash of a full (round, server) load matrix — the `tracker_hash` field
-/// of LoadFingerprint. Exposed so tests and the bench experiment can build
-/// fingerprints from raw standalone ComputeAcyclicJoin /
-/// ComputeOneRoundSkewAware runs and compare them byte-for-byte against
-/// what the service recorded.
+/// of LoadFingerprint.
 uint64_t FingerprintTrackerHash(const LoadTracker& tracker);
+
+/// The load fingerprint of one run, marked executed. Exposed so tests and
+/// the bench experiment can fingerprint raw standalone engine runs and
+/// compare them byte-for-byte against what the service recorded.
+LoadFingerprint FingerprintOf(const RunResult& run);
 
 /// Computes a fresh plan at p servers from `stats` — the cold path the
 /// cache short-circuits. Runs the cost-based PlanChooser and keeps its

@@ -21,7 +21,7 @@ TEST_P(YannakakisCorrectness, MatchesOracle) {
   Hypergraph q = ParseQuery(text);
   Rng rng(seed);
   Instance instance = workload::UniformInstance(q, 100, 10, &rng);
-  YannakakisResult run = ComputeYannakakis(q, instance, 16);
+  RunResult run = ComputeYannakakis(q, instance, 16, /*collect=*/true);
   Relation expected = GenericJoin(q, instance);
   EXPECT_EQ(run.output_count, expected.size());
   EXPECT_TRUE(run.results.SameContentAs(expected));
@@ -51,7 +51,7 @@ TEST(YannakakisTest, OutputDrivenLoad) {
       instance[2].AppendRow({a, b});
     }
   }
-  YannakakisResult run = ComputeYannakakis(q, instance, 4);
+  RunResult run = ComputeYannakakis(q, instance, 4, /*collect=*/true);
   // OUT = side^4; the communicated intermediate R1 |><| R2 has side^3 rows,
   // so the load must be at least side^3 / p — far above the N/p of the
   // paper's algorithm on the same instance.
@@ -59,6 +59,22 @@ TEST(YannakakisTest, OutputDrivenLoad) {
   EXPECT_EQ(run.output_count, out);
   EXPECT_GE(run.max_load, side * side * side / 4);
   (void)n;
+}
+
+TEST(YannakakisTest, ChargeOnlyForestChargesWhatTheCollectingRunCharges) {
+  // Each component's last join is routed charge-only: the same receives in
+  // the same rounds, no rows. (RunResultTest covers connected queries.)
+  Hypergraph q = ParseQuery("R1(A,B), R2(B,C), R3(X,Y), R4(Y,Z)");
+  Rng rng(5);
+  Instance instance = workload::UniformInstance(q, 60, 6, &rng);
+  const RunResult collected = ComputeYannakakis(q, instance, 16, /*collect=*/true);
+  const RunResult charged = ComputeYannakakis(q, instance, 16, /*collect=*/false);
+  ASSERT_GT(collected.output_count, 0u);
+  EXPECT_EQ(charged.rounds, collected.rounds);
+  EXPECT_EQ(charged.max_load, collected.max_load);
+  EXPECT_TRUE(charged.load_tracker == collected.load_tracker);
+  EXPECT_EQ(charged.output_count, 0u);
+  EXPECT_TRUE(charged.results.empty());
 }
 
 class OneRoundCorrectness
@@ -72,7 +88,7 @@ TEST_P(OneRoundCorrectness, SkewAwareMatchesOracle) {
                                   : workload::ZipfInstance(q, 100, 16, skew, &rng);
   OneRoundOptions options;
   options.collect = true;
-  OneRoundResult run = ComputeOneRoundSkewAware(q, instance, 32, options);
+  RunResult run = ComputeOneRoundSkewAware(q, instance, 32, options);
   Relation expected = GenericJoin(q, instance);
   EXPECT_EQ(run.output_count, expected.size());
   EXPECT_TRUE(run.results.SameContentAs(expected));
@@ -104,10 +120,10 @@ TEST(OneRoundTest, SkewAwareBeatsVanillaOnHeavyHitter) {
   Hypergraph q = catalog::Triangle();
   Instance instance = HeavyHitterTriangle(q);
   uint32_t p = 64;
-  OneRoundResult vanilla = ComputeOneRoundVanilla(q, instance, p, /*collect=*/false);
+  RunResult vanilla = ComputeOneRoundVanilla(q, instance, p, /*collect=*/false);
   OneRoundOptions options;
   options.collect = false;
-  OneRoundResult aware = ComputeOneRoundSkewAware(q, instance, p, options);
+  RunResult aware = ComputeOneRoundSkewAware(q, instance, p, options);
   EXPECT_LT(aware.max_load, vanilla.max_load);
 }
 
@@ -118,7 +134,7 @@ TEST(OneRoundTest, SkewAwareSplitReattachesHeavyBindings) {
   Instance instance = HeavyHitterTriangle(q);
   OneRoundOptions options;
   options.collect = true;
-  OneRoundResult run = ComputeOneRoundSkewAware(q, instance, 64, options);
+  RunResult run = ComputeOneRoundSkewAware(q, instance, 64, options);
   Relation expected = GenericJoin(q, instance);
   EXPECT_EQ(expected.size(), 60u);
   EXPECT_EQ(run.output_count, expected.size());
@@ -129,7 +145,7 @@ TEST(OneRoundTest, VanillaMatchesOracleOnUniform) {
   Hypergraph q = catalog::Triangle();
   Rng rng(11);
   Instance instance = workload::UniformInstance(q, 90, 9, &rng);
-  OneRoundResult run = ComputeOneRoundVanilla(q, instance, 27, /*collect=*/true);
+  RunResult run = ComputeOneRoundVanilla(q, instance, 27, /*collect=*/true);
   Relation expected = GenericJoin(q, instance);
   EXPECT_EQ(run.output_count, expected.size());
   EXPECT_TRUE(run.results.SameContentAs(expected));

@@ -374,9 +374,9 @@ LedgerSnapshot CyclicStormLedger(const FaultSpec& spec) {
   const Instance instance = workload::ZipfInstance(triangle, 4000, 600, 0.8, &rng);
   OneRoundOptions options;
   options.collect = true;
-  const OneRoundResult clean = ComputeOneRoundSkewAware(triangle, instance, 64, options);
+  const RunResult clean = ComputeOneRoundSkewAware(triangle, instance, 64, options);
   Ledger::Global().Reset();
-  OneRoundResult stormed;
+  RunResult stormed;
   {
     ScopedFaultInjection injection(spec);
     stormed = ComputeOneRoundSkewAware(triangle, instance, 64, options);

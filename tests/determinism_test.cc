@@ -253,12 +253,12 @@ TEST_F(DeterminismTest, OneRoundIsBitIdenticalAcrossThreadCounts) {
     ThreadPool::SetGlobalThreads(1);
     Rng serial_rng(seed);
     Instance serial_instance = workload::ZipfInstance(query, 2000, 300, 1.1, &serial_rng);
-    OneRoundResult serial = ComputeOneRoundSkewAware(query, serial_instance, 64, options);
+    RunResult serial = ComputeOneRoundSkewAware(query, serial_instance, 64, options);
 
     ThreadPool::SetGlobalThreads(4);
     Rng parallel_rng(seed);
     Instance parallel_instance = workload::ZipfInstance(query, 2000, 300, 1.1, &parallel_rng);
-    OneRoundResult parallel = ComputeOneRoundSkewAware(query, parallel_instance, 64, options);
+    RunResult parallel = ComputeOneRoundSkewAware(query, parallel_instance, 64, options);
 
     EXPECT_EQ(serial.output_count, parallel.output_count);
     EXPECT_EQ(serial.max_load, parallel.max_load);

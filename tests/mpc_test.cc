@@ -93,6 +93,19 @@ TEST(PrimitivesTest, HashPartitionColocatesKeys) {
   EXPECT_EQ(cluster.tracker().TotalCommunication(), 200u);
 }
 
+TEST(PrimitivesTest, ChargeHashPartitionChargesWhatHashPartitionCharges) {
+  Hypergraph q = catalog::Line3();
+  Rng rng(7);
+  Relation data = workload::UniformRandom(q.edge(0).attrs, 300, 20, &rng);
+  const AttrSet key = AttrSet::Single(*q.FindAttribute("B"));
+  Cluster delivered(8);
+  Cluster charged(8);
+  mpc::HashPartition(&delivered, DistRelation::InitialPlacement(delivered, data), key, 2);
+  mpc::ChargeHashPartition(&charged, DistRelation::InitialPlacement(charged, data), key, 2);
+  EXPECT_TRUE(charged.tracker() == delivered.tracker());
+  EXPECT_EQ(charged.tracker().TotalCommunication(), 300u);
+}
+
 TEST(PrimitivesTest, DegreeByValueMatchesSequentialHistogram) {
   Cluster cluster(4);
   Hypergraph q = catalog::Line3();

@@ -24,7 +24,7 @@ TEST_P(OutputBalancedCorrectness, MatchesOracle) {
   Instance instance = workload::UniformInstance(q, 120, 12, &rng);
   OutputBalancedOptions options;
   options.collect = true;
-  OutputBalancedResult run = ComputeOutputBalanced(q, instance, p, options);
+  RunResult run = ComputeOutputBalanced(q, instance, p, options);
   Relation expected = GenericJoin(q, instance);
   EXPECT_EQ(run.output_count, expected.size()) << text;
   EXPECT_TRUE(run.results.SameContentAs(expected)) << text;
@@ -45,7 +45,7 @@ TEST(OutputBalancedTest, EmptyJoin) {
   instance[2].AppendRow({4, 5});
   OutputBalancedOptions options;
   options.collect = true;
-  OutputBalancedResult run = ComputeOutputBalanced(q, instance, 4, options);
+  RunResult run = ComputeOutputBalanced(q, instance, 4, options);
   EXPECT_EQ(run.output_count, 0u);
 }
 
@@ -56,7 +56,7 @@ TEST(OutputBalancedTest, LoadIsOutputSensitive) {
   uint64_t n = 8000;
   Instance instance = workload::MatchingInstance(q, n);
   OutputBalancedOptions options;
-  OutputBalancedResult run = ComputeOutputBalanced(q, instance, 16, options);
+  RunResult run = ComputeOutputBalanced(q, instance, 16, options);
   EXPECT_EQ(run.output_count, n);
   EXPECT_LE(run.max_load, 8 * n / 16 + 8);
 }
@@ -76,7 +76,7 @@ TEST(OutputBalancedTest, LoadDegeneratesNearAgmBound) {
   }
   uint32_t p = 16;
   OutputBalancedOptions options;
-  OutputBalancedResult run = ComputeOutputBalanced(q, instance, p, options);
+  RunResult run = ComputeOutputBalanced(q, instance, p, options);
   EXPECT_EQ(run.output_count, side * side * side * side);
   uint64_t n = side * side;
   // Every server needs nearly all of R2 and R3 for its root slice.

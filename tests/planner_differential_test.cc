@@ -8,7 +8,8 @@
 /// full repro: query, per-relation stats, cost table, and every measured
 /// run, so a failure is replayable from the log alone. Also checks that
 /// planner::Execute, the one runner the harness and the query service
-/// share, reports each algorithm exactly as its own core entry point does.
+/// share, returns each algorithm's run, rows included, exactly as its own
+/// core entry point does.
 
 #include <cstdint>
 #include <optional>
@@ -26,6 +27,7 @@
 #include "planner/plan_chooser.h"
 #include "planner/stats.h"
 #include "query/hypergraph.h"
+#include "relation/oracle.h"
 #include "util/thread_pool.h"
 
 namespace coverpack {
@@ -118,52 +120,26 @@ TEST_F(PlannerDifferentialTest, DecisionsAreThreadCountInvariantOverCorpus) {
   }
 }
 
-/// Reference for Execute: the algorithm's core entry point called
-/// directly, its result fields copied the way each algorithm reports them
-/// (one-round sums its tracker for total communication, output-balanced
-/// counts its tracker's width as servers used, and only the multi-round
-/// run has an L).
-ExecutedRun DirectRun(Algorithm algorithm, const DifferentialCase& c, bool collect,
-                      uint64_t load_threshold) {
-  ExecutedRun want;
+/// Reference for Execute: the algorithm's core entry point, called
+/// directly.
+RunResult DirectRun(Algorithm algorithm, const DifferentialCase& c, bool collect,
+                    uint64_t load_threshold) {
   if (algorithm == Algorithm::kAcyclicMultiRound) {
     AcyclicRunOptions options;
     options.policy = RunPolicy::kOptimal;
     options.collect = collect;
     options.p = kServers;
     options.load_threshold = load_threshold;
-    const AcyclicRunResult run = ComputeAcyclicJoin(c.query, c.instance, options);
-    want.max_load = run.max_load;
-    want.rounds = run.rounds;
-    want.total_communication = run.total_communication;
-    want.servers_used = run.servers_used;
-    want.load_threshold = run.load_threshold;
-    want.output_count = run.output_count;
-    want.load_tracker = run.load_tracker;
-  } else if (algorithm == Algorithm::kOutputBalanced) {
+    return ComputeAcyclicJoin(c.query, c.instance, options);
+  }
+  if (algorithm == Algorithm::kOutputBalanced) {
     OutputBalancedOptions options;
     options.collect = collect;
-    const OutputBalancedResult run =
-        ComputeOutputBalanced(c.query, c.instance, kServers, options);
-    want.max_load = run.max_load;
-    want.rounds = run.rounds;
-    want.total_communication = run.total_communication;
-    want.servers_used = run.load_tracker.num_servers();
-    want.output_count = run.output_count;
-    want.load_tracker = run.load_tracker;
-  } else {
-    OneRoundOptions options;
-    options.collect = collect;
-    const OneRoundResult run =
-        ComputeOneRoundSkewAware(c.query, c.instance, kServers, options);
-    want.max_load = run.max_load;
-    want.rounds = run.rounds;
-    want.total_communication = run.load_tracker.TotalCommunication();
-    want.servers_used = run.servers_used;
-    want.output_count = run.output_count;
-    want.load_tracker = run.load_tracker;
+    return ComputeOutputBalanced(c.query, c.instance, kServers, options);
   }
-  return want;
+  OneRoundOptions options;
+  options.collect = collect;
+  return ComputeOneRoundSkewAware(c.query, c.instance, kServers, options);
 }
 
 TEST_F(PlannerDifferentialTest, ExecuteMatchesDirectComputeCalls) {
@@ -188,9 +164,9 @@ TEST_F(PlannerDifferentialTest, ExecuteMatchesDirectComputeCalls) {
       for (bool collect : {false, true}) {
         const std::string label = c.name + "/" + AlgorithmName(entry.algorithm) +
                                   (collect ? "/collect" : "/charge-only");
-        const ExecutedRun got =
+        const RunResult got =
             Execute(entry.algorithm, c.query, c.instance, kServers, collect, threshold);
-        const ExecutedRun want = DirectRun(entry.algorithm, c, collect, threshold);
+        const RunResult want = DirectRun(entry.algorithm, c, collect, threshold);
         EXPECT_EQ(got.max_load, want.max_load) << label;
         EXPECT_EQ(got.rounds, want.rounds) << label;
         EXPECT_EQ(got.total_communication, want.total_communication) << label;
@@ -198,6 +174,13 @@ TEST_F(PlannerDifferentialTest, ExecuteMatchesDirectComputeCalls) {
         EXPECT_EQ(got.load_threshold, want.load_threshold) << label;
         EXPECT_EQ(got.output_count, want.output_count) << label;
         EXPECT_TRUE(got.load_tracker == want.load_tracker) << label;
+        EXPECT_EQ(got.results.attrs(), want.results.attrs()) << label;
+        EXPECT_EQ(got.results.raw(), want.results.raw()) << label;
+        if (collect) {
+          // Execute returns the rows: the join itself, not an empty relation.
+          EXPECT_EQ(got.results.size(), got.output_count) << label;
+          EXPECT_TRUE(got.results.SameContentAs(GenericJoin(c.query, c.instance))) << label;
+        }
       }
     }
   }

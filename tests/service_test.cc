@@ -236,77 +236,9 @@ TEST(LeaseManagerTest, ChurnKeepsTheFreeMapCoalescedAndFirstFit) {
     held.erase(held.begin() + static_cast<long>(victim));
   }
   EXPECT_EQ(leases.leased(), 0u);
-  EXPECT_EQ(leases.leased_capacity(), 0.0);
   auto all = leases.Acquire(100);
   ASSERT_TRUE(all.has_value());
   EXPECT_EQ(all->first_server, 0u);
-}
-
-TEST(LeaseManagerTest, CapacityGrantsMatchCountGrantsUnderUniformSpeeds) {
-  LeaseManager by_count(48);
-  LeaseManager by_capacity(48);
-  by_capacity.SetSpeeds(std::vector<double>(48, 1.0));
-  std::vector<SubClusterLease> count_leases, capacity_leases;
-  const uint32_t sizes[] = {5, 7, 5, 11, 3, 5};
-  for (uint32_t size : sizes) {
-    auto lease = by_count.Acquire(size);
-    auto cap = by_capacity.AcquireCapacity(static_cast<double>(size));
-    ASSERT_EQ(lease.has_value(), cap.has_value());
-    EXPECT_EQ(lease->first_server, cap->first_server);
-    EXPECT_EQ(lease->size, cap->size);
-    count_leases.push_back(*lease);
-    capacity_leases.push_back(*cap);
-  }
-  // Punch the same holes and re-grant: placements must keep agreeing.
-  by_count.Release(count_leases[1]);
-  by_capacity.Release(capacity_leases[1]);
-  by_count.Release(count_leases[3]);
-  by_capacity.Release(capacity_leases[3]);
-  auto refit = by_count.Acquire(6);
-  auto refit_cap = by_capacity.AcquireCapacity(6.0);
-  ASSERT_TRUE(refit && refit_cap);
-  EXPECT_EQ(refit->first_server, refit_cap->first_server);
-  EXPECT_EQ(refit->size, refit_cap->size);
-  EXPECT_EQ(by_count.leased(), by_capacity.leased());
-  EXPECT_EQ(by_capacity.leased_capacity(),
-            static_cast<double>(by_capacity.leased()));
-}
-
-TEST(LeaseManagerTest, CapacityGrantsTakeMinimalPrefixOfFastServers) {
-  LeaseManager leases(9);
-  leases.SetSpeeds({1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0});
-  // 4 units of capacity: servers 0,1 contribute 2, server 2 tops it up.
-  auto a = leases.AcquireCapacity(4.0);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->first_server, 0u);
-  EXPECT_EQ(a->size, 3u);
-  EXPECT_EQ(leases.CapacityOf(*a), 6.0);
-  EXPECT_EQ(leases.leased_capacity(), 6.0);
-  // The next interval starts at server 3; unit speeds until server 6.
-  auto b = leases.AcquireCapacity(3.0);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->first_server, 3u);
-  EXPECT_EQ(b->size, 3u);
-  auto c = leases.AcquireCapacity(6.0);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->first_server, 6u);
-  EXPECT_EQ(c->size, 3u);
-  // Pool exhausted in servers: capacity requests fail cleanly.
-  EXPECT_FALSE(leases.AcquireCapacity(0.5).has_value());
-  leases.Release(*a);
-  leases.Release(*c);
-  // Free intervals [0,3) and [6,9) each aggregate 6.0 — a 7-unit request
-  // fails even though the fragmented free speed (12.0) would cover it:
-  // leases are contiguous sub-clusters, never stitched across holes.
-  EXPECT_FALSE(leases.AcquireCapacity(7.0).has_value());
-  auto refit = leases.AcquireCapacity(5.5);
-  ASSERT_TRUE(refit.has_value());
-  EXPECT_EQ(refit->first_server, 0u);
-  EXPECT_EQ(refit->size, 3u);  // 1 + 1 + 4 = 6 >= 5.5
-  leases.Release(*b);
-  leases.Release(*refit);
-  EXPECT_EQ(leases.leased_capacity(), 0.0);
-  EXPECT_EQ(leases.peak_capacity(), 15.0);  // a + b + c held concurrently
 }
 
 TEST(SimEventQueueTest, OrdersByTimeThenPushOrder) {
@@ -509,43 +441,6 @@ TEST(QueryServiceTest, PlanThresholdIsTheorem4OnAcyclicAndZeroOnCyclic) {
       } else {
         EXPECT_EQ(plan.load_threshold, 0u) << entry.name << " p=" << p;
       }
-    }
-  }
-}
-
-TEST(QueryServiceTest, UniformSpeedVectorIsIndistinguishableFromNoVector) {
-  // Capacity-mode leasing with all-1.0 speeds must grant the same ranges
-  // as historical count-based leasing, so the whole run digests equal.
-  service::ServiceConfig with_speeds = SmallConfig(/*cache_enabled=*/true);
-  with_speeds.server_speeds.assign(with_speeds.total_servers, 1.0);
-  service::QueryService uniform(with_speeds);
-  service::QueryService baseline(SmallConfig(/*cache_enabled=*/true));
-  RegisterSmallCatalog(&uniform);
-  RegisterSmallCatalog(&baseline);
-  const service::ServiceRunStats a = uniform.Run();
-  const service::ServiceRunStats b = baseline.Run();
-  EXPECT_EQ(a.Digest(), b.Digest());
-  EXPECT_EQ(a.peak_servers_leased, b.peak_servers_leased);
-}
-
-TEST(QueryServiceTest, FastServersShrinkTheLeaseFootprint) {
-  // Speeds 2.0 everywhere: servers_per_query units of capacity fit in half
-  // as many physical servers, so twice as many queries can run at once —
-  // the lease footprint halves while every answer stays bit-identical.
-  service::ServiceConfig fast = SmallConfig(/*cache_enabled=*/true);
-  fast.server_speeds.assign(fast.total_servers, 2.0);
-  service::QueryService doubled(fast);
-  service::QueryService baseline(SmallConfig(/*cache_enabled=*/true));
-  RegisterSmallCatalog(&doubled);
-  RegisterSmallCatalog(&baseline);
-  const service::ServiceRunStats a = doubled.Run();
-  const service::ServiceRunStats b = baseline.Run();
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_LE(a.peak_servers_leased, b.peak_servers_leased);
-  ASSERT_EQ(a.entry_fingerprints.size(), b.entry_fingerprints.size());
-  for (size_t i = 0; i < a.entry_fingerprints.size(); ++i) {
-    if (a.entry_fingerprints[i].executed && b.entry_fingerprints[i].executed) {
-      EXPECT_EQ(a.entry_fingerprints[i], b.entry_fingerprints[i]) << "entry " << i;
     }
   }
 }
