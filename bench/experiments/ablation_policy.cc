@@ -42,7 +42,7 @@ telemetry::RunReport RunAblationPolicy(const Experiment& e) {
   report.AddParam("p", uint64_t{p});
   bool all_ok = true;
   for (const auto& w : workloads) {
-    telemetry::MetricsRegistry::ScopedTimer timer(&report.metrics, "workload/" + w.name);
+    ScopedTimer timer(&report.metrics, "workload/" + w.name);
     Instance instance = workload::MatchingInstance(w.query, w.n);
     auto tree = JoinTree::Build(w.query);
     uint64_t l_conservative = PlanLoadConservative(w.query, *tree, instance, p);

@@ -35,8 +35,7 @@ telemetry::RunReport RunEmReduction(const Experiment& e) {
   bool all_ok = true;
   for (const auto& entry : catalog::StandardRoster()) {
     if (!IsAlphaAcyclic(entry.query)) continue;
-    telemetry::MetricsRegistry::ScopedTimer timer(&report.metrics,
-                                                  "reduction/" + entry.name);
+    ScopedTimer timer(&report.metrics, "reduction/" + entry.name);
     EmReductionResult result = ReduceMpcToEm(entry.query, n, em, /*rounds=*/1);
     double ratio = static_cast<double>(result.io_count) / result.closed_form;
     report.metrics.AddCounter("acyclic_queries_reduced", 1);

@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "experiments/runners.h"
-#include "telemetry/metrics.h"
 #include "util/hash.h"
 #include "util/ledger.h"
 
@@ -172,7 +171,7 @@ telemetry::RunReport RunExperiment(const Experiment& experiment) {
   // A namespace appears only if the run recorded into it: fault.* and
   // recovery.* only under fault injection, cluster.* only for elastic
   // pipelines, so every other report keeps its schema.
-  report.metrics.AddLedger(Ledger::Global().Read());
+  report.metrics.Merge(Ledger::Global().Read());
   if (g_base_seed != 0) report.AddParam("base_seed", g_base_seed);
   return report;
 }
@@ -184,10 +183,9 @@ void ProfileRun(telemetry::RunReport& report, const std::string& name,
   // cross-experiment imbalance comparable at a glance.
   static const std::vector<double> kSkewBounds{1.0, 2.0, 4.0, 8.0,
                                                16.0, 32.0, 64.0, 128.0};
-  telemetry::Histogram& histogram =
-      report.metrics.GetHistogram("round_skew_ratio", kSkewBounds);
+  Metrics::Series& skews = report.metrics.TouchSeries("round_skew_ratio", kSkewBounds);
   for (const telemetry::RoundLoadStats& round : profile.rounds) {
-    if (round.total != 0) histogram.Observe(round.skew_ratio);
+    if (round.total != 0) skews.samples.push_back(round.skew_ratio);
   }
   report.metrics.AddCounter("profiled_runs");
   report.AddLoadProfile(std::move(profile));

@@ -60,8 +60,7 @@ telemetry::RunReport RunOutputSensitivity(const Experiment& e) {
   bool crossover_seen_low = false;
   bool crossover_seen_high = false;
   for (uint64_t side : {2u, 8u, 32u, 128u}) {
-    telemetry::MetricsRegistry::ScopedTimer timer(&report.metrics,
-                                                  "side" + std::to_string(side));
+    ScopedTimer timer(&report.metrics, "side" + std::to_string(side));
     Instance instance = TunableOutputInstance(q, n, side);
     uint64_t out = JoinCount(q, instance);
 

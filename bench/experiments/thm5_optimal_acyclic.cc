@@ -57,8 +57,7 @@ telemetry::RunReport RunThm5OptimalAcyclic(const Experiment& e) {
   }
 
   for (const auto& w : workloads) {
-    telemetry::MetricsRegistry::ScopedTimer workload_timer(&report.metrics,
-                                                           "workload/" + w.name);
+    ScopedTimer workload_timer(&report.metrics, "workload/" + w.name);
     Rational rho = RhoStar(w.query);
     double theory_exponent = -1.0 / rho.ToDouble();
     Instance instance = workload::MatchingInstance(w.query, w.n);

@@ -51,8 +51,7 @@ telemetry::RunReport RunThm6BoxLower(const Experiment& e) {
   bool cap_holds = true;
   bool tight = true;
   for (uint32_t p : {8u, 64u, 512u, 4096u}) {
-    telemetry::MetricsRegistry::ScopedTimer timer(&report.metrics,
-                                                  "emit_capacity_search");
+    ScopedTimer timer(&report.metrics, "emit_capacity_search");
     uint64_t load = static_cast<uint64_t>(
         static_cast<double>(n) / std::pow(static_cast<double>(p), 1.0 / 3.0));
     lowerbound::EmitCapacityResult r =

@@ -78,8 +78,7 @@ telemetry::RunReport RunThm7DegreeTwo(const Experiment& e) {
                         "measured/cap"});
     bool concentration = true;
     for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-      telemetry::MetricsRegistry::ScopedTimer timer(&report.metrics,
-                                                    "emit_capacity/" + example.name);
+      ScopedTimer timer(&report.metrics, "emit_capacity/" + example.name);
       lowerbound::HardInstance hard = lowerbound::DegreeTwoHardInstance(
           example.query, example.witness, example.n, ExperimentSeed(seed));
       uint64_t load = static_cast<uint64_t>(static_cast<double>(hard.n) /

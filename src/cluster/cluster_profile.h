@@ -6,7 +6,7 @@
 /// Processing with Heterogeneous Machines" (PAPERS.md) shows that load
 /// shares proportional to server speed preserve the optimal-load exponent
 /// on heterogeneous fleets, so this module turns the cost model from a
-/// post-hoc simulation into a *placement policy* (ROADMAP item 4):
+/// post-hoc simulation into a *placement policy* (DESIGN.md §4i):
 ///
 ///  * **Speeds** — every server slot has a speed, a pure function of the
 ///    SpeedSpec and the slot id (content-keyed, exactly like FaultPlan's

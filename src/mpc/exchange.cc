@@ -152,8 +152,8 @@ ExchangeStats Exchange::Execute(Cluster* cluster, uint32_t round, const Exchange
 void ExchangeTelemetry::Reset() { Ledger::Global().Reset("exchange."); }
 
 ExchangeTelemetrySnapshot ExchangeTelemetry::Snapshot() {
-  const LedgerSnapshot ledger = Ledger::Global().Read("exchange.");
-  return {ledger.Counter("exchange.count"), ledger.Counter("exchange.tuples_moved")};
+  const Metrics ledger = Ledger::Global().Read("exchange.");
+  return {ledger.CounterValue("exchange.count"), ledger.CounterValue("exchange.tuples_moved")};
 }
 
 }  // namespace mpc

@@ -3,10 +3,10 @@
 #include <algorithm>
 
 #include "mpc/exchange.h"
+#include "relation/join_index.h"
 #include "relation/operators.h"
 #include "util/arena.h"
 #include "util/audit.h"
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/thread_pool.h"
@@ -15,13 +15,6 @@ namespace coverpack {
 namespace mpc {
 
 namespace {
-
-uint64_t KeyHashOfRow(const Relation& relation, size_t row, const std::vector<uint32_t>& cols) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  auto r = relation.row(row);
-  for (uint32_t col : cols) h = HashCombine(h, r[col]);
-  return h;
-}
 
 /// Plans the key-hash routing of `input` onto p servers: one routed source
 /// per input shard, its routes recorded for delivery when `record` is set
@@ -40,7 +33,7 @@ ExchangePlan PlanHashPartition(const DistRelation& input, AttrSet key, uint32_t 
   for (uint32_t s = 0; s < input.num_shards(); ++s) {
     const Relation& shard = input.shard(s);
     plan.AddSource(shard, record, [&shard, &cols, p](size_t i, auto emit) {
-      emit(KeyHashOfRow(shard, i, cols) % p);
+      emit(HashRowKey(shard.row(i).data(), cols.data(), cols.size()) % p);
     });
   }
   return plan;

@@ -10,72 +10,8 @@
 namespace coverpack {
 namespace planner {
 
-namespace {
-
-/// Smallest log2 domain (>= kMinLog2Domain) containing `value`.
-uint32_t Log2DomainFor(Value value) {
-  uint32_t log2_domain = kMinLog2Domain;
-  while (log2_domain < 64 && (value >> log2_domain) != 0) ++log2_domain;
-  return log2_domain;
-}
-
-constexpr uint32_t kLog2Buckets = 4;
-static_assert(kHistogramBuckets == (1u << kLog2Buckets));
-static_assert(kMinLog2Domain >= kLog2Buckets);
-
-}  // namespace
-
-void ColumnHistogram::WidenTo(uint32_t target_log2_domain) {
-  CP_CHECK_LE(target_log2_domain, 64u);
-  while (log2_domain < target_log2_domain) {
-    // One doubling: narrow buckets 2i and 2i+1 tile exactly wide bucket i
-    // (both domains are powers of two with the same bucket count), so the
-    // fold is exact — no row is attributed to a different value range.
-    std::array<uint64_t, kHistogramBuckets> folded{};
-    for (uint32_t i = 0; i < kHistogramBuckets / 2; ++i) {
-      folded[i] = buckets[2 * i] + buckets[2 * i + 1];
-    }
-    buckets = folded;
-    ++log2_domain;
-  }
-}
-
-void ColumnHistogram::Add(Value value) {
-  WidenTo(Log2DomainFor(value));
-  buckets[value >> (log2_domain - kLog2Buckets)] += 1;
-  rows += 1;
-  max_value = std::max(max_value, value);
-}
-
-uint64_t ColumnHistogram::Digest() const {
-  uint64_t h = HashCombine(log2_domain, rows);
-  h = HashCombine(h, max_value);
-  for (uint64_t bucket : buckets) h = HashCombine(h, bucket);
-  return h;
-}
-
-ColumnHistogram MergeHistograms(const ColumnHistogram& a, const ColumnHistogram& b) {
-  ColumnHistogram merged = a;
-  ColumnHistogram widened = b;
-  const uint32_t target = std::max(a.log2_domain, b.log2_domain);
-  merged.WidenTo(target);
-  widened.WidenTo(target);
-  for (uint32_t i = 0; i < kHistogramBuckets; ++i) {
-    merged.buckets[i] += widened.buckets[i];
-  }
-  merged.rows += widened.rows;
-  if (a.rows == 0) {
-    merged.max_value = widened.max_value;
-  } else if (widened.rows > 0) {
-    merged.max_value = std::max(a.max_value, widened.max_value);
-  }
-  return merged;
-}
-
 uint64_t ColumnStats::Digest() const {
-  uint64_t h = HashCombine(rows, distinct);
-  h = HashCombine(h, max_degree);
-  return HashCombine(h, histogram.Digest());
+  return HashCombine(HashCombine(rows, distinct), max_degree);
 }
 
 const ColumnStats& RelationStats::ColumnFor(AttrId attr) const {
@@ -129,20 +65,7 @@ RelationStats BuildRelationStats(const Relation& relation) {
     column.attr = attrs[c];
     column.rows = relation.size();
 
-    Value max_value = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = relation.row(i)[c];
-      max_value = std::max(max_value, values[i]);
-    }
-    // The final domain is known up front, so every value is bucketed there
-    // directly: equal to the Add()-built histogram, because widening folds
-    // buckets exactly.
-    ColumnHistogram& histogram = column.histogram;
-    histogram.log2_domain = Log2DomainFor(max_value);
-    histogram.rows = values.size();
-    histogram.max_value = max_value;
-    const uint32_t shift = histogram.log2_domain - kLog2Buckets;
-    for (Value value : values) histogram.buckets[value >> shift] += 1;
+    for (size_t i = 0; i < values.size(); ++i) values[i] = relation.row(i)[c];
 
     // Distinct count and max degree are run lengths of the sorted column.
     std::sort(values.begin(), values.end());
@@ -154,9 +77,6 @@ RelationStats BuildRelationStats(const Relation& relation) {
       i = run_end;
     }
 
-    uint64_t bucket_rows = 0;
-    for (uint64_t bucket : histogram.buckets) bucket_rows += bucket;
-    CP_DCHECK_EQ(bucket_rows, column.rows);
     CP_DCHECK_LE(column.distinct, column.rows);
     CP_DCHECK_LE(column.max_degree, column.rows);
     CP_DCHECK_EQ(column.distinct > 0, column.rows > 0);
@@ -178,7 +98,7 @@ StatsSnapshot BuildStatsSnapshot(const Hypergraph& query, const Instance& instan
 }
 
 uint64_t SnapshotSignature(const std::vector<uint64_t>& edge_colors,
-                           const StatsSnapshot& snapshot, uint64_t base_signature) {
+                           const StatsSnapshot& snapshot) {
   CP_CHECK_EQ(edge_colors.size(), snapshot.relations.size());
   // (canonical edge color, relation content digest) pairs, sorted: two
   // isomorphic instances place equal digests on equal color classes no
@@ -189,7 +109,7 @@ uint64_t SnapshotSignature(const std::vector<uint64_t>& edge_colors,
     pairs.emplace_back(edge_colors[e], snapshot.relations[e].Digest());
   }
   std::sort(pairs.begin(), pairs.end());
-  uint64_t h = base_signature;
+  uint64_t h = 0;
   for (const auto& [color, digest] : pairs) {
     h = HashCombine(HashCombine(h, color), digest);
   }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace coverpack {
@@ -21,12 +20,6 @@ constexpr size_t kMaxPartitions = size_t{1} << 10;
 size_t NextPow2(size_t v) { return std::bit_ceil(v); }
 
 }  // namespace
-
-uint64_t HashRowKey(const Value* row, const uint32_t* cols, size_t num_cols) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (size_t i = 0; i < num_cols; ++i) h = HashCombine(h, row[cols[i]]);
-  return h;
-}
 
 void GroupedKeyIndex::Build(const Relation& rel, const uint32_t* key_cols,
                             size_t num_key_cols) {

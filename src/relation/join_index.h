@@ -29,12 +29,19 @@
 #include "relation/relation.h"
 #include "relation/semiring.h"
 #include "util/arena.h"
+#include "util/hash.h"
 
 namespace coverpack {
 
 /// FNV-seeded hash chain over the projection of a row onto `cols`
-/// (bit-compatible with the historical operators.cc HashKey).
-uint64_t HashRowKey(const Value* row, const uint32_t* cols, size_t num_cols);
+/// (bit-compatible with the historical operators.cc HashKey). The hash
+/// joins and semi-joins key their indexes with it, and mpc::HashPartition
+/// routes rows by it.
+inline uint64_t HashRowKey(const Value* row, const uint32_t* cols, size_t num_cols) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (size_t i = 0; i < num_cols; ++i) h = HashCombine(h, row[cols[i]]);
+  return h;
+}
 
 /// True when the two rows agree on their projected key columns.
 inline bool RowKeysEqual(const Value* a, const uint32_t* a_cols, const Value* b,

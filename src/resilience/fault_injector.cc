@@ -82,9 +82,9 @@ void ResilienceTelemetry::Reset() {
 }
 
 ResilienceTelemetrySnapshot ResilienceTelemetry::Snapshot() {
-  const LedgerSnapshot ledger = Ledger::Global().Read("recovery.");
-  return {ledger.Counter("recovery.retries"), ledger.Counter("recovery.full_reruns"),
-          ledger.Counter("recovery.tuples_resent")};
+  const Metrics ledger = Ledger::Global().Read("recovery.");
+  return {ledger.CounterValue("recovery.retries"), ledger.CounterValue("recovery.full_reruns"),
+          ledger.CounterValue("recovery.tuples_resent")};
 }
 
 void FaultInjector::Observe(const mpc::ExchangeDelivery& delivery) {

@@ -125,8 +125,7 @@ RegisteredQuery::RegisteredQuery(std::string name_in, Hypergraph query_in,
   instance.CheckAgainst(query);
   canon = CanonicalizeShape(query);
   stats = planner::BuildStatsSnapshot(query, instance);
-  stats_signature =
-      planner::SnapshotSignature(canon.edge_colors, stats, StatsSignature(canon, instance));
+  stats_signature = planner::SnapshotSignature(canon.edge_colors, stats);
   cacheable = SizesUniformPerColorClass(canon, instance);
 }
 

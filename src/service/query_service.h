@@ -84,10 +84,10 @@ struct RegisteredQuery {
   Hypergraph query;
   Instance instance;
   ShapeCanon canon;
-  planner::StatsSnapshot stats;  ///< per-attribute histograms + degrees
-  /// Extended signature: the positional-size base signature folded with the
-  /// planner's rename-invariant per-column stats digests, so chooser
-  /// decisions are keyed by the stats they actually depend on.
+  planner::StatsSnapshot stats;  ///< per-column rows, distinct counts, degrees
+  /// planner::SnapshotSignature: relation sizes and the rename-invariant
+  /// per-column stats digests by canonical edge color, so chooser decisions
+  /// are keyed by the stats they actually depend on.
   uint64_t stats_signature = 0;
   /// False when relation sizes differ inside a symmetric edge-color class;
   /// such entries bypass the cache (see query_shape.h).

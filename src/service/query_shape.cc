@@ -223,22 +223,6 @@ ShapeCanon CanonicalizeShape(const Hypergraph& query) {
 
 uint64_t QueryShapeHash(const Hypergraph& query) { return CanonicalizeShape(query).hash; }
 
-uint64_t StatsSignature(const ShapeCanon& canon, const Instance& instance) {
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  pairs.reserve(canon.edge_colors.size());
-  for (EdgeId e = 0; e < canon.edge_colors.size(); ++e) {
-    pairs.emplace_back(canon.edge_colors[e], instance[e].size());
-  }
-  std::sort(pairs.begin(), pairs.end());
-  std::vector<uint64_t> flat;
-  flat.reserve(pairs.size() * 2);
-  for (const auto& [color, size] : pairs) {
-    flat.push_back(color);
-    flat.push_back(size);
-  }
-  return HashVector(flat);
-}
-
 bool SizesUniformPerColorClass(const ShapeCanon& canon, const Instance& instance) {
   std::map<uint64_t, uint64_t> class_size;
   for (EdgeId e = 0; e < canon.edge_colors.size(); ++e) {

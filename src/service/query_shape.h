@@ -48,12 +48,6 @@ ShapeCanon CanonicalizeShape(const Hypergraph& query);
 /// Shorthand: CanonicalizeShape(query).hash.
 uint64_t QueryShapeHash(const Hypergraph& query);
 
-/// Hash of the instance's relation sizes *by shape position*: the sorted
-/// multiset of (edge color, relation size) pairs. Isomorphic queries whose
-/// instances assign equal sizes to structurally equivalent relations get
-/// equal signatures, regardless of edge order.
-uint64_t StatsSignature(const ShapeCanon& canon, const Instance& instance);
-
 /// True when every edge color class has one uniform relation size. Only
 /// then is a (shape, stats signature) key a *proof* that the planner's
 /// load threshold transfers exactly: with non-uniform sizes inside a

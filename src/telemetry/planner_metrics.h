@@ -1,6 +1,6 @@
 /// \file planner_metrics.h
-/// \brief Bridges a planner::DecisionLedger into a MetricsRegistry (and
-/// therefore into RunReport / BENCH_results.json).
+/// \brief Bridges a planner::DecisionLedger into a report's Metrics (and
+/// therefore into BENCH_results.json).
 ///
 /// Follows the service_metrics.h pattern: the planner layer exposes a
 /// plain struct (no telemetry dependency), and this translation lives in
@@ -15,17 +15,17 @@
 #include <string>
 
 #include "planner/plan_chooser.h"
-#include "telemetry/metrics.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace telemetry {
 
-/// Writes `ledger` into `registry` under "planner.<scenario>.*". Every
+/// Writes `ledger` into `metrics` under "planner.<scenario>.*". Every
 /// value is a pure count or a ratio of two deterministic integers —
 /// bit-identical across thread counts by construction. Call from the
-/// thread that owns `registry`.
+/// thread that owns `metrics`.
 void SnapshotPlannerStatsInto(const planner::DecisionLedger& ledger,
-                              const std::string& scenario, MetricsRegistry* registry);
+                              const std::string& scenario, Metrics* metrics);
 
 }  // namespace telemetry
 }  // namespace coverpack

@@ -1,10 +1,68 @@
 #include "telemetry/run_report.h"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <string_view>
 #include <utility>
+
+#include "util/audit.h"
 
 namespace coverpack {
 namespace telemetry {
+
+namespace {
+
+JsonValue HistogramJson(const Metrics::Series& series) {
+  std::vector<uint64_t> counts(series.bounds.size() + 1, 0);
+  double sum = 0.0;
+  for (double sample : series.samples) {
+    const auto bound = std::find_if(series.bounds.begin(), series.bounds.end(),
+                                    [sample](double b) { return sample <= b; });
+    counts[bound - series.bounds.begin()] += 1;
+    sum += sample;
+  }
+  CP_AUDIT_EQ(std::accumulate(counts.begin(), counts.end(), uint64_t{0}),
+              series.samples.size());
+  JsonValue bounds = JsonValue::Array();
+  for (double bound : series.bounds) bounds.Append(JsonValue::Double(bound));
+  JsonValue count_array = JsonValue::Array();
+  for (uint64_t count : counts) count_array.Append(JsonValue::Uint(count));
+  JsonValue value = JsonValue::Object();
+  value.Set("bounds", std::move(bounds));
+  value.Set("counts", std::move(count_array));
+  value.Set("total_count", static_cast<uint64_t>(series.samples.size()));
+  value.Set("sum", sum);
+  return value;
+}
+
+}  // namespace
+
+JsonValue MetricsJson(const Metrics& metrics) {
+  JsonValue counters = JsonValue::Object();
+  for (const auto& [name, count] : metrics.counters) counters.Set(name, count);
+  std::map<std::string_view, double> gauge_values(metrics.gauges.begin(), metrics.gauges.end());
+  for (const auto& [name, max] : metrics.maxima) gauge_values[name] = static_cast<double>(max);
+  JsonValue gauges = JsonValue::Object();
+  for (const auto& [name, gauge] : gauge_values) gauges.Set(std::string(name), gauge);
+  JsonValue histograms = JsonValue::Object();
+  for (const auto& [name, series] : metrics.series) histograms.Set(name, HistogramJson(series));
+  JsonValue timers = JsonValue::Object();
+  for (const auto& [name, timer] : metrics.timers) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("count", timer.count);
+    entry.Set("total_ms", timer.total_ms);
+    entry.Set("min_ms", timer.min_ms);
+    entry.Set("max_ms", timer.max_ms);
+    timers.Set(name, std::move(entry));
+  }
+  JsonValue value = JsonValue::Object();
+  value.Set("counters", std::move(counters));
+  value.Set("gauges", std::move(gauges));
+  value.Set("histograms", std::move(histograms));
+  value.Set("timers", std::move(timers));
+  return value;
+}
 
 void RunReport::AddLoadProfile(LoadSkewProfile profile) {
   max_load = std::max(max_load, profile.max_load);
@@ -43,7 +101,7 @@ JsonValue RunReport::ToJson() const {
     profile_array.Append(profile.ToJson());
   }
   value.Set("load_profiles", std::move(profile_array));
-  value.Set("metrics", metrics.ToJson());
+  value.Set("metrics", MetricsJson(metrics));
   return value;
 }
 

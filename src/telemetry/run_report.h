@@ -13,7 +13,10 @@
 ///    per-round load-skew profiles of every simulated run it chose to
 ///    profile;
 ///  * fitted-vs-theoretical exponent comparisons with their tolerances;
-///  * free-form metrics (counters/gauges/histograms/timers);
+///  * free-form metrics: a Metrics value (util/ledger.h) the experiment
+///    writes from its own thread, with the run ledger merged in after the
+///    run. MetricsJson renders it: counters, gauges (maxima included),
+///    histograms and timers;
 ///  * the PASS/DEVIATION verdict and wall-clock duration.
 ///
 /// The JSON schema is documented in EXPERIMENTS.md ("Machine-readable
@@ -28,7 +31,7 @@
 
 #include "telemetry/json_writer.h"
 #include "telemetry/load_stats.h"
-#include "telemetry/metrics.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace telemetry {
@@ -45,6 +48,13 @@ struct ExponentFit {
   bool match = false;
 };
 
+/// Renders `metrics` as four name-sorted sections: "counters"; "gauges",
+/// holding the gauges and the maxima (as doubles; a maximum wins a name
+/// clash); "histograms", one per series, each sample in the first bucket
+/// whose bound is >= it or else in the overflow bucket; and "timers".
+/// Every section appears, empty or not.
+JsonValue MetricsJson(const Metrics& metrics);
+
 /// The structured outcome of one experiment run.
 struct RunReport {
   RunReport() = default;
@@ -60,7 +70,7 @@ struct RunReport {
   JsonValue params = JsonValue::Object();
   std::vector<ExponentFit> exponents;
   std::vector<LoadSkewProfile> load_profiles;
-  MetricsRegistry metrics;
+  Metrics metrics;
 
   /// Headline measured complexity: maxima over the profiled runs. Zero
   /// when the experiment simulates nothing (pure LP/classification).

@@ -6,47 +6,47 @@ namespace coverpack {
 namespace telemetry {
 
 void SnapshotServiceStatsInto(const service::ServiceRunStats& stats,
-                              const std::string& scenario, MetricsRegistry* registry) {
+                              const std::string& scenario, Metrics* metrics) {
   const std::string service_prefix = "service." + scenario + ".";
   const std::string cache_prefix = "cache." + scenario + ".";
 
-  registry->AddCounter(service_prefix + "arrivals", stats.arrivals);
-  registry->AddCounter(service_prefix + "completed", stats.completed);
-  registry->AddCounter(service_prefix + "plan_bypasses", stats.plan_bypasses);
-  registry->AddCounter(service_prefix + "load_mismatches", stats.load_mismatches);
-  registry->SetGauge(service_prefix + "sim_end_ticks",
-                     static_cast<double>(stats.sim_end_ticks));
-  registry->SetGauge(service_prefix + "throughput_qpk", stats.throughput_qpk);
-  registry->SetGauge(service_prefix + "latency_p50_ticks",
-                     static_cast<double>(stats.latency_p50_ticks));
-  registry->SetGauge(service_prefix + "latency_p99_ticks",
-                     static_cast<double>(stats.latency_p99_ticks));
-  registry->SetGauge(service_prefix + "latency_max_ticks",
-                     static_cast<double>(stats.latency_max_ticks));
-  registry->SetGauge(service_prefix + "latency_mean_ticks", stats.latency_mean_ticks);
-  registry->SetGauge(service_prefix + "queue_wait_p99_ticks",
-                     static_cast<double>(stats.queue_wait_p99_ticks));
-  registry->SetGauge(service_prefix + "max_queue_depth",
-                     static_cast<double>(stats.max_queue_depth));
-  registry->SetGauge(service_prefix + "peak_servers_leased",
-                     static_cast<double>(stats.peak_servers_leased));
+  metrics->AddCounter(service_prefix + "arrivals", stats.arrivals);
+  metrics->AddCounter(service_prefix + "completed", stats.completed);
+  metrics->AddCounter(service_prefix + "plan_bypasses", stats.plan_bypasses);
+  metrics->AddCounter(service_prefix + "load_mismatches", stats.load_mismatches);
+  metrics->SetGauge(service_prefix + "sim_end_ticks",
+                    static_cast<double>(stats.sim_end_ticks));
+  metrics->SetGauge(service_prefix + "throughput_qpk", stats.throughput_qpk);
+  metrics->SetGauge(service_prefix + "latency_p50_ticks",
+                    static_cast<double>(stats.latency_p50_ticks));
+  metrics->SetGauge(service_prefix + "latency_p99_ticks",
+                    static_cast<double>(stats.latency_p99_ticks));
+  metrics->SetGauge(service_prefix + "latency_max_ticks",
+                    static_cast<double>(stats.latency_max_ticks));
+  metrics->SetGauge(service_prefix + "latency_mean_ticks", stats.latency_mean_ticks);
+  metrics->SetGauge(service_prefix + "queue_wait_p99_ticks",
+                    static_cast<double>(stats.queue_wait_p99_ticks));
+  metrics->SetGauge(service_prefix + "max_queue_depth",
+                    static_cast<double>(stats.max_queue_depth));
+  metrics->SetGauge(service_prefix + "peak_servers_leased",
+                    static_cast<double>(stats.peak_servers_leased));
 
   // The full latency distribution, tick-bucketed in powers of two.
   static const std::vector<double> kLatencyBounds{64,   128,  256,   512,  1024,
                                                   2048, 4096, 8192, 16384, 65536};
-  Histogram& latencies =
-      registry->GetHistogram(service_prefix + "latency_ticks", kLatencyBounds);
+  Metrics::Series& latencies =
+      metrics->TouchSeries(service_prefix + "latency_ticks", kLatencyBounds);
   for (uint64_t latency : stats.latencies_sorted) {
-    latencies.Observe(static_cast<double>(latency));
+    latencies.samples.push_back(static_cast<double>(latency));
   }
 
-  registry->AddCounter(cache_prefix + "hits", stats.cache.hits);
-  registry->AddCounter(cache_prefix + "misses", stats.cache.misses);
-  registry->AddCounter(cache_prefix + "insertions", stats.cache.insertions);
-  registry->AddCounter(cache_prefix + "evictions", stats.cache.evictions);
-  registry->AddCounter(cache_prefix + "collisions", stats.cache.collisions);
-  registry->SetGauge(cache_prefix + "size", static_cast<double>(stats.cache.size));
-  registry->SetGauge(cache_prefix + "capacity", static_cast<double>(stats.cache.capacity));
+  metrics->AddCounter(cache_prefix + "hits", stats.cache.hits);
+  metrics->AddCounter(cache_prefix + "misses", stats.cache.misses);
+  metrics->AddCounter(cache_prefix + "insertions", stats.cache.insertions);
+  metrics->AddCounter(cache_prefix + "evictions", stats.cache.evictions);
+  metrics->AddCounter(cache_prefix + "collisions", stats.cache.collisions);
+  metrics->SetGauge(cache_prefix + "size", static_cast<double>(stats.cache.size));
+  metrics->SetGauge(cache_prefix + "capacity", static_cast<double>(stats.cache.capacity));
 }
 
 }  // namespace telemetry

@@ -1,6 +1,6 @@
 /// \file service_metrics.h
-/// \brief Bridges a ServiceRunStats into a MetricsRegistry (and therefore
-/// into RunReport / BENCH_results.json).
+/// \brief Bridges a ServiceRunStats into a report's Metrics (and
+/// therefore into BENCH_results.json).
 ///
 /// The service layer returns a per-call result struct (no telemetry
 /// dependency), and this translation lives in cp_telemetry, which links
@@ -17,17 +17,17 @@
 #include <string>
 
 #include "service/query_service.h"
-#include "telemetry/metrics.h"
+#include "util/ledger.h"
 
 namespace coverpack {
 namespace telemetry {
 
-/// Writes `stats` into `registry` under "service.<scenario>.*" and
+/// Writes `stats` into `metrics` under "service.<scenario>.*" and
 /// "cache.<scenario>.*". Every value is simulated-tick-denominated or a
 /// pure count — bit-identical across thread counts by construction. Call
-/// from the thread that owns `registry`.
+/// from the thread that owns `metrics`.
 void SnapshotServiceStatsInto(const service::ServiceRunStats& stats,
-                              const std::string& scenario, MetricsRegistry* registry);
+                              const std::string& scenario, Metrics* metrics);
 
 }  // namespace telemetry
 }  // namespace coverpack

@@ -94,9 +94,10 @@ ArenaScope::~ArenaScope() {
 void MemoryTelemetry::Reset() { Ledger::Global().Reset("memory."); }
 
 MemoryTelemetrySnapshot MemoryTelemetry::Snapshot() {
-  const LedgerSnapshot ledger = Ledger::Global().Read("memory.");
-  return {ledger.Counter("memory.arena_scopes"), ledger.Counter("memory.arena_bytes_total"),
-          ledger.Max("memory.arena_high_water_bytes")};
+  const Metrics ledger = Ledger::Global().Read("memory.");
+  return {ledger.CounterValue("memory.arena_scopes"),
+          ledger.CounterValue("memory.arena_bytes_total"),
+          ledger.MaxValue("memory.arena_high_water_bytes")};
 }
 
 }  // namespace coverpack

@@ -5,9 +5,8 @@
 /// annotations, so `CP_GUARDED_BY(some_std_mutex)` is unenforceable: the
 /// analysis never sees an acquire. These zero-cost wrappers close that
 /// gap — `Mutex` is a CP_CAPABILITY whose Lock/Unlock are annotated, and
-/// `MutexLock` / `DualMutexLock` are the scoped guards the analysis
-/// tracks. All shared-state classes in the repo (MetricsRegistry,
-/// ThreadPool, the run Ledger) lock through these.
+/// `MutexLock` is the scoped guard the analysis tracks. All shared-state
+/// classes in the repo (ThreadPool, the run Ledger) lock through these.
 ///
 /// Condition variables: use std::condition_variable_any and wait on the
 /// Mutex directly (`cv.wait(mutex_)`) with an explicit predicate loop.
@@ -46,11 +45,6 @@ class CP_CAPABILITY("mutex") Mutex {
   void lock() CP_ACQUIRE() { m_.lock(); }      // NOLINT(readability-identifier-naming)
   void unlock() CP_RELEASE() { m_.unlock(); }  // NOLINT(readability-identifier-naming)
 
-  /// The wrapped std::mutex, for interop with std::lock-style algorithms.
-  /// Acquisitions through it are invisible to the analysis — callers must
-  /// carry their own annotations (see DualMutexLock).
-  std::mutex& native() { return m_; }
-
  private:
   std::mutex m_;
 };
@@ -68,31 +62,6 @@ class CP_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// RAII guard over two Mutexes with deadlock-avoiding acquisition order
-/// (the annotated two-mutex std::scoped_lock, for symmetric operations
-/// like MetricsRegistry copy-assignment where concurrent `a = b; b = a;`
-/// must not deadlock).
-class CP_SCOPED_CAPABILITY DualMutexLock {
- public:
-  DualMutexLock(Mutex& a, Mutex& b) CP_ACQUIRE(a, b) : a_(a), b_(b) {
-    // std::lock's ordering protocol on the native handles; the acquire is
-    // carried by this constructor's annotation, as libc++'s scoped_lock
-    // does with its own.
-    std::lock(a_.native(), b_.native());
-  }
-  ~DualMutexLock() CP_RELEASE() {
-    a_.native().unlock();
-    b_.native().unlock();
-  }
-
-  DualMutexLock(const DualMutexLock&) = delete;
-  DualMutexLock& operator=(const DualMutexLock&) = delete;
-
- private:
-  Mutex& a_;
-  Mutex& b_;
 };
 
 }  // namespace coverpack

@@ -14,16 +14,6 @@ namespace coverpack {
 
 namespace {
 
-/// Depth of pool-task nesting on this thread (workers and callers helping
-/// their own batches both count). Nonzero means "inside a pool task".
-thread_local int tl_pool_task_depth = 0;
-
-/// RAII depth bump so exceptions unwind it correctly.
-struct PoolTaskScope {
-  PoolTaskScope() { ++tl_pool_task_depth; }
-  ~PoolTaskScope() { --tl_pool_task_depth; }
-};
-
 /// The process-global pool registry: the pool pointer and requested size
 /// under one annotated mutex. The pool itself is leaked on purpose:
 /// joining workers during static destruction is a well-known shutdown
@@ -88,24 +78,21 @@ size_t ThreadPool::NumShards(size_t begin, size_t end, size_t grain) {
 }
 
 void ThreadPool::RunShard(Batch* batch, size_t shard) {
+  // After a shard has thrown, remaining shards are skipped (claimed and
+  // accounted, not executed) so a poisoned batch drains quickly.
+  bool poisoned;
   {
-    PoolTaskScope scope;
-    // After a shard has thrown, remaining shards are skipped (claimed and
-    // accounted, not executed) so a poisoned batch drains quickly.
-    bool poisoned;
-    {
+    MutexLock lock(batch->error_mutex);
+    poisoned = batch->error != nullptr;
+  }
+  if (!poisoned) {
+    const size_t shard_begin = batch->begin + shard * batch->grain;
+    const size_t shard_end = std::min(shard_begin + batch->grain, batch->end);
+    try {
+      (*batch->fn)(shard_begin, shard_end, shard);
+    } catch (...) {
       MutexLock lock(batch->error_mutex);
-      poisoned = batch->error != nullptr;
-    }
-    if (!poisoned) {
-      const size_t shard_begin = batch->begin + shard * batch->grain;
-      const size_t shard_end = std::min(shard_begin + batch->grain, batch->end);
-      try {
-        (*batch->fn)(shard_begin, shard_end, shard);
-      } catch (...) {
-        MutexLock lock(batch->error_mutex);
-        if (batch->error == nullptr) batch->error = std::current_exception();
-      }
+      if (batch->error == nullptr) batch->error = std::current_exception();
     }
   }
   const size_t done = batch->completed.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -136,7 +123,6 @@ void ThreadPool::ParallelForShards(size_t begin, size_t end, size_t grain,
   // path's poisoned-batch skip.
   if (num_threads_ <= 1 || shards == 1) {
     for (size_t shard = 0; shard < shards; ++shard) {
-      PoolTaskScope scope;
       const size_t shard_begin = begin + shard * grain;
       fn(shard_begin, std::min(shard_begin + grain, end), shard);
     }
@@ -200,7 +186,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
 void ThreadPool::Submit(std::function<void()> fn) {
   CP_CHECK(fn != nullptr);
   if (num_threads_ <= 1) {
-    PoolTaskScope scope;
     fn();
     return;
   }
@@ -226,13 +211,10 @@ void ThreadPool::WorkerLoop() {
     } else {
       // Submit closures must not throw (fire-and-forget has nowhere to
       // deliver an exception); a throw here terminates, loudly.
-      PoolTaskScope scope;
       entry.simple();
     }
   }
 }
-
-bool ThreadPool::InPoolTask() { return tl_pool_task_depth > 0; }
 
 ThreadPool& ThreadPool::Global() {
   GlobalPoolState& state = GlobalPool();

@@ -86,12 +86,6 @@ class ThreadPool {
   /// background work whose result is observed elsewhere.
   void Submit(std::function<void()> fn);
 
-  /// True while the current thread is executing a pool shard or Submit
-  /// closure (worker or a caller helping its own batch). The telemetry
-  /// audit uses this to distinguish sanctioned pool parallelism from an
-  /// unsynchronized foreign thread.
-  static bool InPoolTask();
-
   // ---- Process-global pool ------------------------------------------------
   // The simulator's hot paths pull their pool from here; the bench driver
   // sizes it once at startup from --threads.

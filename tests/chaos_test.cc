@@ -93,11 +93,11 @@ TEST_F(ChaosTest, TotalCrashStormDegradesToFullRerunsYetStaysExact) {
     stormed = RunBoxJoin(16, 2048);
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, stormed));
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_GT(ledger.Counter("fault.exchanges_faulted"), 0u);
-  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), ledger.Counter("fault.exchanges_faulted"));
-  EXPECT_EQ(ledger.Counter("recovery.retries"), 2 * ledger.Counter("fault.exchanges_faulted"));
-  EXPECT_GT(ledger.Counter("recovery.tuples_resent_full_rerun"), 0u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.CounterValue("fault.exchanges_faulted"), 0u);
+  EXPECT_EQ(ledger.CounterValue("recovery.full_reruns"), ledger.CounterValue("fault.exchanges_faulted"));
+  EXPECT_EQ(ledger.CounterValue("recovery.retries"), 2 * ledger.CounterValue("fault.exchanges_faulted"));
+  EXPECT_GT(ledger.CounterValue("recovery.tuples_resent_full_rerun"), 0u);
   // Every faulted exchange burned its whole budget plus the clean replay.
   for (const double attempts : ledger.Samples("recovery.attempts_per_exchange")) {
     EXPECT_EQ(attempts, static_cast<double>(spec.max_attempts + 1));
@@ -119,11 +119,11 @@ TEST_F(ChaosTest, HeavyCorruptionIsHealedTupleForTuple) {
     mangled = RunBoxJoin(32, 2048);
   }
   EXPECT_TRUE(BoxRunsIdentical(clean, mangled));
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_GT(ledger.Counter("fault.rows_dropped"), 0u);
-  EXPECT_GT(ledger.Counter("fault.rows_duplicated"), 0u);
-  EXPECT_GT(ledger.Counter("recovery.tuples_resent_corruption"), 0u);
-  EXPECT_EQ(ledger.Counter("fault.crashes"), 0u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.CounterValue("fault.rows_dropped"), 0u);
+  EXPECT_GT(ledger.CounterValue("fault.rows_duplicated"), 0u);
+  EXPECT_GT(ledger.CounterValue("recovery.tuples_resent_corruption"), 0u);
+  EXPECT_EQ(ledger.CounterValue("fault.crashes"), 0u);
 }
 
 TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
@@ -161,12 +161,12 @@ TEST_F(ChaosTest, AcyclicPipelineSurvivesMixedChaos) {
   EXPECT_TRUE(clean.load_tracker == chaotic.load_tracker);
   EXPECT_EQ(TraceToString(clean.trace), TraceToString(chaotic.trace));
 
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"),
-            ledger.Counter("recovery.tuples_resent_crash") +
-                ledger.Counter("recovery.tuples_resent_corruption") +
-                ledger.Counter("recovery.tuples_resent_full_rerun"));
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.CounterValue("fault.crashes"), 0u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent"),
+            ledger.CounterValue("recovery.tuples_resent_crash") +
+                ledger.CounterValue("recovery.tuples_resent_corruption") +
+                ledger.CounterValue("recovery.tuples_resent_full_rerun"));
   for (const double attempts : ledger.Samples("recovery.attempts_per_exchange")) {
     EXPECT_LE(attempts, static_cast<double>(spec.max_attempts + 1));
   }
@@ -193,7 +193,7 @@ TEST_F(ChaosTest, ChaosScheduleAndLedgerAreThreadCountInvariant) {
     ScopedFaultInjection injection(spec);
     serial = RunBoxJoin(16, 4096);
   }
-  const LedgerSnapshot serial_ledger = Ledger::Global().Read();
+  const Metrics serial_ledger = Ledger::Global().Read();
 
   Ledger::Global().Reset();
   ThreadPool::SetGlobalThreads(4);
@@ -204,7 +204,7 @@ TEST_F(ChaosTest, ChaosScheduleAndLedgerAreThreadCountInvariant) {
   }
 
   EXPECT_TRUE(BoxRunsIdentical(serial, parallel));
-  EXPECT_GT(serial_ledger.Counter("fault.exchanges_faulted"), 0u);
+  EXPECT_GT(serial_ledger.CounterValue("fault.exchanges_faulted"), 0u);
   EXPECT_EQ(serial_ledger, Ledger::Global().Read());
 }
 
@@ -221,10 +221,10 @@ TEST_F(ChaosTest, BackoffFollowsTheCappedExponentialSchedule) {
     ScopedFaultInjection injection(spec);
     RunBoxJoin(4, 256);
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  ASSERT_GT(ledger.Counter("fault.exchanges_faulted"), 0u);
-  EXPECT_EQ(ledger.Counter("recovery.backoff_units"),
-            319 * ledger.Counter("fault.exchanges_faulted"));
+  const Metrics ledger = Ledger::Global().Read();
+  ASSERT_GT(ledger.CounterValue("fault.exchanges_faulted"), 0u);
+  EXPECT_EQ(ledger.CounterValue("recovery.backoff_units"),
+            319 * ledger.CounterValue("fault.exchanges_faulted"));
 }
 
 TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
@@ -240,7 +240,7 @@ TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
     ScopedFaultInjection injection(spec);
     first = RunBoxJoin(16, 1024);
   }
-  const LedgerSnapshot first_ledger = Ledger::Global().Read();
+  const Metrics first_ledger = Ledger::Global().Read();
   Ledger::Global().Reset();
   BoxRun second;
   {
@@ -248,7 +248,7 @@ TEST_F(ChaosTest, RepeatedChaosRunsAreReproducible) {
     second = RunBoxJoin(16, 1024);
   }
   EXPECT_TRUE(BoxRunsIdentical(first, second));
-  EXPECT_GT(first_ledger.Counter("fault.crashes"), 0u);
+  EXPECT_GT(first_ledger.CounterValue("fault.crashes"), 0u);
   EXPECT_EQ(first_ledger, Ledger::Global().Read());
 }
 
@@ -288,8 +288,8 @@ TEST_F(ChaosTest, QueryServiceSurvivesCrashStormBitIdentically) {
     ScopedFaultInjection injection(spec);
     faulted = run_service();
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);  // the storm must actually hit the pipelines
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.CounterValue("fault.crashes"), 0u);  // the storm must actually hit the pipelines
   EXPECT_EQ(clean.Digest(), faulted.Digest());
 
   // And the chaotic run itself is thread-count invariant.
@@ -342,8 +342,8 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
     ScopedFaultInjection injection(spec);
     stormed = run_service();
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_GT(ledger.Counter("fault.crashes"), 0u);  // the storm must actually hit the pipelines
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_GT(ledger.CounterValue("fault.crashes"), 0u);  // the storm must actually hit the pipelines
 
   // Decision-level comparison first, so a failure names the query whose
   // plan flipped rather than pointing at an opaque digest diff.
@@ -368,7 +368,7 @@ TEST_F(ChaosTest, CrashStormLeavesPlanDecisionsIdentical) {
 /// triangle on 64 servers with collection on, so routed rows draw their
 /// per-row dice. Fault decisions are content-keyed, so the ledger is a pure
 /// function of (spec, instance).
-LedgerSnapshot CyclicStormLedger(const FaultSpec& spec) {
+Metrics CyclicStormLedger(const FaultSpec& spec) {
   const Hypergraph triangle = catalog::Triangle();
   Rng rng(0x5707);
   const Instance instance = workload::ZipfInstance(triangle, 4000, 600, 0.8, &rng);
@@ -403,22 +403,22 @@ TEST_F(ChaosTest, CiCrashStormLedgerIsPinned) {
   spec.crash_rate = 0.05;
   spec.drop_rate = 0.001;
   spec.duplicate_rate = 0.001;
-  const LedgerSnapshot ledger = CyclicStormLedger(spec);
-  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
-  EXPECT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);
-  EXPECT_EQ(ledger.Counter("fault.crashes"), 15u);
-  EXPECT_EQ(ledger.Counter("fault.rows_dropped"), 177u);
-  EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), 194u);
-  EXPECT_EQ(ledger.Counter("recovery.retries"), 4u);
-  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 15u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"), 199478u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), 11417u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), 140061u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), 48000u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);
-  EXPECT_EQ(ledger.Max("recovery.max_single_resend"), 861u);
+  const Metrics ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_faulted"), 1u);
+  EXPECT_EQ(ledger.CounterValue("fault.crashes"), 15u);
+  EXPECT_EQ(ledger.CounterValue("fault.rows_dropped"), 177u);
+  EXPECT_EQ(ledger.CounterValue("fault.rows_duplicated"), 194u);
+  EXPECT_EQ(ledger.CounterValue("recovery.retries"), 4u);
+  EXPECT_EQ(ledger.CounterValue("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.backoff_units"), 15u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent"), 199478u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_crash"), 11417u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_corruption"), 140061u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_full_rerun"), 48000u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoint_tuples"), 0u);
+  EXPECT_EQ(ledger.MaxValue("recovery.max_single_resend"), 861u);
   EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
   EXPECT_EQ(SampleSum(ledger.Samples("recovery.attempts_per_exchange")), 5.0);
   EXPECT_EQ(SampleSum(ledger.Samples("recovery.resent_per_faulted_exchange")), 199478.0);
@@ -431,22 +431,22 @@ TEST_F(ChaosTest, HeavyCrashStormLedgerIsPinned) {
   spec.drop_rate = 0.01;
   spec.duplicate_rate = 0.01;
   spec.max_attempts = 2;
-  const LedgerSnapshot ledger = CyclicStormLedger(spec);
-  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
-  EXPECT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);
-  EXPECT_EQ(ledger.Counter("fault.crashes"), 16u);
-  EXPECT_EQ(ledger.Counter("fault.rows_dropped"), 829u);
-  EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), 834u);
-  EXPECT_EQ(ledger.Counter("recovery.retries"), 2u);
-  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 3u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"), 144000u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), 12272u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), 83728u);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), 48000u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);
-  EXPECT_EQ(ledger.Max("recovery.max_single_resend"), 861u);
+  const Metrics ledger = CyclicStormLedger(spec);
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_faulted"), 1u);
+  EXPECT_EQ(ledger.CounterValue("fault.crashes"), 16u);
+  EXPECT_EQ(ledger.CounterValue("fault.rows_dropped"), 829u);
+  EXPECT_EQ(ledger.CounterValue("fault.rows_duplicated"), 834u);
+  EXPECT_EQ(ledger.CounterValue("recovery.retries"), 2u);
+  EXPECT_EQ(ledger.CounterValue("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.backoff_units"), 3u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent"), 144000u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_crash"), 12272u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_corruption"), 83728u);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_full_rerun"), 48000u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoint_tuples"), 0u);
+  EXPECT_EQ(ledger.MaxValue("recovery.max_single_resend"), 861u);
   EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
   EXPECT_EQ(SampleSum(ledger.Samples("recovery.attempts_per_exchange")), 3.0);
   EXPECT_EQ(SampleSum(ledger.Samples("recovery.resent_per_faulted_exchange")), 144000.0);

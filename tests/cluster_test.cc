@@ -319,9 +319,9 @@ TEST(MigrationTest, JoinRebalancesToSpeedProportionalShares) {
   // The migration is charged like any exchange.
   EXPECT_EQ(cluster.tracker().At(1, 2), 250u);
   // And ledgered with the rows it started from.
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("cluster.checkpoints_captured"), 1u);
-  EXPECT_EQ(ledger.Counter("cluster.checkpoint_tuples"), 1000u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("cluster.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.CounterValue("cluster.checkpoint_tuples"), 1000u);
 }
 
 TEST(MigrationTest, LeaveDrainsDepartingServersCompletely) {
@@ -348,7 +348,7 @@ TEST(MigrationTest, UnchangedMembershipIsAStrictNoOp) {
   // byte-identical to fixed-p runs.
   EXPECT_EQ(result.stats.planned, 0u);
   EXPECT_EQ(state.shard(0).size(), 999u);
-  EXPECT_EQ(Ledger::Global().Read().Counter("cluster.checkpoints_captured"), 0u);
+  EXPECT_EQ(Ledger::Global().Read().CounterValue("cluster.checkpoints_captured"), 0u);
   EXPECT_EQ(cluster.tracker().MaxLoad(), 0u);
 }
 
@@ -401,11 +401,11 @@ TEST(MigrationTest, SharedDestinationIsCheckpointedOnce) {
   EXPECT_EQ(result.stats.planned, 566u);
   EXPECT_EQ(cluster.tracker().At(1, 2), 566u);
   EXPECT_EQ(state.shard(2).size(), 666u);
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 100u);
-  EXPECT_EQ(ledger.Counter("cluster.checkpoints_captured"), 1u);
-  EXPECT_EQ(ledger.Counter("cluster.checkpoint_tuples"), 2000u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoint_tuples"), 100u);
+  EXPECT_EQ(ledger.CounterValue("cluster.checkpoints_captured"), 1u);
+  EXPECT_EQ(ledger.CounterValue("cluster.checkpoint_tuples"), 2000u);
 }
 
 // --------------------------------------------------------------- pipeline
@@ -464,7 +464,7 @@ TEST_F(ElasticPipelineTest, ConservesRowsOnEveryEpochBoundary) {
   EXPECT_EQ(result.final_rows, 3000u);
   EXPECT_EQ(result.epochs, 4u);
   EXPECT_GT(result.tuples_migrated, 0u);
-  EXPECT_EQ(Ledger::Global().Read().Counter("cluster.checkpoints_captured"), 3u);
+  EXPECT_EQ(Ledger::Global().Read().CounterValue("cluster.checkpoints_captured"), 3u);
   // Final membership = 8 + 3 - 4 + 1 = 8 active slots; every row on them.
   size_t occupied_rows = 0;
   for (size_t size : result.final_shard_sizes) occupied_rows += size;

@@ -104,12 +104,12 @@ TEST(ArenaScopeTest, NestedScopesStackAndRecordTelemetry) {
     EXPECT_EQ(outer.used(), 8 * sizeof(uint64_t));
   }
   EXPECT_EQ(arena.used(), 0u);
-  const LedgerSnapshot ledger = Ledger::Global().Read("memory.");
-  EXPECT_EQ(ledger.Counter("memory.arena_scopes"), 2u);
-  EXPECT_EQ(ledger.Counter("memory.arena_bytes_total"), 12 * sizeof(uint64_t));
-  EXPECT_EQ(ledger.Max("memory.arena_high_water_bytes"), 8 * sizeof(uint64_t));
+  const Metrics ledger = Ledger::Global().Read("memory.");
+  EXPECT_EQ(ledger.CounterValue("memory.arena_scopes"), 2u);
+  EXPECT_EQ(ledger.CounterValue("memory.arena_bytes_total"), 12 * sizeof(uint64_t));
+  EXPECT_EQ(ledger.MaxValue("memory.arena_high_water_bytes"), 8 * sizeof(uint64_t));
   Ledger::Global().Reset("memory.");
-  EXPECT_EQ(Ledger::Global().Read("memory."), LedgerSnapshot());
+  EXPECT_EQ(Ledger::Global().Read("memory."), Metrics());
 }
 
 TEST(ArenaScopeTest, ScopeThatEmptiesTheArenaFreesLargePages) {

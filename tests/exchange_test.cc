@@ -221,12 +221,12 @@ TEST(ExchangeTest, TelemetryAggregatesAcrossExchanges) {
   ExchangePlan empty(p);
   Exchange::Execute(&cluster, 2, empty, "beta");
 
-  const LedgerSnapshot ledger = Ledger::Global().Read("exchange.");
-  EXPECT_EQ(ledger.Counter("exchange.count"), 3u);
-  EXPECT_EQ(ledger.Counter("exchange.tuples_moved"), 6u + 8u);
-  EXPECT_EQ(ledger.Max("exchange.max_fanin"), 4u);
-  EXPECT_EQ(ledger.Counter("exchange.alpha.tuples_moved"), 6u);
-  EXPECT_EQ(ledger.Counter("exchange.beta.count"), 2u);
+  const Metrics ledger = Ledger::Global().Read("exchange.");
+  EXPECT_EQ(ledger.CounterValue("exchange.count"), 3u);
+  EXPECT_EQ(ledger.CounterValue("exchange.tuples_moved"), 6u + 8u);
+  EXPECT_EQ(ledger.MaxValue("exchange.max_fanin"), 4u);
+  EXPECT_EQ(ledger.CounterValue("exchange.alpha.tuples_moved"), 6u);
+  EXPECT_EQ(ledger.CounterValue("exchange.beta.count"), 2u);
   EXPECT_EQ(ledger.Samples("exchange.tuples_per_exchange"),
             (std::vector<double>{6.0, 8.0, 0.0}));
   // Round-robin of 6 rows over 2 servers is perfectly balanced; broadcast
@@ -236,7 +236,7 @@ TEST(ExchangeTest, TelemetryAggregatesAcrossExchanges) {
   EXPECT_EQ(ledger.counters.size(), 6u);
 
   Ledger::Global().Reset("exchange.");
-  EXPECT_EQ(Ledger::Global().Read("exchange."), LedgerSnapshot());
+  EXPECT_EQ(Ledger::Global().Read("exchange."), Metrics());
 }
 
 }  // namespace

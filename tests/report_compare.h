@@ -27,8 +27,8 @@ namespace testutil {
 inline std::string ComparableJson(const telemetry::RunReport& report,
                                   std::initializer_list<const char*> dropped_namespaces = {}) {
   telemetry::RunReport copy = report;
-  copy.metrics.EraseTimers();
-  for (const char* prefix : dropped_namespaces) copy.metrics.EraseWithPrefix(prefix);
+  copy.metrics.timers.clear();
+  for (const char* prefix : dropped_namespaces) copy.metrics.ErasePrefix(prefix);
   std::ostringstream out;
   copy.ToJson().Write(out);
   return out.str();

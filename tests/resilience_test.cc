@@ -363,13 +363,14 @@ TEST(FaultInjectorTest, RecoversBitIdenticalStateUnderCrashesAndCorruption) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
     EXPECT_EQ(faulted.tracker.At(0, s), clean.tracker.At(0, s));
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 1u);
-  ASSERT_EQ(ledger.Counter("fault.exchanges_faulted"), 1u);  // crash_rate .3 over 8 servers
-  EXPECT_GT(ledger.Counter("recovery.retries"), 0u);
-  EXPECT_GT(ledger.Counter("recovery.tuples_resent"), 0u);
-  EXPECT_GT(ledger.Counter("recovery.backoff_units"), 0u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_injected"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 1u);
+  // crash_rate .3 over 8 servers.
+  ASSERT_EQ(ledger.CounterValue("fault.exchanges_faulted"), 1u);
+  EXPECT_GT(ledger.CounterValue("recovery.retries"), 0u);
+  EXPECT_GT(ledger.CounterValue("recovery.tuples_resent"), 0u);
+  EXPECT_GT(ledger.CounterValue("recovery.backoff_units"), 0u);
   EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
   EXPECT_GE(ledger.Samples("recovery.attempts_per_exchange")[0], 2.0);
 }
@@ -384,12 +385,12 @@ TEST(FaultInjectorTest, PerCrashResendStaysWithinBottleneckReceive) {
     ScopedFaultInjection injection(spec);
     faulted = RunSeededExchange(16, 0xD00D, 4000);
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  ASSERT_GT(ledger.Counter("fault.crashes"), 0u);
+  const Metrics ledger = Ledger::Global().Read();
+  ASSERT_GT(ledger.CounterValue("fault.crashes"), 0u);
   // Each crash replays one server's round: at most the bottleneck receive.
-  EXPECT_LE(ledger.Max("recovery.max_single_resend"), faulted.stats.max_receive);
-  EXPECT_LE(ledger.Counter("recovery.tuples_resent_crash"),
-            ledger.Counter("fault.crashes") * faulted.stats.max_receive);
+  EXPECT_LE(ledger.MaxValue("recovery.max_single_resend"), faulted.stats.max_receive);
+  EXPECT_LE(ledger.CounterValue("recovery.tuples_resent_crash"),
+            ledger.CounterValue("fault.crashes") * faulted.stats.max_receive);
 }
 
 TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
@@ -408,17 +409,17 @@ TEST(FaultInjectorTest, RetryBudgetExhaustionDegradesToFullRerun) {
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(faulted.shards[s].raw(), clean.shards[s].raw());
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.retries"), 3u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.retries"), 3u);
   // 4 attempts total: three faulty ones plus the final clean replay.
   ASSERT_EQ(ledger.Samples("recovery.attempts_per_exchange").size(), 1u);
   EXPECT_EQ(ledger.Samples("recovery.attempts_per_exchange")[0], 4.0);
   // The full rerun re-ships the entire plan on top of the per-crash resends.
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent_full_rerun"), faulted.stats.planned);
-  EXPECT_EQ(ledger.Counter("recovery.tuples_resent"),
-            ledger.Counter("recovery.tuples_resent_crash") +
-                ledger.Counter("recovery.tuples_resent_full_rerun"));
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_full_rerun"), faulted.stats.planned);
+  EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent"),
+            ledger.CounterValue("recovery.tuples_resent_crash") +
+                ledger.CounterValue("recovery.tuples_resent_full_rerun"));
 }
 
 TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
@@ -443,9 +444,9 @@ TEST(FaultInjectorTest, UnchargedExchangesAreOutsideTheFaultModel) {
         nullptr, 0, plan, [&shards](size_t, uint32_t s) { return &shards[s]; },
         "initial_placement");
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("fault.exchanges_injected"), 0u);
-  EXPECT_EQ(ledger.Counter("fault.crashes"), 0u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("fault.exchanges_injected"), 0u);
+  EXPECT_EQ(ledger.CounterValue("fault.crashes"), 0u);
   uint64_t total = 0;
   for (const Relation& shard : shards) total += shard.size();
   EXPECT_EQ(total, 100u);
@@ -465,7 +466,7 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
     ScopedFaultInjection injection(spec);
     serial = RunSeededExchange(8, 0xFACE, 6000);
   }
-  const LedgerSnapshot serial_ledger = Ledger::Global().Read();
+  const Metrics serial_ledger = Ledger::Global().Read();
   Ledger::Global().Reset();
   ThreadPool::SetGlobalThreads(4);
   ExchangeRun parallel;
@@ -473,13 +474,13 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadCounts) {
     ScopedFaultInjection injection(spec);
     parallel = RunSeededExchange(8, 0xFACE, 6000);
   }
-  const LedgerSnapshot parallel_ledger = Ledger::Global().Read();
+  const Metrics parallel_ledger = Ledger::Global().Read();
   ThreadPool::SetGlobalThreads(saved);
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_EQ(serial.shards[s].raw(), parallel.shards[s].raw());
   }
   // The fault schedule itself — not just the healed result — is identical.
-  EXPECT_GT(serial_ledger.Counter("fault.crashes"), 0u);
+  EXPECT_GT(serial_ledger.CounterValue("fault.crashes"), 0u);
   EXPECT_EQ(serial_ledger, parallel_ledger);
 }
 
@@ -576,7 +577,7 @@ TEST(FaultInjectorTest, ShardParallelWalkMatchesPerRowDice) {
     const mpc::ExchangeStats stats = mpc::Exchange::Execute(
         &cluster, 1, plan, [&dests](size_t, uint32_t s) { return &dests[s]; }, "dice");
     ExchangeInterposer::Install(nullptr);
-    const LedgerSnapshot ledger = Ledger::Global().Read();
+    const Metrics ledger = Ledger::Global().Read();
 
     EXPECT_GT(reference.crashes, 0u);
     EXPECT_GT(reference.rows_dropped, 0u);
@@ -584,12 +585,13 @@ TEST(FaultInjectorTest, ShardParallelWalkMatchesPerRowDice) {
     // Not every receiver is resent on every attempt.
     EXPECT_LT(reference.resent_crash + reference.resent_corruption,
               spec.max_attempts * stats.planned);
-    EXPECT_EQ(ledger.Counter("recovery.retries"), spec.max_attempts);
-    EXPECT_EQ(ledger.Counter("fault.crashes"), reference.crashes);
-    EXPECT_EQ(ledger.Counter("fault.rows_dropped"), reference.rows_dropped);
-    EXPECT_EQ(ledger.Counter("fault.rows_duplicated"), reference.rows_duplicated);
-    EXPECT_EQ(ledger.Counter("recovery.tuples_resent_crash"), reference.resent_crash);
-    EXPECT_EQ(ledger.Counter("recovery.tuples_resent_corruption"), reference.resent_corruption);
+    EXPECT_EQ(ledger.CounterValue("recovery.retries"), spec.max_attempts);
+    EXPECT_EQ(ledger.CounterValue("fault.crashes"), reference.crashes);
+    EXPECT_EQ(ledger.CounterValue("fault.rows_dropped"), reference.rows_dropped);
+    EXPECT_EQ(ledger.CounterValue("fault.rows_duplicated"), reference.rows_duplicated);
+    EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_crash"), reference.resent_crash);
+    EXPECT_EQ(ledger.CounterValue("recovery.tuples_resent_corruption"),
+              reference.resent_corruption);
   }
   ThreadPool::SetGlobalThreads(saved);
 }
@@ -604,10 +606,10 @@ TEST(FaultInjectorTest, LedgersOneCheckpointPerChargedExchange) {
     RunSeededExchange(4, 1, 300);
     RunSeededExchange(4, 2, 300);
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 2u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 0u);  // fresh destinations
-  EXPECT_GE(ledger.Counter("recovery.retries"), 1u);  // crash_rate .5 over two exchanges
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 2u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoint_tuples"), 0u);  // fresh destinations
+  EXPECT_GE(ledger.CounterValue("recovery.retries"), 1u);  // crash_rate .5 over two exchanges
 }
 
 TEST(FaultInjectorTest, CheckpointTuplesArePreExchangeRowsOfChargedExchanges) {
@@ -634,9 +636,9 @@ TEST(FaultInjectorTest, CheckpointTuplesArePreExchangeRowsOfChargedExchanges) {
     run(&three, &second);
     run(nullptr, &placement);  // uncharged: outside the fault model
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("recovery.checkpoints_captured"), 2u);
-  EXPECT_EQ(ledger.Counter("recovery.checkpoint_tuples"), 3u + 4u + 5u + 9u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoints_captured"), 2u);
+  EXPECT_EQ(ledger.CounterValue("recovery.checkpoint_tuples"), 3u + 4u + 5u + 9u);
 }
 
 TEST(FaultInjectorTest, BackoffStaysAtTheCapPastTheShiftClamp) {
@@ -654,10 +656,10 @@ TEST(FaultInjectorTest, BackoffStaysAtTheCapPastTheShiftClamp) {
     ScopedFaultInjection injection(spec);
     RunSeededExchange(4, 0xCAFE, 200);
   }
-  const LedgerSnapshot ledger = Ledger::Global().Read();
-  EXPECT_EQ(ledger.Counter("recovery.retries"), 70u);
-  EXPECT_EQ(ledger.Counter("recovery.full_reruns"), 1u);
-  EXPECT_EQ(ledger.Counter("recovery.backoff_units"), 63u + 64u * 64u);
+  const Metrics ledger = Ledger::Global().Read();
+  EXPECT_EQ(ledger.CounterValue("recovery.retries"), 70u);
+  EXPECT_EQ(ledger.CounterValue("recovery.full_reruns"), 1u);
+  EXPECT_EQ(ledger.CounterValue("recovery.backoff_units"), 63u + 64u * 64u);
 }
 
 // ---- Cost model ------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/load_planner.h"
+#include "planner/stats.h"
 #include "query/catalog.h"
 #include "query/join_tree.h"
 #include "query/parser.h"
@@ -38,7 +39,6 @@ using service::ShapeCanon;
 using service::SimEvent;
 using service::SimEventKind;
 using service::SimEventQueue;
-using service::StatsSignature;
 using service::SubClusterLease;
 
 /// An instance whose relation e holds sizes[e] matching rows (v, v, ...).
@@ -93,17 +93,18 @@ TEST(QueryShapeTest, IndividualizationSeparatesWlEquivalentPairs) {
             CanonicalizeShape(two_triangles).canonical_form);
 }
 
-TEST(QueryShapeTest, StatsSignatureFollowsShapePositions) {
+TEST(SnapshotSignatureTest, FollowsShapePositions) {
   const Hypergraph path = catalog::Path(3);
   const Hypergraph line = catalog::Line3();
-  const ShapeCanon path_canon = CanonicalizeShape(path);
-  const ShapeCanon line_canon = CanonicalizeShape(line);
+  const auto signature = [](const Hypergraph& query, const std::vector<uint64_t>& sizes) {
+    return planner::SnapshotSignature(
+        CanonicalizeShape(query).edge_colors,
+        planner::BuildStatsSnapshot(query, SizedInstance(query, sizes)));
+  };
   // Isomorphic queries with equal sizes at equivalent positions agree.
-  EXPECT_EQ(StatsSignature(path_canon, SizedInstance(path, {10, 20, 10})),
-            StatsSignature(line_canon, SizedInstance(line, {10, 20, 10})));
+  EXPECT_EQ(signature(path, {10, 20, 10}), signature(line, {10, 20, 10}));
   // Changing any size changes the signature.
-  EXPECT_NE(StatsSignature(path_canon, SizedInstance(path, {10, 20, 10})),
-            StatsSignature(path_canon, SizedInstance(path, {10, 20, 11})));
+  EXPECT_NE(signature(path, {10, 20, 10}), signature(path, {10, 20, 11}));
 }
 
 TEST(QueryShapeTest, SizeUniformityPerColorClass) {

@@ -182,17 +182,6 @@ TEST(ThreadPoolTest, SubmitRunsInlineWithoutWorkers) {
   EXPECT_TRUE(ran);
 }
 
-TEST(ThreadPoolTest, InPoolTaskMarksPoolExecutionOnly) {
-  EXPECT_FALSE(ThreadPool::InPoolTask());
-  ThreadPool pool(2);
-  std::atomic<uint32_t> inside{0};
-  pool.ParallelFor(0, 16, 1, [&](size_t) {
-    if (ThreadPool::InPoolTask()) inside.fetch_add(1);
-  });
-  EXPECT_EQ(inside.load(), 16u);
-  EXPECT_FALSE(ThreadPool::InPoolTask());
-}
-
 TEST(ThreadPoolTest, GlobalPoolResizesOnDemand) {
   const unsigned before = ThreadPool::GlobalThreads();
   ThreadPool::SetGlobalThreads(3);

@@ -134,10 +134,9 @@ void CheckChargeChokePoint(const FileContext& ctx, std::vector<Finding>* finding
 
 /// no-wall-clock: wall-clock reads poison determinism (reports must be
 /// byte-identical across reruns). steady_clock is fine — it is monotonic
-/// and only feeds wall_ms fields the comparison tooling masks.
+/// and only feeds wall_ms fields and timers the comparison tooling masks —
+/// so no file is exempt, the timer's own included.
 void CheckNoWallClock(const FileContext& ctx, std::vector<Finding>* findings) {
-  // The telemetry timer internals are the sanctioned wall-time site.
-  if (EndsWith(ctx.path, "telemetry/metrics.cc")) return;
   static const std::regex kPatterns[] = {
       std::regex(R"(system_clock)"),
       std::regex(R"((^|[^A-Za-z0-9_.>])time\s*\()"),
@@ -150,8 +149,8 @@ void CheckNoWallClock(const FileContext& ctx, std::vector<Finding>* findings) {
     for (const std::regex& pattern : kPatterns) {
       if (std::regex_search(ctx.stripped[i], pattern)) {
         Emit(findings, ctx, i, kNoWallClock,
-             "wall-clock source outside telemetry timer internals; "
-             "determinism requires steady_clock (telemetry) or no clock at all");
+             "wall-clock source; determinism requires steady_clock or no clock "
+             "at all");
         break;
       }
     }
@@ -287,7 +286,7 @@ void CheckIncludeHygiene(const FileContext& ctx, std::vector<Finding>* findings)
       {std::regex(
            R"(CP_(GUARDED_BY|PT_GUARDED_BY|CAPABILITY|SCOPED_CAPABILITY|REQUIRES|EXCLUDES|ACQUIRE|RELEASE|TRY_ACQUIRE|RETURN_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS)\b)"),
        "util/thread_annotations.h"},
-      {std::regex(R"((^|[^A-Za-z0-9_:])(Mutex|MutexLock|DualMutexLock)\b)"), "util/mutex.h"},
+      {std::regex(R"((^|[^A-Za-z0-9_:])(Mutex|MutexLock)\b)"), "util/mutex.h"},
       {std::regex(R"((^|[^A-Za-z0-9_:])(SplitSeed|Rng)\b)"), "util/random.h"},
       {std::regex(R"((^|[^A-Za-z0-9_:])HashCombine\b)"), "util/hash.h"},
       {std::regex(R"((^|[^A-Za-z0-9_:])ThreadPool\b)"), "util/thread_pool.h"},
@@ -430,8 +429,8 @@ const std::vector<RuleInfo>& Rules() {
       {kChargeChokePoint,
        "LoadTracker charging (*tracker*.Add) only in src/mpc/exchange.cc"},
       {kNoWallClock,
-       "no wall-clock sources (system_clock, time(), __DATE__/__TIME__) outside "
-       "telemetry timer internals"},
+       "no wall-clock sources (system_clock, time(), __DATE__/__TIME__); "
+       "steady_clock only"},
       {kNoUnseededRng,
        "no ambient RNG (random_device, rand(), unseeded mt19937); seeds derive via "
        "SplitSeed"},

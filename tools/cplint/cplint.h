@@ -19,10 +19,10 @@
 ///                            appears only in src/mpc/exchange.cc.
 ///  * no-wall-clock         — no std::chrono::system_clock, time(),
 ///                            clock(), localtime/gmtime/strftime, or
-///                            __DATE__/__TIME__ outside the telemetry
-///                            timer internals; wall-clock reads anywhere
-///                            else would leak into reports and break
-///                            bit-identical reruns.
+///                            __DATE__/__TIME__ anywhere; wall-clock reads
+///                            would leak into reports and break
+///                            bit-identical reruns. Timers read
+///                            steady_clock, which the rule never matches.
 ///  * no-unseeded-rng       — no std::random_device, rand()/srand(),
 ///                            drand48 family, default_random_engine, or a
 ///                            std::mt19937 constructed without a
