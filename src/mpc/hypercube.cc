@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "lp/simplex.h"
 #include "mpc/exchange.h"
@@ -58,6 +59,55 @@ uint32_t IntegerPower(uint32_t p, const Rational& exponent) {
   }
   return static_cast<uint32_t>(
       std::floor(std::pow(static_cast<double>(p), exponent.ToDouble())));
+}
+
+/// Charge-only HyperCube routing of one relation. A row lands on every
+/// grid cell that agrees with its coordinates on the relation's own (bound)
+/// attributes, so a cell receives exactly the rows of its bound projection:
+/// the plan needs each bound cell's row count, not the replicas. Rows are
+/// counted per kExchangeRouteGrain shard into per-shard arrays, merged in
+/// shard order, and every grid cell is planned its projection's count.
+void PlanBoundCellCounts(const Relation& relation, const ShareVector& shares,
+                         const uint64_t* stride, const ArenaVector<AttrId>& bound,
+                         const ArenaVector<uint32_t>& cols, ExchangePlan* plan) {
+  const size_t rows = relation.size();
+  if (rows == 0) return;
+  // Mixed-radix strides over the bound dimensions only.
+  std::vector<uint64_t> bound_stride(bound.size());
+  uint64_t bound_cells = 1;
+  for (size_t j = 0; j < bound.size(); ++j) {
+    bound_stride[j] = bound_cells;
+    bound_cells *= shares.shares[bound[j]];
+  }
+  const size_t num_shards = ThreadPool::NumShards(0, rows, kExchangeRouteGrain);
+  std::vector<std::vector<uint64_t>> shard_counts(num_shards);
+  ThreadPool::Global().ParallelForShards(
+      0, rows, kExchangeRouteGrain, [&](size_t shard_begin, size_t shard_end, size_t shard) {
+        shard_end = std::min(shard_end, rows);
+        std::vector<uint64_t>& local = shard_counts[shard];
+        local.assign(bound_cells, 0);
+        for (size_t i = shard_begin; i < shard_end; ++i) {
+          auto row = relation.row(i);
+          uint64_t bound_cell = 0;
+          for (size_t j = 0; j < bound.size(); ++j) {
+            bound_cell += bound_stride[j] *
+                          CoordinateHash(bound[j], row[cols[j]], shares.shares[bound[j]]);
+          }
+          ++local[bound_cell];
+        }
+      });
+  std::vector<uint64_t> counts(bound_cells, 0);
+  for (const std::vector<uint64_t>& local : shard_counts) {
+    for (uint64_t b = 0; b < bound_cells; ++b) counts[b] += local[b];
+  }
+  for (uint64_t cell = 0; cell < shares.grid_size; ++cell) {
+    uint64_t projection = 0;
+    for (size_t j = 0; j < bound.size(); ++j) {
+      const uint32_t extent = shares.shares[bound[j]];
+      projection += bound_stride[j] * ((cell / stride[bound[j]]) % extent);
+    }
+    plan->PlanReceive(static_cast<uint32_t>(cell), counts[projection]);
+  }
 }
 
 }  // namespace
@@ -119,8 +169,6 @@ ShareVector OptimizeSharesForSizes(const Hypergraph& query,
   uint32_t num_attrs = query.num_attrs();
   ShareVector result;
   result.shares.assign(num_attrs, 1);
-  result.exponents.assign(num_attrs, Rational(0));
-  result.objective = OptimizeShares(query, p).objective;  // 1/tau* for reporting
 
   auto cost = [&](const std::vector<uint32_t>& shares) {
     double total = 0.0;
@@ -198,7 +246,7 @@ HypercubeResult HypercubeJoin(Cluster* cluster, const Hypergraph& query,
   // Route every tuple of every relation to all consistent grid cells: one
   // Exchange over the grid with one routed source per relation. In collect
   // mode the routes are recorded and Execute delivers the rows; otherwise
-  // only per-cell receive counts are planned (charge-only routing).
+  // each grid cell is planned the receive count of its bound projection.
   std::vector<Instance> per_server;
   if (collect) per_server.assign(shares.grid_size, Instance(query));
   ExchangePlan plan(static_cast<uint32_t>(shares.grid_size));
@@ -225,6 +273,10 @@ HypercubeResult HypercubeJoin(Cluster* cluster, const Hypergraph& query,
       bound.push_back(v);
       cols.push_back(relation.ColumnOf(v));
     }
+    if (!collect) {
+      PlanBoundCellCounts(relation, shares, stride, bound, cols, &plan);
+      continue;
+    }
     auto route_row = [&](size_t i, const auto& emit) {
       auto row = relation.row(i);
       uint64_t base = 0;
@@ -244,7 +296,7 @@ HypercubeResult HypercubeJoin(Cluster* cluster, const Hypergraph& query,
     };
     // Source index == edge index: AddSource is called once per edge, in
     // edge order, so the sink below can key destinations by edge.
-    plan.AddSource(relation, /*record=*/collect, route_row, free_combos);
+    plan.AddSource(relation, /*record=*/true, route_row, free_combos);
   }
 
   HypercubeResult result;

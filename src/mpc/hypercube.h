@@ -25,7 +25,9 @@ namespace coverpack {
 namespace mpc {
 
 /// Share assignment: one integer share per AttrId (attrs outside the query
-/// get share 1). prod(shares) <= p.
+/// get share 1). prod(shares) <= p. Only OptimizeShares solves the share LP
+/// and sets `objective`; it and UniformShares set `exponents`, and
+/// OptimizeSharesForSizes sets neither.
 struct ShareVector {
   std::vector<uint32_t> shares;          ///< grid extent per attribute
   std::vector<Rational> exponents;       ///< the LP exponents y_x (share_x ~ p^y_x)
@@ -49,7 +51,8 @@ ShareVector UniformShares(const Hypergraph& query, AttrSet attrs, uint32_t p);
 /// sum_e N_e / prod_{x in e} share_x subject to prod shares <= p.
 /// The LP of OptimizeShares can have many optimal vertices with poor grid
 /// utilization on concrete instances; this greedy optimizes the measured
-/// quantity directly and is what the executable algorithms use.
+/// quantity directly and is what the executable algorithms use. It solves
+/// no LP: `exponents` stays empty and `objective` zero.
 ShareVector OptimizeSharesForSizes(const Hypergraph& query,
                                    const std::vector<uint64_t>& relation_sizes, uint32_t p);
 
@@ -61,9 +64,12 @@ struct HypercubeResult {
 };
 
 /// Executes one round of HyperCube routing for `instance` with `shares`,
-/// charging actual receives in `round`. If `collect` is set, every server
-/// then joins its fragments locally (worst-case-optimal sequential join)
-/// and the results are returned.
+/// charging actual receives in `round`. If `collect` is set, every tuple's
+/// replicas are routed and delivered, every server then joins its fragments
+/// locally (worst-case-optimal sequential join) and the results are
+/// returned. Otherwise no replica is enumerated: each relation's rows are
+/// counted per cell of its bound coordinates, and every grid cell is
+/// planned the count of its projection, the same receive per cell.
 HypercubeResult HypercubeJoin(Cluster* cluster, const Hypergraph& query,
                               const Instance& instance, const ShareVector& shares,
                               uint32_t round, bool collect);

@@ -4,11 +4,16 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "lp/covers.h"
+#include "mpc/cluster.h"
 #include "query/catalog.h"
 #include "query/parser.h"
 #include "relation/oracle.h"
+#include "util/ledger.h"
+#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace coverpack {
@@ -113,6 +118,65 @@ TEST(HypercubeTest, SkewDegradesLoad) {
       mpc::HypercubeJoin(&cluster, q, skewed, shares, 0, /*collect=*/false);
   // All of R2 hashes to one coordinate of the A dimension.
   EXPECT_GE(result.max_receive_load, n / 4);
+}
+
+TEST(HypercubeTest, ChargeOnlyChargesWhatCollectingDelivers) {
+  // Charge-only routing counts rows per bound cell instead of enumerating
+  // replicas; it must still charge every grid cell what the collecting run
+  // delivers to it and record the same exchange.* values. Every relation
+  // spans more than one kExchangeRouteGrain shard.
+  struct Case {
+    std::string name;
+    Hypergraph query;
+    Instance instance;
+    mpc::ShareVector shares;
+    uint32_t p;
+  };
+  std::vector<Case> cases;
+  {
+    // Shares 4,4,4: every relation has one free dimension.
+    Hypergraph q = catalog::Triangle();
+    Rng rng(31);
+    cases.push_back({"triangle_free_dims", q, workload::UniformInstance(q, 2500, 300, &rng),
+                     mpc::OptimizeShares(q, 64), 64});
+  }
+  {
+    // R1 spans every attribute (free_combos = 1); the 27-cell grid is
+    // smaller than the 64-server cluster.
+    Hypergraph q = ParseQuery("R1(A,B,C), R2(A,B), R3(B,C)");
+    Rng rng(32);
+    cases.push_back({"spanning_small_grid", q, workload::UniformInstance(q, 2500, 40, &rng),
+                     mpc::UniformShares(q, q.AllAttrs(), 27), 64});
+  }
+  {
+    // Shares on A and C only: B and D keep share 1, R2(B,C) has A free.
+    Hypergraph q = catalog::Line3();
+    AttrSet sharded = AttrSet::Single(*q.FindAttribute("A"));
+    sharded = sharded.Union(AttrSet::Single(*q.FindAttribute("C")));
+    Rng rng(33);
+    cases.push_back({"unit_shares", q, workload::UniformInstance(q, 2500, 100, &rng),
+                     mpc::UniformShares(q, sharded, 16), 16});
+  }
+
+  const unsigned saved_threads = ThreadPool::GlobalThreads();
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name + " at " + std::to_string(threads) + " threads");
+      auto run = [&](bool collect) {
+        Ledger::Global().Reset("exchange.");
+        Cluster cluster(c.p);
+        mpc::HypercubeJoin(&cluster, c.query, c.instance, c.shares, 0, collect);
+        return std::make_pair(cluster.tracker(), Ledger::Global().Read("exchange."));
+      };
+      const auto [collected_tracker, collected_ledger] = run(true);
+      const auto [charged_tracker, charged_ledger] = run(false);
+      EXPECT_EQ(charged_tracker, collected_tracker);
+      EXPECT_EQ(charged_ledger, collected_ledger);
+      EXPECT_GT(charged_ledger.CounterValue("exchange.hypercube.tuples_moved"), 0u);
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ namespace {
 // in the regime where the algorithms' asymptotic differences dominate
 // their data-dependent constants; at much larger p the heavy-value
 // constant factors of the Zipf cases drown the signal the estimators can
-// legitimately see (16-bucket histograms + max degrees).
+// legitimately see (exact distinct counts + max degrees).
 constexpr uint64_t kCorpusSeed = 0x0D1FFE7E;
 constexpr uint32_t kRandomCases = 50;  // + 10 fixed = 60 cases
 constexpr uint32_t kServers = 32;
