@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "relation/join_index.h"
 #include "util/arena.h"
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace coverpack {
 
@@ -65,9 +67,12 @@ Relation SelectByMembership(const Relation& input, uint32_t col,
 }
 
 /// The probe side of one hash join over an index of `right` built in the
-/// caller's arena. Count and Write walk the same matches in the same
-/// order, HashJoin's: ascending left row, then ascending right row within
-/// a key group. Both inputs must be nonempty.
+/// caller's arena. Both passes split the left rows into kJoinProbeGrain
+/// shards on the global pool. A shard only reads the inputs, the index and
+/// the column plan, and opens no arena scope, so the `memory.*` record is
+/// the caller's alone. CountShards and Write walk the same matches in the
+/// same order, HashJoin's: ascending left row, then ascending right row
+/// within a key group. Both inputs must be nonempty.
 class JoinProbe {
  public:
   JoinProbe(const Relation& left, const Relation& right, Arena* arena)
@@ -92,25 +97,39 @@ class JoinProbe {
     }
   }
 
-  /// Number of matching (left, right) row pairs.
-  size_t Count() const {
-    size_t rows = 0;
-    ForEachMatch([&rows](const Value*, const Value*) { ++rows; });
-    return rows;
+  /// Number of matching (left, right) row pairs of each left-row shard.
+  std::vector<size_t> CountShards() const {
+    const size_t n = left_.size();
+    std::vector<size_t> shard_rows(ThreadPool::NumShards(0, n, kJoinProbeGrain));
+    ThreadPool::Global().ParallelForShards(
+        0, n, kJoinProbeGrain, [this, &shard_rows](size_t begin, size_t end, size_t shard) {
+          size_t rows = 0;
+          ForEachMatch(begin, end, [&rows](const Value*, const Value*) { ++rows; });
+          shard_rows[shard] = rows;
+        });
+    return shard_rows;
   }
 
-  /// Writes the joined rows to `dst` (Count() rows of the union schema's
-  /// width) and returns how many it wrote.
-  size_t Write(Value* dst) const {
-    size_t rows = 0;
-    ForEachMatch([&](const Value* lrow, const Value* rrow) {
-      for (uint32_t k = 0; k < out_width_; ++k) {
-        dst[k] = plan_[k].from_left ? lrow[plan_[k].col] : rrow[plan_[k].col];
-      }
-      dst += out_width_;
-      ++rows;
-    });
-    return rows;
+  /// Writes the joined rows to `dst`, rows of the union schema's width:
+  /// each shard's at the sum of the earlier shards' counts in `shard_rows`,
+  /// this probe's CountShards(), checking that it wrote exactly its count.
+  void Write(const std::vector<size_t>& shard_rows, Value* dst) const {
+    std::vector<size_t> offsets(shard_rows.size());
+    std::exclusive_scan(shard_rows.begin(), shard_rows.end(), offsets.begin(), size_t{0});
+    ThreadPool::Global().ParallelForShards(
+        0, left_.size(), kJoinProbeGrain,
+        [this, &shard_rows, &offsets, dst](size_t begin, size_t end, size_t shard) {
+          Value* out = dst + offsets[shard] * out_width_;
+          size_t written = 0;
+          ForEachMatch(begin, end, [&](const Value* lrow, const Value* rrow) {
+            for (uint32_t k = 0; k < out_width_; ++k) {
+              out[k] = plan_[k].from_left ? lrow[plan_[k].col] : rrow[plan_[k].col];
+            }
+            out += out_width_;
+            ++written;
+          });
+          CP_CHECK_EQ(written, shard_rows[shard]);
+        });
   }
 
  private:
@@ -119,14 +138,14 @@ class JoinProbe {
     uint32_t col;
   };
 
+  /// Visits the matches of left rows [begin, end) in output order.
   template <typename Visit>
-  void ForEachMatch(const Visit& visit) const {
+  void ForEachMatch(size_t begin, size_t end, const Visit& visit) const {
     const Value* lbase = left_.raw().data();
     const Value* rbase = right_.raw().data();
     const uint32_t lwidth = left_.width();
     const uint32_t rwidth = right_.width();
-    const size_t n = left_.size();
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const Value* lrow = lbase + i * lwidth;
       const uint64_t h = HashRowKey(lrow, left_cols_, num_keys_);
       if (!index_.MightContain(h)) continue;
@@ -263,8 +282,9 @@ Relation HashJoin(const Relation& left, const Relation& right) {
   if (left.empty() || right.empty()) return output;
   ArenaScope scope;
   const JoinProbe probe(left, right, scope.arena());
-  const size_t rows = probe.Count();
-  CP_CHECK_EQ(probe.Write(output.AppendUninitialized(rows)), rows);
+  const std::vector<size_t> shard_rows = probe.CountShards();
+  const size_t rows = std::accumulate(shard_rows.begin(), shard_rows.end(), size_t{0});
+  probe.Write(shard_rows, output.AppendUninitialized(rows));
   return output;
 }
 
@@ -287,7 +307,8 @@ PendingJoin::PendingJoin(const std::vector<const Relation*>& inputs) {
   }
   if (left().empty() || last_->empty()) return;
   ArenaScope scope;
-  rows_ = JoinProbe(left(), *last_, scope.arena()).Count();
+  shard_rows_ = JoinProbe(left(), *last_, scope.arena()).CountShards();
+  rows_ = std::accumulate(shard_rows_.begin(), shard_rows_.end(), size_t{0});
 }
 
 size_t PendingJoin::WriteInto(Value* dst) const {
@@ -297,7 +318,8 @@ size_t PendingJoin::WriteInto(Value* dst) const {
   }
   if (rows_ == 0) return 0;
   ArenaScope scope;
-  return JoinProbe(left(), *last_, scope.arena()).Write(dst);
+  JoinProbe(left(), *last_, scope.arena()).Write(shard_rows_, dst);
+  return rows_;
 }
 
 Relation MultiwayJoin(const std::vector<const Relation*>& inputs) {

@@ -8,6 +8,7 @@
 #ifndef COVERPACK_RELATION_OPERATORS_H_
 #define COVERPACK_RELATION_OPERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -42,19 +43,28 @@ std::vector<Value> DistinctValues(const Relation& input, AttrId attr);
 /// returns `left` when `right` is nonempty and empty otherwise.
 Relation SemiJoin(const Relation& left, const Relation& right);
 
-/// Natural (hash) join of two relations. Counts the matches by probing an
-/// index of `right`, appends that many rows once, and probes again to write
-/// them: ascending left row, then ascending right row within a key group.
+/// Left rows per probe shard of a hash join. Fixed (never derived from the
+/// thread count) so the shards, and therefore where each shard writes, are
+/// the same at any parallelism level.
+inline constexpr size_t kJoinProbeGrain = 1024;
+
+/// Natural (hash) join of two relations. Probes an index of `right` with
+/// kJoinProbeGrain shards of `left` on the global pool, counting each
+/// shard's matches; appends their sum once; then probes again and writes
+/// each shard's rows at the sum of the earlier shards' counts. Row order is
+/// ascending left row, then ascending right row within a key group, so the
+/// output is byte-identical at any thread count.
 Relation HashJoin(const Relation& left, const Relation& right);
 
 /// The match step of a multiway join, which lets a caller size one output
 /// for many joins and write each straight into its slice. Construction
 /// folds every join but the last, a left-deep sequence of HashJoins in
-/// ascending input size order, and counts the last join's matches by
-/// probing, without storing them. WriteInto probes again and writes the
-/// rows in HashJoin's order. Count and write each open their own arena
-/// scope, so they may run on different threads. Borrows the inputs: they
-/// must outlive the step and stay unchanged.
+/// ascending input size order, and counts the last join's matches per
+/// probe shard, as HashJoin does, without storing them. WriteInto probes
+/// again and writes each shard's rows at its prefix offset, with no
+/// recount, in HashJoin's order at any thread count. Count and write each
+/// open their own arena scope, so they may run on different threads.
+/// Borrows the inputs: they must outlive the step and stay unchanged.
 class PendingJoin {
  public:
   explicit PendingJoin(const std::vector<const Relation*>& inputs);
@@ -79,6 +89,7 @@ class PendingJoin {
   const Relation* last_ = nullptr;   // the largest input; null for one input
   Relation folded_;                  // every join but the last (3+ inputs)
   bool fold_ = false;
+  std::vector<size_t> shard_rows_;   // the last join's matches per probe shard
   size_t rows_ = 0;
 };
 

@@ -21,7 +21,10 @@
 ///    frames: HypercubeJoin's routing frame stays open while the calling
 ///    thread runs per-cell GenericJoins, each in a frame of its own. No
 ///    frame outlives its call: a `PendingJoin`'s count and write each open
-///    their own, so the write may run on another thread. A scope
+///    their own, so the write may run on another thread. Other pool threads
+///    may read a frame while its owner waits for them (a hash join's probe
+///    shards read the index built in the caller's frame), but only the
+///    owning thread allocates from it or rewinds it. A scope
 ///    that leaves its arena empty frees every page past the first
 ///    `kRetainedBytes`, so a thread keeps only small pages between calls.
 ///    Were the large pages kept too, the memory of a multi-threaded run would

@@ -1,5 +1,6 @@
 /// Property-based sweeps over randomly generated queries: the structural
-/// theorems must hold on every shape, not just the catalog examples.
+/// theorems must hold on every shape, not just the catalog examples. The
+/// user-facing parsers get seeded random and mutated inputs too.
 ///
 /// These tests carry the `fuzz` ctest label (their own cp_fuzz_tests
 /// binary). COVERPACK_FUZZ_ROUNDS (default 1) repeats every property with
@@ -8,20 +9,26 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_profile.h"
 #include "core/acyclic_join.h"
 #include "lp/covers.h"
 #include "lp/packing_provable.h"
+#include "planner/cost_model.h"
 #include "query/catalog.h"
 #include "query/decomposition.h"
 #include "query/join_tree.h"
+#include "query/parser.h"
 #include "query/properties.h"
 #include "relation/oracle.h"
+#include "service/workload_sim.h"
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -550,6 +557,142 @@ TEST_P(RandomGenericJoinTest, MatchesSortingSearch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGenericJoinTest, ::testing::Range<uint64_t>(1, 41));
+
+// ---------------------------------------------------------------------------
+// Seeded parser fuzzing. Every user-facing parser must return a value or a
+// clean rejection, never abort, on random strings over its grammar's
+// alphabet (plus a few bytes outside it) and on truncated, duplicated and
+// byte-swapped valid inputs. The sanitizer job runs these sweeps with
+// COVERPACK_FUZZ_ROUNDS raised.
+
+/// What a parser's fuzz inputs are drawn from.
+struct Grammar {
+  std::string alphabet;            ///< random strings draw bytes from here
+  std::vector<std::string> valid;  ///< inputs the parser accepts, to mutate
+};
+
+/// One to three truncations, duplications or swaps of `text`'s bytes.
+std::string Mutate(std::string text, Rng* rng) {
+  const uint64_t mutations = 1 + rng->Uniform(3);
+  for (uint64_t m = 0; m < mutations && !text.empty(); ++m) {
+    const size_t at = rng->Uniform(text.size());
+    switch (rng->Uniform(3)) {
+      case 0:  // truncate
+        text.resize(at);
+        break;
+      case 1: {  // duplicate a substring in place
+        const size_t length = 1 + rng->Uniform(text.size() - at);
+        text.insert(at, text.substr(at, length));
+        break;
+      }
+      default:  // swap two bytes
+        std::swap(text[at], text[rng->Uniform(text.size())]);
+        break;
+    }
+  }
+  return text;
+}
+
+/// Runs `parse` on, for each of FuzzSeeds(base), 5 000 random strings of
+/// up to 40 bytes over the grammar's alphabet and 5 000 mutations of its
+/// valid inputs. `parse` checks one input and returns whether the parser
+/// accepted it; a sweep that only accepted or only rejected would test one
+/// path.
+template <typename ParseFn>
+void Sweep(const Grammar& grammar, uint64_t base, const ParseFn& parse) {
+  constexpr int kPerKind = 5000;
+  size_t inputs = 0;
+  size_t accepted = 0;
+  for (uint64_t seed : FuzzSeeds(base)) {
+    Rng rng(seed);
+    for (int i = 0; i < kPerKind; ++i) {
+      std::string text(rng.Uniform(41), ' ');
+      for (char& c : text) c = grammar.alphabet[rng.Uniform(grammar.alphabet.size())];
+      accepted += parse(text);
+      accepted += parse(Mutate(grammar.valid[rng.Uniform(grammar.valid.size())], &rng));
+      inputs += 2;
+    }
+  }
+  EXPECT_GT(accepted, 0u) << "no input parsed";
+  EXPECT_LT(accepted, inputs) << "every input parsed";
+}
+
+/// Bytes outside every grammar's tokens, mixed into each alphabet: '#',
+/// ';', 0xFF, a tab and NUL.
+std::string StrayBytes() { return std::string("#;\xff\t\0", 5); }
+
+TEST(ParserFuzzTest, ParseQueryReturnsAQueryOrAnError) {
+  std::string relations_64;  // the relation cap, which duplication exceeds
+  for (int i = 0; i < 64; ++i) {
+    const std::string id = std::to_string(i);
+    relations_64 += (i == 0 ? "R" : ",R") + id + "(A" + id + ")";
+  }
+  const Grammar grammar{"RSAB01_(),  " + StrayBytes(),
+                        {"R1(A,B), R2(B,C), R3(A,C)",
+                         "R1(A,B,C), R2(D,E,F), R3(A,D), R4(B,E), R5(C,F)", "R(A)",
+                         relations_64}};
+  Sweep(grammar, 0x9A45E1, [](const std::string& text) {
+    std::string error;
+    const std::optional<Hypergraph> query = ParseQuery(text, &error);
+    if (query.has_value()) {
+      EXPECT_GE(query->num_edges(), 1u) << '"' << text << '"';
+      EXPECT_LE(query->num_attrs(), 64u) << '"' << text << '"';
+    } else {
+      EXPECT_FALSE(error.empty()) << '"' << text << '"';
+    }
+    return query.has_value();
+  });
+}
+
+TEST(ParserFuzzTest, ParseSpeedSpecReturnsASpecOrNothing) {
+  const Grammar grammar{"uniformhalvesgeomseeded:0123456789.,-+eE " + StrayBytes(),
+                        {"uniform", "halves:4", "geom:8", "seeded:42", "1,2,4.5", "0.5,3"}};
+  Sweep(grammar, 0x5BEED5, [](const std::string& text) {
+    const std::optional<cluster::SpeedSpec> spec = cluster::ParseSpeedSpec(text);
+    if (!spec.has_value()) return false;
+    EXPECT_GT(spec->param, 0.0) << '"' << text << '"';
+    for (double speed : spec->explicit_speeds) EXPECT_GT(speed, 0.0) << '"' << text << '"';
+    return true;
+  });
+}
+
+TEST(ParserFuzzTest, ParseElasticSpecReturnsASpecOrNothing) {
+  const Grammar grammar{"+-@,0123456789none " + StrayBytes(),
+                        {"none", "+2@1,-1@3", "+1@2", "-1@4,+3@4,+1@9", "+2147483647@1"}};
+  Sweep(grammar, 0xE1A571C, [](const std::string& text) {
+    const std::optional<cluster::ElasticSpec> spec = cluster::ParseElasticSpec(text);
+    if (!spec.has_value()) return false;
+    for (size_t i = 0; i < spec->events.size(); ++i) {
+      EXPECT_GE(spec->events[i].round, 1u) << '"' << text << '"';
+      EXPECT_NE(spec->events[i].delta, 0) << '"' << text << '"';
+      if (i > 0) {
+        EXPECT_LT(spec->events[i - 1].round, spec->events[i].round) << '"' << text << '"';
+      }
+    }
+    return true;
+  });
+}
+
+TEST(ParserFuzzTest, ParseAlgorithmAcceptsOnlyAlgorithmNames) {
+  const Grammar grammar{"one_roundacyclictpb " + StrayBytes(),
+                        {"one_round", "acyclic", "output_balanced"}};
+  Sweep(grammar, 0xA1C0, [](const std::string& text) {
+    const std::optional<planner::Algorithm> algorithm = planner::ParseAlgorithm(text);
+    if (!algorithm.has_value()) return false;
+    EXPECT_EQ(planner::AlgorithmName(*algorithm), text);
+    return true;
+  });
+}
+
+TEST(ParserFuzzTest, ParseArrivalModeAcceptsOnlyModeNames) {
+  const Grammar grammar{"openclosedbursty " + StrayBytes(), {"open", "closed", "bursty"}};
+  Sweep(grammar, 0xA22, [](const std::string& text) {
+    const std::optional<service::ArrivalMode> mode = service::ParseArrivalMode(text);
+    if (!mode.has_value()) return false;
+    EXPECT_EQ(service::ArrivalModeName(*mode), text);
+    return true;
+  });
+}
 
 }  // namespace
 }  // namespace coverpack

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "query/parser.h"
 #include "relation/instance.h"
 #include "relation/operators.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
+
+#include "hash_collision.h"
 
 namespace coverpack {
 namespace {
@@ -187,6 +195,165 @@ TEST(OperatorsTest, EmptyMultiwayJoinKeepsTheUnionSchema) {
   EXPECT_EQ(result.width(), 3u);
   EXPECT_EQ(result.attrs(), AttrSet::FromIds({0, 1, 2}));
   EXPECT_EQ(result.size(), 0u);
+}
+
+/// Natural join by nested loops, in HashJoin's row order: ascending left
+/// row, then ascending right row.
+Relation NestedLoopJoin(const Relation& left, const Relation& right) {
+  std::vector<uint32_t> left_keys, right_keys;
+  for (AttrId attr : left.attrs().Intersect(right.attrs()).ToVector()) {
+    left_keys.push_back(left.ColumnOf(attr));
+    right_keys.push_back(right.ColumnOf(attr));
+  }
+  Relation output(left.attrs().Union(right.attrs()));
+  std::vector<std::pair<bool, uint32_t>> plan;  // (from left, column)
+  for (AttrId attr : output.attrs().ToVector()) {
+    plan.emplace_back(left.attrs().Contains(attr),
+                      left.attrs().Contains(attr) ? left.ColumnOf(attr) : right.ColumnOf(attr));
+  }
+  std::vector<Value> row(plan.size());
+  for (size_t i = 0; i < left.size(); ++i) {
+    const std::span<const Value> lrow = left.row(i);
+    for (size_t j = 0; j < right.size(); ++j) {
+      const std::span<const Value> rrow = right.row(j);
+      bool match = true;
+      for (size_t k = 0; k < left_keys.size() && match; ++k) {
+        match = lrow[left_keys[k]] == rrow[right_keys[k]];
+      }
+      if (!match) continue;
+      for (size_t k = 0; k < plan.size(); ++k) {
+        row[k] = plan[k].first ? lrow[plan[k].second] : rrow[plan[k].second];
+      }
+      output.AppendRow(row);
+    }
+  }
+  return output;
+}
+
+/// `rows` appended to a relation over `attrs` in a seeded shuffled order, so
+/// that equal keys are spread over the row ids.
+Relation Shuffled(AttrSet attrs, std::vector<std::vector<Value>> rows, Rng* rng) {
+  rng->Shuffle(&rows);
+  Relation relation(attrs);
+  for (const std::vector<Value>& row : rows) relation.AppendRow(row);
+  return relation;
+}
+
+// HashJoin and PendingJoin probe kJoinProbeGrain shards of their left rows
+// on the pool, then write each shard at the sum of the earlier shards'
+// counts. Every left side here spans at least four shards; the output must
+// be the nested-loop join, in its order, at 1 and at 4 pool threads.
+TEST(OperatorsTest, ShardedJoinsWriteTheNestedLoopRowsAtAnyPoolSize) {
+  constexpr AttrId A = 0, B = 1, C = 2, D = 3, E = 4;
+  Value a[2], b[2];  // two (A, B) keys with one HashRowKey
+  testutil::CraftCollidingKeys(a, b);
+  Rng rng(0x5A4DED);
+
+  // left(A, B, C): Zipf-skewed (A, B) keys, the colliding pair, and a third
+  // shard of keys that right lacks. C is the row id.
+  const size_t n = 4 * kJoinProbeGrain + 517;
+  const ZipfSampler zipf(48, 1.2);
+  Relation left(AttrSet::FromIds({A, B, C}));
+  for (size_t i = 0; i < n; ++i) {
+    if (i / kJoinProbeGrain == 2) {
+      left.AppendRow({1000 + i, 0, i});
+    } else if (i % 97 == 0) {
+      left.AppendRow({a[0], a[1], i});
+    } else if (i % 89 == 0) {
+      left.AppendRow({b[0], b[1], i});
+    } else {
+      const Value rank = zipf.Sample(&rng);
+      left.AppendRow({rank, rank % 5, i});
+    }
+  }
+  // right(A, B, D): the Zipf head key 300 times, ranks 1..39 once or twice,
+  // ranks 40..47 never, key a once and key b twice.
+  std::vector<std::vector<Value>> right_rows;
+  for (Value d = 0; d < 300; ++d) right_rows.push_back({0, 0, d});
+  for (Value rank = 1; rank < 40; ++rank) {
+    for (Value copy = 0; copy <= rank % 2; ++copy) {
+      right_rows.push_back({rank, rank % 5, 1000 + 2 * rank + copy});
+    }
+  }
+  right_rows.push_back({a[0], a[1], 2000});
+  right_rows.push_back({b[0], b[1], 2001});
+  right_rows.push_back({b[0], b[1], 2002});
+  const Relation right = Shuffled(AttrSet::FromIds({A, B, D}), std::move(right_rows), &rng);
+
+  Relation cartesian(AttrSet::Single(E));  // no attribute shared with left
+  for (Value v : {7, 3, 5}) cartesian.AppendRow({v});
+  Relation nullary((AttrSet()));
+  for (size_t i = 0; i < n; ++i) nullary.AppendRow({});
+  Relation two_empty_tuples((AttrSet()));
+  two_empty_tuples.AppendRow({});
+  two_empty_tuples.AppendRow({});
+
+  // A three-input MultiwayJoin: s(A, B) ⋈ t(B, C) is folded first (sizes
+  // ascend s, t, u), and the fold, over four shards or more, probes u on
+  // (B, C), where the colliding keys sit.
+  const ZipfSampler zipf_b(30, 1.1);
+  std::vector<std::vector<Value>> s_rows, t_rows, u_rows;
+  for (Value i = 0; i < 300; ++i) {
+    s_rows.push_back({i, i % 40 == 7 ? a[0] : i % 40 == 9 ? b[0] : 100 + zipf_b.Sample(&rng)});
+  }
+  for (Value c = 0; c < 80; ++c) t_rows.push_back({100, c});
+  for (Value rank = 1; rank < 30; ++rank) {
+    for (Value c = 0; c < 12; ++c) t_rows.push_back({100 + rank, (rank * 7 + c) % 13});
+  }
+  t_rows.push_back({a[0], a[1]});
+  t_rows.push_back({b[0], b[1]});
+  for (Value c = 0; c < 80; c += 4) {
+    for (Value copy = 0; copy < 3; ++copy) u_rows.push_back({100, c, 10 * c + copy});
+  }
+  for (Value rank = 1; rank < 30; ++rank) {
+    for (Value c = 0; c < 13; ++c) u_rows.push_back({100 + rank, c, 1000 + rank * 13 + c});
+  }
+  for (Value copy = 0; copy < 2; ++copy) u_rows.push_back({a[0], a[1], 5000 + copy});
+  u_rows.push_back({b[0], b[1], 6000});
+  const Relation s = Shuffled(AttrSet::FromIds({A, B}), std::move(s_rows), &rng);
+  const Relation t = Shuffled(AttrSet::FromIds({B, C}), std::move(t_rows), &rng);
+  const Relation u = Shuffled(AttrSet::FromIds({B, C, D}), std::move(u_rows), &rng);
+  ASSERT_LT(s.size(), t.size());
+  ASSERT_LT(t.size(), u.size());
+  const Relation fold = NestedLoopJoin(s, t);
+  ASSERT_GT(ThreadPool::NumShards(0, fold.size(), kJoinProbeGrain), 3u);
+
+  const std::vector<Relation> expected = {
+      NestedLoopJoin(left, right),        NestedLoopJoin(left, cartesian),
+      NestedLoopJoin(nullary, cartesian), NestedLoopJoin(left, two_empty_tuples),
+      NestedLoopJoin(nullary, two_empty_tuples), NestedLoopJoin(fold, u),
+  };
+  // The reference has what the inputs were built for: a shard with no
+  // match, a key with hundreds, and both colliding keys matched.
+  size_t third_shard_rows = 0, head_rows = 0, a_rows = 0, b_rows = 0;
+  for (size_t i = 0; i < expected[0].size(); ++i) {
+    const std::span<const Value> row = expected[0].row(i);  // A, B, C, D
+    third_shard_rows += row[2] / kJoinProbeGrain == 2;
+    head_rows += row[0] == 0;
+    a_rows += row[0] == a[0] && row[1] == a[1];
+    b_rows += row[0] == b[0] && row[1] == b[1];
+  }
+  EXPECT_EQ(third_shard_rows, 0u);
+  EXPECT_GE(head_rows, 300u);
+  EXPECT_GT(a_rows, 0u);
+  EXPECT_GT(b_rows, 0u);
+
+  const unsigned saved_threads = ThreadPool::GlobalThreads();
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const std::vector<Relation> joined = {
+        HashJoin(left, right),        HashJoin(left, cartesian),
+        HashJoin(nullary, cartesian), HashJoin(left, two_empty_tuples),
+        HashJoin(nullary, two_empty_tuples), MultiwayJoin({&u, &s, &t}),
+    };
+    for (size_t k = 0; k < joined.size(); ++k) {
+      SCOPED_TRACE("join " + std::to_string(k) + " at " + std::to_string(threads) + " threads");
+      EXPECT_EQ(joined[k].attrs(), expected[k].attrs());
+      EXPECT_EQ(joined[k].size(), expected[k].size());
+      EXPECT_TRUE(joined[k].raw() == expected[k].raw());
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
 }
 
 TEST(OperatorsTest, DegreeHistogram) {

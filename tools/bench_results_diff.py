@@ -11,13 +11,19 @@ in, so both files are canonicalized before comparing: `wall_ms`,
 count, so two runs at different --threads values compare equal.)
 Each --strip-prefix also drops every counter, gauge and histogram whose
 key starts with P (e.g. `fault.` and `recovery.` when one side ran under
-fault injection). Exits 1 naming the first experiment that differs, or
-when either file selected no experiments; exits 0 when they match.
+fault injection). Exits 1 when the files differ, naming every experiment
+that differs with its first differing key path and both values, e.g.
+`output_sensitivity: metrics.counters.memory.arena_scopes 632 vs 128`;
+exits 1 as well when either file selected no experiments, and 0 when
+they match.
 """
 
 import argparse
+import itertools
 import json
 import sys
+
+MISSING = object()  # a key or list item that one side lacks
 
 
 def canonical(path, strip_prefixes):
@@ -40,6 +46,31 @@ def canonical(path, strip_prefixes):
     return doc
 
 
+def first_difference(a, b, path=""):
+    """The first (path, a value, b value) at which a and b differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        items = [(a.get(k, MISSING), b.get(k, MISSING), f"{path}.{k}" if path else str(k))
+                 for k in {**a, **b}]
+    elif isinstance(a, list) and isinstance(b, list):
+        items = [(x, y, f"{path}[{i}]")
+                 for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=MISSING))]
+    else:
+        return None if a == b else (path, a, b)
+    for item in items:
+        found = first_difference(*item)
+        if found:
+            return found
+    return None
+
+
+def report(label, found):
+    """Prints `label: path a vs b` for a first_difference result."""
+    if found:
+        path, a, b = found
+        a, b = ("<missing>" if v is MISSING else json.dumps(v) for v in (a, b))
+        print(f"{label}: {path} {a} vs {b}", file=sys.stderr)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a")
@@ -59,10 +90,9 @@ def main():
         print(f"experiment lists differ: {ids_a} vs {ids_b}", file=sys.stderr)
         return 1
     for result_a, result_b in zip(a["results"], b["results"]):
-        if result_a != result_b:
-            print(f"experiment {result_a.get('id')} differs", file=sys.stderr)
-            return 1
-    print("top-level fields differ", file=sys.stderr)
+        report(result_a.get("id"), first_difference(result_a, result_b))
+    report("top-level fields differ",
+           first_difference({**a, "results": None}, {**b, "results": None}))
     return 1
 
 
