@@ -30,32 +30,6 @@ struct WorkItem {
   int depth;
 };
 
-/// Finds the most-skewed (attribute, value) pair relative to the hypercube
-/// shares; returns false when the instance is share-level skew-free.
-bool FindWorstSkew(const Hypergraph& query, const Instance& instance,
-                   const mpc::ShareVector& shares, AttrId* attr, double* worst_ratio) {
-  *worst_ratio = 0.0;
-  bool found = false;
-  for (AttrId v : query.AllAttrs().ToVector()) {
-    uint32_t share = shares.shares[v];
-    if (share <= 1) continue;  // a single hash bucket cannot be overloaded
-    for (uint32_t e = 0; e < query.num_edges(); ++e) {
-      if (!query.edge(e).attrs.Contains(v)) continue;
-      double threshold =
-          kSkewFactor * static_cast<double>(instance[e].size()) / static_cast<double>(share);
-      for (const auto& [value, degree] : DegreeHistogram(instance[e], v)) {
-        double ratio = static_cast<double>(degree) / std::max(threshold, 1.0);
-        if (ratio > 1.0 && ratio > *worst_ratio) {
-          *worst_ratio = ratio;
-          *attr = v;
-          found = true;
-        }
-      }
-    }
-  }
-  return found;
-}
-
 /// Heavy values of `attr`: degree above kSkewFactor * |R| / share in some
 /// relation containing it.
 std::vector<Value> HeavyValues(const Hypergraph& query, const Instance& instance,
@@ -89,6 +63,46 @@ std::vector<uint64_t> SizesOf(const Instance& instance) {
 
 }  // namespace
 
+SkewChoice FindWorstSkew(const Hypergraph& query, const Instance& instance,
+                         const mpc::ShareVector& shares) {
+  // The (attribute, relation) pairs a hash bucket could overload, in
+  // attribute-then-edge order; a single bucket cannot be overloaded.
+  struct Pair {
+    AttrId attr;
+    EdgeId edge;
+    uint64_t max_degree = 0;
+  };
+  std::vector<Pair> pairs;
+  for (AttrId v : query.AllAttrs().ToVector()) {
+    if (shares.shares[v] <= 1) continue;
+    for (EdgeId e = 0; e < query.num_edges(); ++e) {
+      if (query.edge(e).attrs.Contains(v)) pairs.push_back(Pair{v, e});
+    }
+  }
+  // One pool task per pair; the fold below reads the degrees in pair order,
+  // so the choice never depends on the thread count.
+  ThreadPool::Global().ParallelFor(0, pairs.size(), 1, [&](size_t k) {
+    Pair& pair = pairs[k];
+    for (const auto& [value, degree] : DegreeHistogram(instance[pair.edge], pair.attr)) {
+      pair.max_degree = std::max(pair.max_degree, degree);
+    }
+  });
+  // A pair's worst ratio is its max degree over the pair's threshold; the
+  // strict test keeps the first pair of the highest ratio.
+  SkewChoice choice;
+  for (const Pair& pair : pairs) {
+    const double threshold = kSkewFactor * static_cast<double>(instance[pair.edge].size()) /
+                             static_cast<double>(shares.shares[pair.attr]);
+    const double ratio = static_cast<double>(pair.max_degree) / std::max(threshold, 1.0);
+    if (ratio > 1.0 && ratio > choice.ratio) {
+      choice.skewed = true;
+      choice.attr = pair.attr;
+      choice.ratio = ratio;
+    }
+  }
+  return choice;
+}
+
 RunResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instance, uint32_t p,
                                  bool collect) {
   Cluster cluster(p);
@@ -105,6 +119,12 @@ RunResult ComputeOneRoundVanilla(const Hypergraph& query, const Instance& instan
 
 RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
                                    uint32_t p, const OneRoundOptions& options) {
+  return ComputeOneRoundSkewAwareWith(query, instance, p, options, FindWorstSkew);
+}
+
+RunResult ComputeOneRoundSkewAwareWith(const Hypergraph& query, const Instance& instance,
+                                       uint32_t p, const OneRoundOptions& options,
+                                       const SkewFinder& find_skew) {
   instance.CheckAgainst(query);
   RunResult result;
   result.results = Relation(query.AllAttrs());
@@ -145,12 +165,11 @@ RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& inst
 
       mpc::ShareVector shares =
           mpc::OptimizeSharesForSizes(item.query, SizesOf(item.instance), item.budget);
-      AttrId skew_attr = 0;
-      double ratio = 0.0;
-      bool skewed = item.depth < 32 && item.budget > 1 &&
-                    FindWorstSkew(item.query, item.instance, shares, &skew_attr, &ratio);
+      const bool splittable = item.depth < 32 && item.budget > 1;
+      const SkewChoice skew =
+          splittable ? find_skew(item.query, item.instance, shares) : SkewChoice();
 
-      if (!skewed) {
+      if (!skew.skewed) {
         Cluster cluster(std::max<uint32_t>(1, item.budget));
         mpc::HypercubeResult hc = mpc::HypercubeJoin(&cluster, item.query, item.instance,
                                                      shares, 0, options.collect);
@@ -169,6 +188,7 @@ RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& inst
 
       // Split dom(skew_attr) into heavy values (residual query each) and the
       // light remainder (same query, heavy values removed).
+      const AttrId skew_attr = skew.attr;
       std::vector<Value> heavy = HeavyValues(item.query, item.instance, shares, skew_attr);
       CP_CHECK(!heavy.empty());
 

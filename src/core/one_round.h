@@ -14,8 +14,10 @@
 #define COVERPACK_CORE_ONE_ROUND_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "core/run_result.h"
+#include "mpc/hypercube.h"
 #include "query/hypergraph.h"
 #include "relation/instance.h"
 
@@ -37,6 +39,31 @@ struct OneRoundOptions {
 /// sums their grid sizes.
 RunResult ComputeOneRoundSkewAware(const Hypergraph& query, const Instance& instance,
                                    uint32_t p, const OneRoundOptions& options);
+
+/// The split decision of one work item of the skew-aware algorithm.
+struct SkewChoice {
+  bool skewed = false;  ///< some value's degree exceeds 2 * |R| / share
+  AttrId attr = 0;      ///< the attribute to split on, when skewed
+  double ratio = 0.0;   ///< its worst degree over 2 * |R| / share
+};
+
+/// Picks the attribute to split on: over every (attribute, relation) pair
+/// whose attribute has share > 1, the pair whose most frequent value
+/// exceeds 2 * |R| / share by the largest ratio, the first such pair in
+/// attribute-then-edge order on a tie. Each pair's max degree is its own
+/// task on the global pool; the decision does not depend on the thread
+/// count.
+SkewChoice FindWorstSkew(const Hypergraph& query, const Instance& instance,
+                         const mpc::ShareVector& shares);
+
+/// ComputeOneRoundSkewAware with `find_skew` deciding every split in place
+/// of FindWorstSkew: the test seam that holds the production decisions to a
+/// reference scan's.
+using SkewFinder =
+    std::function<SkewChoice(const Hypergraph&, const Instance&, const mpc::ShareVector&)>;
+RunResult ComputeOneRoundSkewAwareWith(const Hypergraph& query, const Instance& instance,
+                                       uint32_t p, const OneRoundOptions& options,
+                                       const SkewFinder& find_skew);
 
 /// Vanilla one-round HyperCube (no skew handling) for comparison.
 /// servers_used is its grid size.

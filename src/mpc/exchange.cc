@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
+#include <unordered_map>
 
 #include "util/audit.h"
 #include "util/ledger.h"
@@ -26,6 +28,17 @@ ExchangeInterposer* ExchangeInterposer::Installed() {
   return g_interposer.load(std::memory_order_acquire);
 }
 
+std::vector<ExchangePlan::ServerCount> ExchangePlan::NonzeroCounts(
+    const std::vector<uint64_t>& counts) {
+  const size_t nonzero = counts.size() - std::count(counts.begin(), counts.end(), uint64_t{0});
+  std::vector<ServerCount> kept;
+  kept.reserve(nonzero);
+  for (uint32_t s = 0; s < counts.size(); ++s) {
+    if (counts[s] != 0) kept.push_back(ServerCount{s, counts[s]});
+  }
+  return kept;
+}
+
 ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink& sink,
                                    uint32_t round, const char* label, bool charged)
     : plan_(&plan), round_(round), label_(label), charged_(charged) {
@@ -33,60 +46,131 @@ ExchangeDelivery::ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink&
   // the distinct ones and the rows each receives from all sources (the
   // per-server counts AddSource kept), then reserve ahead for the delivery
   // once per destination.
-  std::vector<std::pair<Relation*, uint64_t>> incoming;  // distinct destinations
+  std::unordered_map<const Relation*, uint32_t> index_of;  // distinct destinations
+  index_of.reserve(plan.num_servers_);
+  dest_of_.resize(plan.sources_.size());
   for (size_t src = 0; src < plan.sources_.size(); ++src) {
     const ExchangePlan::Source& source = plan.sources_[src];
     if (source.relation == nullptr) continue;
     CP_CHECK(sink != nullptr);
-    for (const auto& routes : source.shard_routes) shards_.push_back({src, &routes});
-    Target target;
-    target.source_index = src;
-    target.dests.assign(plan.num_servers_, nullptr);
+    for (size_t k = 0; k < source.shard_routes.size(); ++k) {
+      shards_.push_back({src, k, &source.shard_routes[k]});
+    }
+    std::vector<uint32_t>& dest_of = dest_of_[src];
+    dest_of.assign(plan.num_servers_, kNoDestination);
     for (uint32_t s = 0; s < plan.num_servers_; ++s) {
       if (source.counts[s] == 0) continue;
       Relation* dest = sink(src, s);
       CP_CHECK(dest != nullptr);
-      auto it = std::find_if(incoming.begin(), incoming.end(),
-                             [dest](const auto& entry) { return entry.first == dest; });
-      if (it == incoming.end()) {
-        incoming.emplace_back(dest, source.counts[s]);
+      CP_CHECK_EQ(dest->width(), source.relation->width());
+      const auto [it, inserted] =
+          index_of.try_emplace(dest, static_cast<uint32_t>(dests_.size()));
+      if (inserted) {
+        dests_.push_back(Destination{dest, dest->width(), 0});
         pre_exchange_rows_ += dest->size();
-      } else {
-        it->second += source.counts[s];
       }
-      target.dests[s] = dest;
+      dests_[it->second].rows += source.counts[s];
+      dest_of[s] = it->second;
     }
-    targets_.push_back(std::move(target));
   }
-  for (const auto& [dest, rows] : incoming) dest->Reserve(dest->size() + rows);
+  for (const Destination& dest : dests_) {
+    dest.relation->Reserve(dest.relation->size() + dest.rows);
+  }
+}
+
+template <typename VisitFn>
+void ExchangeDelivery::ForEachShardCount(size_t k, const VisitFn& visit) const {
+  const RouteShard& shard = shards_[k];
+  const ExchangePlan::Source& source = plan_->sources_[shard.source_index];
+  if (source.shard_counts.empty()) {
+    for (uint32_t s = 0; s < plan_->num_servers_; ++s) {
+      if (source.counts[s] != 0) visit(s, source.counts[s]);
+    }
+    return;
+  }
+  for (const ExchangePlan::ServerCount& c : source.shard_counts[shard.shard]) {
+    visit(c.server, c.count);
+  }
 }
 
 uint64_t ExchangeDelivery::Deliver() {
-  // Replay routes in ascending (shard, route) order, with runs of
-  // consecutive rows bound for the same server coalesced into one flat
-  // AppendRows copy.
-  uint64_t delivered = 0;
-  for (const Target& target : targets_) {
-    const ExchangePlan::Source& source = plan_->sources_[target.source_index];
-    const uint32_t width = source.relation->width();
-    const Value* base = source.relation->raw().data();
-    for (const auto& routes : source.shard_routes) {
-      const size_t n = routes.size();
-      size_t k = 0;
-      while (k < n) {
-        const uint32_t server = routes[k].server;
-        const size_t first_row = routes[k].row;
-        size_t run = 1;
-        while (k + run < n && routes[k + run].server == server &&
-               routes[k + run].row == first_row + run) {
-          ++run;
-        }
-        target.dests[server]->AppendRows(base + first_row * width, run);
-        delivered += run;
-        k += run;
-      }
-    }
+  // Grow every destination once, by all the rows it receives.
+  std::vector<Value*> next_free(dests_.size());
+  for (size_t d = 0; d < dests_.size(); ++d) {
+    next_free[d] = dests_[d].relation->AppendUninitialized(dests_[d].rows);
   }
+
+  // Lay the (route shard, destination) slices out in delivery order: a
+  // shard's slice of a destination starts where the earlier shards' slices
+  // of it end, and holds the routes of every server of the shard's source
+  // that the destination serves.
+  struct Slice {
+    uint32_t dest;
+    Value* begin;
+    uint64_t rows;
+  };
+  constexpr size_t kNoSlice = ~size_t{0};
+  std::vector<Slice> slices;
+  std::vector<size_t> first_slice(shards_.size() + 1);
+  std::vector<size_t> slice_of(dests_.size(), kNoSlice);  // latest slice of each destination
+  uint64_t delivered = 0;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    first_slice[k] = slices.size();
+    delivered += shards_[k].routes->size();
+    const std::vector<uint32_t>& dest_of = dest_of_[shards_[k].source_index];
+    ForEachShardCount(k, [&](uint32_t server, uint64_t count) {
+      const uint32_t d = dest_of[server];
+      if (slice_of[d] == kNoSlice || slice_of[d] < first_slice[k]) {
+        slice_of[d] = slices.size();
+        slices.push_back(Slice{d, next_free[d], 0});
+      }
+      slices[slice_of[d]].rows += count;
+      next_free[d] += count * dests_[d].width;
+    });
+  }
+  first_slice[shards_.size()] = slices.size();
+
+  // Fill the slices, one route shard per task. A shard checks before each
+  // copy that the copy fits its slice, and at the end that it filled it.
+  ThreadPool::Global().ParallelFor(0, shards_.size(), 1, [&](size_t k) {
+    const RouteShard& shard = shards_[k];
+    const Relation& source = *plan_->sources_[shard.source_index].relation;
+    const std::vector<uint32_t>& dest_of = dest_of_[shard.source_index];
+    const uint32_t width = source.width();
+    const Value* base = source.raw().data();
+    struct Cursor {
+      Value* next = nullptr;
+      uint64_t room = 0;
+    };
+    std::vector<Cursor> cursor(dests_.size());
+    for (size_t j = first_slice[k]; j < first_slice[k + 1]; ++j) {
+      cursor[slices[j].dest] = Cursor{slices[j].begin, slices[j].rows};
+    }
+    const std::vector<ExchangePlan::Route>& routes = *shard.routes;
+    const size_t n = routes.size();
+    size_t i = 0;
+    while (i < n) {
+      const uint32_t d = dest_of[routes[i].server];
+      const size_t first_row = routes[i].row;
+      size_t run = 1;
+      while (i + run < n && dest_of[routes[i + run].server] == d &&
+             routes[i + run].row == first_row + run) {
+        ++run;
+      }
+      Cursor& to = cursor[d];
+      CP_CHECK(run <= to.room) << "exchange " << label_ << " overruns a delivery slice";
+      if (width != 0) {
+        std::memcpy(to.next, base + first_row * width, run * width * sizeof(Value));
+      }
+      to.next += run * width;
+      to.room -= run;
+      i += run;
+    }
+    for (size_t j = first_slice[k]; j < first_slice[k + 1]; ++j) {
+      CP_CHECK_EQ(cursor[slices[j].dest].room, 0u)
+          << "exchange " << label_ << " left a slice unfilled";
+    }
+  });
   return delivered;
 }
 

@@ -21,11 +21,15 @@
 ///     routes for delivery or only count receives (charge-only routing,
 ///     used when the simulation needs the load but not the data).
 ///  2. **Execute** — delivers every recorded route into its destination
-///     relation via the sink callback, in deterministic (source, shard,
-///     row, emit) order, with reserve-ahead bulk appends (consecutive rows
-///     bound for the same server coalesce into one flat copy) instead of
-///     per-row AppendRow calls — then charges the cluster's tracker
-///     **exactly once per server** for the round.
+///     relation via the sink callback, then charges the cluster's tracker
+///     **exactly once per server** for the round. Each destination grows
+///     once, by every row it receives; each route shard then fills its
+///     slice of each destination it feeds, shard-parallel on the global
+///     ThreadPool. The slices lie in (source, shard) order, so every
+///     destination receives its rows in the deterministic (source, shard,
+///     row, emit) order at any thread count, also when several servers or
+///     sources share it. Consecutive rows bound for one destination go as
+///     one flat copy.
 ///
 /// In COVERPACK_AUDIT builds Execute verifies the conservation invariant
 /// at the choke point: tuples planned == tuples delivered == load charged
@@ -151,17 +155,30 @@ class ExchangePlan {
     size_t row;
   };
 
+  /// The routes one shard sends one server.
+  struct ServerCount {
+    uint32_t server;
+    uint64_t count;
+  };
+
   /// One routed source relation. `relation` is null for charge-only
   /// sources (their routes were counted, not recorded).
   struct Source {
     const Relation* relation = nullptr;
     std::vector<std::vector<Route>> shard_routes;  // ascending shard order
+    /// Per shard, the servers its routes reach, ascending, with their
+    /// counts: at most one entry per route. Empty for a one-shard source,
+    /// whose only shard's counts are `counts`.
+    std::vector<std::vector<ServerCount>> shard_counts;
     std::vector<uint64_t> counts;  ///< recorded routes per server; empty when charge-only
   };
 
   void EnsureReceives() {
     if (receives_.empty()) receives_.assign(num_servers_, 0);
   }
+
+  /// The nonzero entries of a shard's per-server route counts.
+  static std::vector<ServerCount> NonzeroCounts(const std::vector<uint64_t>& counts);
 
   uint32_t num_servers_;
   uint64_t uniform_per_server_ = 0;  ///< broadcast/linear component, per server
@@ -176,11 +193,13 @@ class ExchangePlan {
 using ExchangeSink = std::function<Relation*(size_t, uint32_t)>;
 
 /// The delivery of one Execute call. Destinations are resolved through the
-/// sink exactly once, at construction; Execute then performs the one
-/// coalesced delivery. Before it does, an installed interposer gets the
-/// const view: the plan, the exchange's coordinates, every route in
-/// delivery order (whole, or shard by shard for a parallel walk), and the
-/// destinations' pre-exchange sizes.
+/// sink exactly once, at construction, which also reserves each one's exact
+/// final capacity; Execute then performs the one sharded delivery. Before
+/// it does, an installed interposer gets the const view: the plan, the
+/// exchange's coordinates, every route in delivery order (whole, or shard
+/// by shard for a parallel walk), and the destinations' pre-exchange
+/// sizes. No row is written before the delivery, so the destinations still
+/// hold only those pre-exchange rows.
 class ExchangeDelivery {
  public:
   uint32_t round() const { return round_; }
@@ -227,29 +246,45 @@ class ExchangeDelivery {
   ExchangeDelivery(const ExchangePlan& plan, const ExchangeSink& sink, uint32_t round,
                    const char* label, bool charged);
 
-  /// Appends every recorded route to its destination. Returns the rows
-  /// delivered.
+  /// Appends every recorded route to its destination: grows each
+  /// destination once, places each (route shard, destination) slice at the
+  /// rows that destination takes from earlier shards, then fills the slices
+  /// shard-parallel. Returns the rows delivered.
   uint64_t Deliver();
 
-  /// Destination state of one recorded source.
-  struct Target {
-    size_t source_index;
-    std::vector<Relation*> dests;  ///< resolved once; null where the source routes no row
+  /// One distinct destination relation and the rows it receives from all
+  /// sources.
+  struct Destination {
+    Relation* relation;
+    uint32_t width;
+    uint64_t rows;
   };
 
-  /// One routing shard of a recorded source.
+  /// One routing shard of a recorded source: `shard` indexes its source's
+  /// shard_routes and shard_counts.
   struct RouteShard {
     size_t source_index;
+    size_t shard;
     const std::vector<ExchangePlan::Route>* routes;
   };
+
+  /// Calls visit(server, count) for every server route shard `k` reaches.
+  template <typename VisitFn>
+  void ForEachShardCount(size_t k, const VisitFn& visit) const;
 
   const ExchangePlan* plan_;
   uint32_t round_;
   const char* label_;
   bool charged_;
-  std::vector<Target> targets_;
+  std::vector<Destination> dests_;  ///< distinct destinations, in first-resolved order
+  /// Per source, per server: the index in dests_ of the relation the sink
+  /// resolved, kNoDestination where the source routes nothing. Empty for
+  /// charge-only sources.
+  std::vector<std::vector<uint32_t>> dest_of_;
   std::vector<RouteShard> shards_;  ///< the route shard view, in delivery order
   uint64_t pre_exchange_rows_ = 0;
+
+  static constexpr uint32_t kNoDestination = ~uint32_t{0};
 };
 
 /// Read-only hook of the Exchange layer: when installed, every Execute
@@ -334,25 +369,37 @@ size_t ExchangePlan::AddSource(const Relation& source, bool record, const RouteF
     const size_t num_shards = ThreadPool::NumShards(0, rows, kExchangeRouteGrain);
     ThreadPool& pool = ThreadPool::Global();
     if (record) {
+      // Each shard counts its routes per server as it records them: a
+      // one-shard source straight into `counts`, any other shard into a
+      // scratch array it then keeps only the nonzero servers of.
       entry.shard_routes.resize(num_shards);
+      if (num_shards > 1) entry.shard_counts.resize(num_shards);
       pool.ParallelForShards(0, rows, kExchangeRouteGrain,
                              [&](size_t shard_begin, size_t shard_end, size_t shard) {
                                shard_end = std::min(shard_end, rows);
                                auto& routes = entry.shard_routes[shard];
                                routes.reserve((shard_end - shard_begin) * emits_per_row_hint);
+                               std::vector<uint64_t> scratch;
+                               if (num_shards > 1) scratch.assign(num_servers_, 0);
+                               std::vector<uint64_t>& counts =
+                                   num_shards > 1 ? scratch : entry.counts;
                                for (size_t i = shard_begin; i < shard_end; ++i) {
                                  route(i, [&](uint64_t server) {
+                                   CP_DCHECK(server < num_servers_);
                                    routes.push_back(Route{static_cast<uint32_t>(server), i});
+                                   ++counts[server];
                                  });
+                               }
+                               if (num_shards > 1) {
+                                 entry.shard_counts[shard] = NonzeroCounts(scratch);
                                }
                              });
       for (const auto& routes : entry.shard_routes) {
-        for (const Route& r : routes) {
-          CP_DCHECK(r.server < num_servers_);
-          ++entry.counts[r.server];
-        }
         total_planned_ += routes.size();
         recorded_planned_ += routes.size();
+      }
+      for (const auto& shard_counts : entry.shard_counts) {
+        for (const ServerCount& c : shard_counts) entry.counts[c.server] += c.count;
       }
       EnsureReceives();
       for (uint32_t s = 0; s < num_servers_; ++s) receives_[s] += entry.counts[s];

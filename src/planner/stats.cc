@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "relation/operators.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -65,17 +66,12 @@ RelationStats BuildRelationStats(const Relation& relation) {
     column.attr = attrs[c];
     column.rows = relation.size();
 
-    for (size_t i = 0; i < values.size(); ++i) values[i] = relation.row(i)[c];
-
     // Distinct count and max degree are run lengths of the sorted column.
-    std::sort(values.begin(), values.end());
-    for (size_t i = 0; i < values.size();) {
-      size_t run_end = i + 1;
-      while (run_end < values.size() && values[run_end] == values[i]) ++run_end;
-      column.distinct += 1;
-      column.max_degree = std::max<uint64_t>(column.max_degree, run_end - i);
-      i = run_end;
-    }
+    ForEachColumnRun(relation, static_cast<uint32_t>(c), values.data(),
+                     [&column](Value, size_t run) {
+                       column.distinct += 1;
+                       column.max_degree = std::max<uint64_t>(column.max_degree, run);
+                     });
 
     CP_DCHECK_LE(column.distinct, column.rows);
     CP_DCHECK_LE(column.max_degree, column.rows);

@@ -112,7 +112,9 @@ class JoinProbe {
 
   /// Writes the joined rows to `dst`, rows of the union schema's width:
   /// each shard's at the sum of the earlier shards' counts in `shard_rows`,
-  /// this probe's CountShards(), checking that it wrote exactly its count.
+  /// this probe's CountShards(). A shard checks before each row that its
+  /// count has room for it, so a short count stops before it writes past
+  /// its slice, and at the end that it wrote exactly its count.
   void Write(const std::vector<size_t>& shard_rows, Value* dst) const {
     std::vector<size_t> offsets(shard_rows.size());
     std::exclusive_scan(shard_rows.begin(), shard_rows.end(), offsets.begin(), size_t{0});
@@ -122,6 +124,8 @@ class JoinProbe {
           Value* out = dst + offsets[shard] * out_width_;
           size_t written = 0;
           ForEachMatch(begin, end, [&](const Value* lrow, const Value* rrow) {
+            CP_CHECK(written < shard_rows[shard])
+                << "shard " << shard << " overruns its count";
             for (uint32_t k = 0; k < out_width_; ++k) {
               out[k] = plan_[k].from_left ? lrow[plan_[k].col] : rrow[plan_[k].col];
             }
@@ -391,23 +395,14 @@ std::optional<Instance> ResidualInstance(const Hypergraph& query, const Instance
 
 std::vector<std::pair<Value, uint64_t>> DegreeHistogram(const Relation& input, AttrId attr) {
   std::vector<std::pair<Value, uint64_t>> histogram;
-  const size_t n = input.size();
-  if (n == 0) return histogram;
+  if (input.empty()) return histogram;
   // Gather the column, sort it, and run-length encode: no hash table, and
   // the histogram comes out sorted by value for free.
   ArenaScope scope;
-  Value* values = scope.arena()->AllocateArray<Value>(n);
-  const uint32_t width = input.width();
-  const Value* src = input.raw().data() + input.ColumnOf(attr);
-  for (size_t i = 0; i < n; ++i) values[i] = src[i * width];
-  std::sort(values, values + n);
-  size_t i = 0;
-  while (i < n) {
-    size_t run = i + 1;
-    while (run < n && values[run] == values[i]) ++run;
-    histogram.emplace_back(values[i], run - i);
-    i = run;
-  }
+  Value* values = scope.arena()->AllocateArray<Value>(input.size());
+  ForEachColumnRun(input, input.ColumnOf(attr), values, [&histogram](Value value, size_t degree) {
+    histogram.emplace_back(value, degree);
+  });
   return histogram;
 }
 

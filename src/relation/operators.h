@@ -8,6 +8,7 @@
 #ifndef COVERPACK_RELATION_OPERATORS_H_
 #define COVERPACK_RELATION_OPERATORS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -123,6 +124,27 @@ std::optional<Instance> ResidualInstance(const Hypergraph& query, const Instance
 
 /// Degree of each value of `attr`: pairs (value, count) sorted by value.
 std::vector<std::pair<Value, uint64_t>> DegreeHistogram(const Relation& input, AttrId attr);
+
+/// Gathers column `col` of `relation` into `buffer` (relation.size() values,
+/// owned by the caller), sorts it unless it is already ascending, as a
+/// sorted relation's first column is, and calls visit(value, run_length)
+/// once per run of equal values, in ascending value order.
+template <typename Visit>
+void ForEachColumnRun(const Relation& relation, uint32_t col, Value* buffer,
+                      const Visit& visit) {
+  const size_t n = relation.size();
+  if (n == 0) return;
+  const uint32_t width = relation.width();
+  const Value* src = relation.raw().data() + col;
+  for (size_t i = 0; i < n; ++i) buffer[i] = src[i * width];
+  if (!std::is_sorted(buffer, buffer + n)) std::sort(buffer, buffer + n);
+  for (size_t i = 0; i < n;) {
+    size_t run = i + 1;
+    while (run < n && buffer[run] == buffer[i]) ++run;
+    visit(buffer[i], run - i);
+    i = run;
+  }
+}
 
 }  // namespace coverpack
 

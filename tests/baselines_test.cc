@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/one_round.h"
 #include "core/yannakakis.h"
 #include "query/catalog.h"
 #include "query/parser.h"
+#include "relation/operators.h"
 #include "relation/oracle.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace coverpack {
@@ -139,6 +144,157 @@ TEST(OneRoundTest, SkewAwareSplitReattachesHeavyBindings) {
   EXPECT_EQ(expected.size(), 60u);
   EXPECT_EQ(run.output_count, expected.size());
   EXPECT_TRUE(run.results.SameContentAs(expected));
+}
+
+/// The split decision from full DegreeHistogram scans, value by value in
+/// attribute-then-edge order: what FindWorstSkew must decide.
+SkewChoice ReferenceSkewChoice(const Hypergraph& query, const Instance& instance,
+                               const mpc::ShareVector& shares) {
+  SkewChoice choice;
+  for (AttrId v : query.AllAttrs().ToVector()) {
+    const uint32_t share = shares.shares[v];
+    if (share <= 1) continue;
+    for (EdgeId e = 0; e < query.num_edges(); ++e) {
+      if (!query.edge(e).attrs.Contains(v)) continue;
+      const double threshold =
+          2.0 * static_cast<double>(instance[e].size()) / static_cast<double>(share);
+      for (const auto& [value, degree] : DegreeHistogram(instance[e], v)) {
+        const double ratio = static_cast<double>(degree) / std::max(threshold, 1.0);
+        if (ratio > 1.0 && ratio > choice.ratio) choice = SkewChoice{true, v, ratio};
+      }
+    }
+  }
+  return choice;
+}
+
+/// The first work item's shares, as ComputeOneRoundSkewAware computes them.
+mpc::ShareVector TopShares(const Hypergraph& q, const Instance& instance, uint32_t p) {
+  std::vector<uint64_t> sizes;
+  for (size_t e = 0; e < instance.num_relations(); ++e) sizes.push_back(instance[e].size());
+  return mpc::OptimizeSharesForSizes(q, sizes, p);
+}
+
+/// At pool sizes 1 and 4, FindWorstSkew decides the whole instance as the
+/// reference scan does, and a collecting skew-aware run charges the same
+/// tracker and emits the same rows, in order, as a run whose every split
+/// the reference decides. Returns the top-level decision.
+SkewChoice ExpectReferenceSkewDecisions(const std::string& name, const Hypergraph& q,
+                                        const Instance& instance, uint32_t p) {
+  const mpc::ShareVector shares = TopShares(q, instance, p);
+  const SkewChoice expected = ReferenceSkewChoice(q, instance, shares);
+  OneRoundOptions options;
+  options.collect = true;
+  const unsigned saved_threads = ThreadPool::GlobalThreads();
+  ThreadPool::SetGlobalThreads(1);
+  const RunResult reference =
+      ComputeOneRoundSkewAwareWith(q, instance, p, options, ReferenceSkewChoice);
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const SkewChoice choice = FindWorstSkew(q, instance, shares);
+    EXPECT_EQ(choice.skewed, expected.skewed) << name << " at " << threads << " threads";
+    EXPECT_EQ(choice.attr, expected.attr) << name << " at " << threads << " threads";
+    EXPECT_EQ(choice.ratio, expected.ratio) << name << " at " << threads << " threads";
+    const RunResult run = ComputeOneRoundSkewAware(q, instance, p, options);
+    EXPECT_TRUE(run.load_tracker == reference.load_tracker)
+        << name << " at " << threads << " threads";
+    EXPECT_EQ(run.servers_used, reference.servers_used) << name << " at " << threads;
+    EXPECT_EQ(run.output_count, reference.output_count) << name << " at " << threads;
+    EXPECT_TRUE(run.results.attrs() == reference.results.attrs()) << name;
+    EXPECT_TRUE(run.results.raw() == reference.results.raw())
+        << name << " at " << threads << " threads";
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
+  return expected;
+}
+
+/// An instance of `q` whose relations hold `rows` as given, sorted.
+Instance SortedInstance(const Hypergraph& q,
+                        const std::vector<std::vector<std::vector<Value>>>& rows) {
+  Instance instance(q);
+  for (size_t e = 0; e < rows.size(); ++e) {
+    for (const std::vector<Value>& row : rows[e]) {
+      instance[e].AppendRow(std::span<const Value>(row));
+    }
+    instance[e].SortRows();
+  }
+  return instance;
+}
+
+TEST(OneRoundTest, SkewDecisionsMatchTheReferenceOnTheCyclicBenchmarkShapes) {
+  // The five cyclic shapes of the perf benchmark, at its sizes, domains,
+  // Zipf exponent and sample seeds, rows sorted: none of them is skewed.
+  struct Shape {
+    const char* name;
+    Hypergraph query;
+    size_t n;
+    uint64_t domain;
+  };
+  const std::vector<Shape> shapes = {{"triangle", catalog::Triangle(), 10000, 2000},
+                                     {"cycle4", catalog::Cycle(4), 6000, 1500},
+                                     {"clique4", catalog::Clique(4), 8000, 400},
+                                     {"lw4", catalog::LoomisWhitney(4), 20000, 60},
+                                     {"box", catalog::BoxJoin(), 3000, 200}};
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    Rng rng(SplitSeed(0x21F5EEDull, k));
+    Instance instance =
+        workload::ZipfInstance(shapes[k].query, shapes[k].n, shapes[k].domain, 0.5, &rng);
+    for (size_t e = 0; e < instance.num_relations(); ++e) instance[e].SortRows();
+    const SkewChoice top =
+        ExpectReferenceSkewDecisions(shapes[k].name, shapes[k].query, instance, 64);
+    EXPECT_FALSE(top.skewed) << shapes[k].name;
+  }
+}
+
+TEST(OneRoundTest, SkewDecisionSplitsOnOneHeavyValueInOneRelation) {
+  // A = 0 holds 2000 of R1's 3000 rows, in R1's first (sorted) column.
+  const Hypergraph q = catalog::Triangle();
+  std::vector<std::vector<std::vector<Value>>> rows(3);
+  for (Value i = 0; i < 3000; ++i) {
+    rows[0].push_back({i < 2000 ? 0 : i, i});
+    rows[1].push_back({i, (i * 7) % 3000});
+    rows[2].push_back({i, (i * 13) % 3000});
+  }
+  const SkewChoice top =
+      ExpectReferenceSkewDecisions("one heavy value", q, SortedInstance(q, rows), 64);
+  EXPECT_TRUE(top.skewed);
+  EXPECT_EQ(top.attr, 0u);
+}
+
+TEST(OneRoundTest, SkewDecisionTieGoesToTheFirstPairInAttributeThenEdgeOrder) {
+  // B = 7 in R1 and C = 9 in R2 each hold 800 of 1200 rows under equal
+  // shares, so (B, R1) and (C, R2) tie on the worst ratio; B comes first.
+  const Hypergraph q = catalog::Triangle();
+  std::vector<std::vector<std::vector<Value>>> rows(3);
+  for (Value i = 0; i < 1200; ++i) {
+    rows[0].push_back({i, i < 800 ? 7 : 1000 + i});
+    rows[1].push_back({i, i < 800 ? 9 : 1000 + i});
+    rows[2].push_back({i, i});
+  }
+  const Instance instance = SortedInstance(q, rows);
+  const mpc::ShareVector shares = TopShares(q, instance, 64);
+  ASSERT_EQ(shares.shares[1], shares.shares[2]);
+  const SkewChoice top = ExpectReferenceSkewDecisions("tie", q, instance, 64);
+  EXPECT_TRUE(top.skewed);
+  EXPECT_EQ(top.attr, 1u);
+}
+
+TEST(OneRoundTest, SkewDecisionSortsAColumnThatIsNotFirst) {
+  // B = 5 holds 1000 of R1's 1500 rows in R1's second column, which the
+  // sorted relation does not keep ascending.
+  const Hypergraph q = catalog::Triangle();
+  std::vector<std::vector<std::vector<Value>>> rows(3);
+  for (Value i = 0; i < 1500; ++i) {
+    rows[0].push_back({i, i % 3 == 2 ? 3000 + i : 5});
+    rows[1].push_back({i, (i * 7) % 1500});
+    rows[2].push_back({i, (i * 11) % 1500});
+  }
+  const Instance instance = SortedInstance(q, rows);
+  std::vector<Value> column;
+  for (size_t i = 0; i < instance[0].size(); ++i) column.push_back(instance[0].row(i)[1]);
+  ASSERT_FALSE(std::is_sorted(column.begin(), column.end()));
+  const SkewChoice top = ExpectReferenceSkewDecisions("second column", q, instance, 64);
+  EXPECT_TRUE(top.skewed);
+  EXPECT_EQ(top.attr, 1u);
 }
 
 TEST(OneRoundTest, VanillaMatchesOracleOnUniform) {
